@@ -33,7 +33,7 @@ def main() -> None:
     for arr_name, phi, label in CASES:
         arr = builtin_arrangement(arr_name)
         autos = combinatorial_automorphisms(arr)
-        preserving = character_preserving_symmetries(arr, enumerate_characters(phi))
+        preserving = character_preserving_symmetries(autos, enumerate_characters(phi))
         print(f"== {label} ({arr_name}) ==")
         print(f"  incidence automorphisms: {len(autos)}")
         print(f"  character-preserving:    {len(preserving)}")

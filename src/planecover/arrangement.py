@@ -364,20 +364,14 @@ def compose_symmetries(s1: LineSymmetry, s2: LineSymmetry) -> LineSymmetry:
     return LineSymmetry(perm=perm, anti=anti, matrix=matrix)
 
 
-def point_image(sym: LineSymmetry, point: Vec3) -> Vec3:
-    """Induced action on points: x maps to (M^T)^(-1) sigma(x)."""
+def fixed_points_of(arr: Arrangement, sym: LineSymmetry) -> list[IncidencePoint]:
+    """Incidence points fixed by the realized (anti-)projectivity, which maps
+    a point x to (M^T)^(-1) sigma(x)."""
     if sym.matrix is None:
         raise ValueError("symmetry has no realizing matrix")
     n = inverse(transpose(sym.matrix))
-    x = conj_vec(point) if sym.anti else point
-    return canonical(matvec(n, x))
-
-
-def fixed_points_of(arr: Arrangement, sym: LineSymmetry) -> list[IncidencePoint]:
-    """Incidence points fixed by the realized (anti-)projectivity."""
-    if sym.matrix is None:
-        raise ValueError("symmetry has no realizing matrix")
-    return [p for p in arr.points if point_image(sym, p.coords) == p.coords]
+    sigma = conj_vec if sym.anti else (lambda v: v)
+    return [p for p in arr.points if canonical(matvec(n, sigma(p.coords))) == p.coords]
 
 
 def identity_symmetry(arr: Arrangement) -> LineSymmetry:

@@ -95,9 +95,9 @@ def cover_from_json(data: dict) -> CoverModel:
     "blow_up": "all_r_ge_3" | [point ids]}."""
     try:
         arr = resolve_arrangement(data["arrangement"])
-        m = int(data["m"])
-        k = int(data["k"])
-        phi = Epimorphism(m=m, k=k, rows=tuple(tuple(r) for r in data["phi"]))
+        phi = Epimorphism(
+            m=data["m"], k=data["k"], rows=tuple(tuple(r) for r in data["phi"])
+        )
         blow = data.get("blow_up", BLOW_ALL_TRIPLE)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed cover JSON: {exc}") from exc

@@ -115,16 +115,11 @@ def characters_report(cover: CoverModel, ref: str) -> dict:
 
 
 def symmetry_report(cover: CoverModel, ref: str) -> dict:
-    from .arrangement import combinatorial_automorphisms
-    from .symmetry import character_preserving_symmetries
-
     model = klein_model(cover)
-    autos = combinatorial_automorphisms(cover.arrangement)
-    preserving = character_preserving_symmetries(cover.arrangement, model.charset)
     return {
         "cover": ref,
-        "combinatorial_automorphisms": len(autos),
-        "character_preserving": [perm_cycles_str(p) for p in preserving],
+        "combinatorial_automorphisms": model.automorphism_count,
+        "character_preserving": [perm_cycles_str(p) for p in model.character_preserving],
         "realized": [
             {
                 "perm": perm_cycles_str(r.perm),

@@ -110,6 +110,10 @@ def solve_mod_p(rows: list[Vector], rhs: Vector, p: int) -> Vector | None:
 # -- epimorphisms -------------------------------------------------------------
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Epimorphism:
     """phi: H_1 -> (Z/mZ)^k given by rows[i] = phi(lambda_i)."""
@@ -119,8 +123,16 @@ class Epimorphism:
     rows: tuple[Vector, ...]
 
     def __post_init__(self) -> None:
+        for name, value in (("m", self.m), ("k", self.k)):
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.m < 2:
             raise ValueError("modulus must be at least 2")
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
+        bad = next((x for r in self.rows for x in r if not _is_int(x)), None)
+        if bad is not None:
+            raise ValueError(f"phi entries must be integers, got {bad!r}")
         if any(len(r) != self.k for r in self.rows):
             raise ValueError("row length does not match k")
         object.__setattr__(

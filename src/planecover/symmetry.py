@@ -16,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 
 from .arrangement import (
-    Arrangement,
     LineSymmetry,
     Perm,
     combinatorial_automorphisms,
@@ -28,21 +27,17 @@ from .arrangement import (
 )
 from .characters import Character, enumerate_characters, preserves_charset
 from .cover import CoverModel
-from .homology import Epimorphism, Vector, solve_mod_p
+from .homology import Epimorphism, Vector, nullspace_mod_p, solve_mod_p
 
 Matrix = tuple[Vector, ...]  # k x k over Z/mZ
 
 
 def character_preserving_symmetries(
-    arr: Arrangement, charset: tuple[Character, ...]
+    autos: list[Perm], charset: tuple[Character, ...]
 ) -> list[Perm]:
-    """Incidence automorphisms whose coordinate action fixes the set."""
+    """The incidence automorphisms `autos` whose coordinate action fixes the set."""
     cset = frozenset(charset)
-    return [
-        perm
-        for perm in combinatorial_automorphisms(arr)
-        if preserves_charset(perm, cset)
-    ]
+    return [perm for perm in autos if preserves_charset(perm, cset)]
 
 
 def _charset_matrix(perm: Perm, phi: Epimorphism) -> Matrix:
@@ -95,10 +90,27 @@ class RealizedSymmetry:
 
 @dataclass(frozen=True)
 class KleinModel:
+    """The group G = (Z/m)^k x| H of the cover's holomorphic and
+    anti-holomorphic automorphisms that lift realized line symmetries.
+
+    H is `realized`, sorted by (perm, anti); an element of G is a pair
+    (index into H, deck vector), with (s, a)(t, b) = (st, a + A_s b) for the
+    deck action A_s of s.  The model stores H and its deck actions only, never
+    the m^k |H| elements: building it costs one incidence-automorphism search,
+    the character filter on the automorphisms found and two realizability
+    tests per surviving permutation.  The search's results are kept in
+    `automorphism_count` and `character_preserving` for the reports.  Every
+    question about G asked here reduces to H and linear algebra mod m on the
+    A_s: the real-structure classes cost O(|H|^2 n + k^3) per H-class of
+    anti-holomorphic involutions for odd m (`classify_real_structures`).
+    """
+
     cover: CoverModel
     charset: tuple[Character, ...]
     realized: tuple[RealizedSymmetry, ...]
     combinatorial_only: tuple[tuple[Perm, bool], ...]
+    automorphism_count: int
+    character_preserving: tuple[Perm, ...]
 
     @property
     def m(self) -> int:
@@ -122,12 +134,6 @@ class KleinModel:
                 return idx
         raise KeyError(f"({perm_cycles_str(perm)}, anti={anti}) is not realized")
 
-    # group elements are (symmetry index, deck vector)
-    def elements(self):
-        for idx in range(len(self.realized)):
-            for delta in itertools.product(range(self.m), repeat=self.k):
-                yield (idx, delta)
-
     def multiply(self, x: tuple[int, Vector], y: tuple[int, Vector]) -> tuple[int, Vector]:
         i1, d1 = x
         i2, d2 = y
@@ -139,32 +145,17 @@ class KleinModel:
         delta = tuple((a + b) % self.m for a, b in zip(d1, moved))
         return (idx, delta)
 
-    def inverse(self, x: tuple[int, Vector]) -> tuple[int, Vector]:
-        i, d = x
-        r = self.realized[i]
-        inv_perm = invert_perm(r.perm)
-        idx = self.index_of(inv_perm, r.anti)
-        aut_inv = self.realized[idx].deck_aut
-        moved = _mat_apply(aut_inv, d, self.m)
-        return (idx, tuple((-v) % self.m for v in moved))
-
-    def is_involution(self, x: tuple[int, Vector]) -> bool:
-        i, d = x
-        r = self.realized[i]
-        if compose_perms(r.perm, r.perm) != tuple(range(len(r.perm))):
-            return False
-        moved = _mat_apply(r.deck_aut, d, self.m)
-        return all((a + b) % self.m == 0 for a, b in zip(d, moved))
-
 
 def klein_model(cover: CoverModel) -> KleinModel:
     """Deck group plus every realizable character-preserving symmetry."""
     cover.require_smooth()
     arr, phi = cover.arrangement, cover.phi
     charset = enumerate_characters(phi)
+    autos = combinatorial_automorphisms(arr)
+    preserving = character_preserving_symmetries(autos, charset)
     realized: list[RealizedSymmetry] = []
     rejected: list[tuple[Perm, bool]] = []
-    for perm in character_preserving_symmetries(arr, charset):
+    for perm in preserving:
         for anti in (False, True):
             sym = make_symmetry(arr, perm, anti)
             if sym.matrix is None:
@@ -179,6 +170,8 @@ def klein_model(cover: CoverModel) -> KleinModel:
         charset=charset,
         realized=tuple(realized),
         combinatorial_only=tuple(rejected),
+        automorphism_count=len(autos),
+        character_preserving=tuple(preserving),
     )
 
 
@@ -201,32 +194,95 @@ class RealStructureClass:
 
 
 def classify_real_structures(model: KleinModel) -> list[RealStructureClass]:
-    """Anti involutions of the model partitioned into conjugacy classes."""
-    involutions = [
-        x for x in model.elements() if model.realized[x[0]].anti and model.is_involution(x)
-    ]
-    inv_set = set(involutions)
-    all_elements = list(model.elements())
-    classes: list[list[tuple[int, Vector]]] = []
-    seen: set[tuple[int, Vector]] = set()
-    for x in involutions:
-        if x in seen:
-            continue
-        orbit = set()
-        for g in all_elements:
-            y = model.multiply(model.multiply(g, x), model.inverse(g))
-            if y not in inv_set:
-                raise AssertionError("conjugation left the involution set")
-            orbit.add(y)
-        seen |= orbit
-        classes.append(sorted(orbit))
+    """Anti involutions of the model partitioned into conjugacy classes.
 
-    out = []
-    for orbit in classes:
-        rep = orbit[0]
-        out.append(_fingerprint(model, rep, len(orbit)))
+    An element (s, d) of G is an involution iff s^2 = 1 in H and
+    (1 + A_s) d = 0, and conjugation by (h, e) maps it to
+    (h s h^-1, A_h d + (1 - A_t) e) with t = h s h^-1.  So a class meets every
+    coset t (Z/m)^k with t in the H-class s^H, and in the coset of s it is a
+    union of cosets of im(1 - A_s) inside ker(1 + A_s), one for each point of
+    the centralizer C_H(s)-orbit of d in H^1 = ker(1 + A_s) / im(1 - A_s).
+    Since A_s^2 = 1, H^1 = 0 for odd m: each anti-holomorphic involutive s
+    gives one class of size |s^H| m^dim ker(1 + A_s).  For m = 2 each
+    C_H(s)-orbit on H^1 is a class of size |s^H| |orbit| m^rank(1 - A_s).
+
+    A class is represented by its least element: s the least index in s^H
+    and d the least deck vector of the class in that coset; classes are
+    ordered by representative, then stably by the number of real lines
+    (descending) and the cycle label.  Cost: O(|H|^2 n) permutation products
+    for the H-classes and centralizers, O(k^3) elimination mod m per class
+    of s, and m^dim H^1 |C_H(s)| k^2 for the orbits on H^1; no element of G
+    other than the representatives is formed.
+    """
+    m = model.m
+    realized = model.realized
+    index = {(r.perm, r.anti): i for i, r in enumerate(realized)}
+    inverses = [invert_perm(r.perm) for r in realized]
+    identity = tuple(range(model.cover.arrangement.n))
+    found: list[tuple[tuple[int, Vector], int]] = []
+    done: set[int] = set()
+    for i, r in enumerate(realized):
+        if i in done or not r.anti or compose_perms(r.perm, r.perm) != identity:
+            continue
+        # i is the least index of its H-class, since classes are met in index order
+        conjugates: set[int] = set()
+        centralizer: list[Matrix] = []
+        for h, rh in enumerate(realized):
+            j = index[(compose_perms(compose_perms(rh.perm, r.perm), inverses[h]), True)]
+            conjugates.add(j)
+            if j == i:
+                centralizer.append(rh.deck_aut)
+        done |= conjugates
+        image_rank, orbits = _h1_orbits(r.deck_aut, centralizer, m)
+        for rep, orbit_size in orbits:
+            found.append(((i, rep), len(conjugates) * orbit_size * m**image_rank))
+
+    out = [_fingerprint(model, rep, size) for rep, size in found]
     out.sort(key=lambda c: (-len(c.fixed_lines), c.perm_cycles))
     return out
+
+
+def _h1_orbits(
+    a: Matrix, centralizer: list[Matrix], m: int
+) -> tuple[int, list[tuple[Vector, int]]]:
+    """rank(1 - A), and (least vector, size) for each orbit of the
+    centralizer's deck actions on H^1 = ker(1 + A) / im(1 - A), by least vector.
+
+    The least vector of a coset d + im(1 - A) is d reduced by the reduced
+    echelon basis of im(1 - A), so that it is zero at every pivot.  That basis
+    is the null space of the annihilator of im(1 - A) computed with the
+    coordinates reversed: the pivots of a subspace, chosen first to last, are
+    the complement of the pivots of its annihilator chosen last to first
+    (bases of dual matroids are complements), and a null-space basis is the
+    identity on the complement of the pivots.
+    """
+    k = len(a)
+    minus_columns = [tuple((int(i == j) - a[i][j]) % m for i in range(k)) for j in range(k)]
+    annihilator = nullspace_mod_p(minus_columns, m, k)
+    echelon = [v[::-1] for v in nullspace_mod_p([y[::-1] for y in annihilator], m, k)]
+    pivots = [next(j for j, x in enumerate(v) if x) for v in echelon]
+
+    def least(d: Vector) -> Vector:
+        out = list(d)
+        for p, v in zip(pivots, echelon):
+            c = out[p]
+            out = [(x - c * y) % m for x, y in zip(out, v)]
+        return tuple(out)
+
+    plus = [tuple((int(i == j) + a[i][j]) % m for j in range(k)) for i in range(k)]
+    units = [tuple(int(j == p) for j in range(k)) for p in pivots]
+    # the least vectors of the H^1 classes: ker(1 + A) with zeros at the pivots
+    basis = nullspace_mod_p(plus + units, m, k)
+    orbits: dict[Vector, int] = {}
+    placed: set[Vector] = set()
+    for coeffs in itertools.product(range(m), repeat=len(basis)):
+        d = tuple(sum(c * v[j] for c, v in zip(coeffs, basis)) % m for j in range(k))
+        if d in placed:
+            continue
+        orbit = {least(_mat_apply(ah, d, m)) for ah in centralizer}
+        placed |= orbit
+        orbits[min(orbit)] = len(orbit)
+    return len(echelon), sorted(orbits.items())
 
 
 def _fingerprint(

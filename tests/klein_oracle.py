@@ -1,0 +1,69 @@
+"""Brute-force reference for the Klein model: every group element, inverses,
+involutions, and the conjugacy classes of anti-holomorphic involutions found
+by conjugating each involution by every element of the group.
+
+This is O(|involutions| |G|) group products, so it serves as a test oracle
+for `classify_real_structures` on covers with |G| up to about 10^4.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from planecover.arrangement import compose_perms, invert_perm
+from planecover.symmetry import KleinModel, RealStructureClass, _fingerprint, _mat_apply
+
+Element = tuple[int, tuple[int, ...]]  # (symmetry index, deck vector)
+
+
+def elements(model: KleinModel):
+    for idx in range(len(model.realized)):
+        for delta in itertools.product(range(model.m), repeat=model.k):
+            yield (idx, delta)
+
+
+def inverse(model: KleinModel, x: Element) -> Element:
+    i, d = x
+    r = model.realized[i]
+    idx = model.index_of(invert_perm(r.perm), r.anti)
+    moved = _mat_apply(model.realized[idx].deck_aut, d, model.m)
+    return (idx, tuple((-v) % model.m for v in moved))
+
+
+def is_involution(model: KleinModel, x: Element) -> bool:
+    i, d = x
+    r = model.realized[i]
+    if compose_perms(r.perm, r.perm) != tuple(range(len(r.perm))):
+        return False
+    moved = _mat_apply(r.deck_aut, d, model.m)
+    return all((a + b) % model.m == 0 for a, b in zip(d, moved))
+
+
+def anti_involutions(model: KleinModel) -> list[Element]:
+    return [
+        x for x in elements(model) if model.realized[x[0]].anti and is_involution(model, x)
+    ]
+
+
+def brute_force_classify(model: KleinModel) -> list[RealStructureClass]:
+    """Anti involutions partitioned into conjugacy classes by enumeration."""
+    involutions = anti_involutions(model)
+    inv_set = set(involutions)
+    all_elements = list(elements(model))
+    classes: list[list[Element]] = []
+    seen: set[Element] = set()
+    for x in involutions:
+        if x in seen:
+            continue
+        orbit = set()
+        for g in all_elements:
+            y = model.multiply(model.multiply(g, x), inverse(model, g))
+            if y not in inv_set:
+                raise AssertionError("conjugation left the involution set")
+            orbit.add(y)
+        seen |= orbit
+        classes.append(sorted(orbit))
+
+    out = [_fingerprint(model, orbit[0], len(orbit)) for orbit in classes]
+    out.sort(key=lambda c: (-len(c.fixed_lines), c.perm_cycles))
+    return out

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from planecover.cli import run
 
 
@@ -186,3 +188,53 @@ def test_cover_json_file_input(tmp_path, capsys):
     code, out = capture(capsys, ["--format", "json", "cover", "invariants", str(path)])
     assert code == 0
     assert json.loads(out)["k2"] == 45
+
+
+QUAD_PHI = [[1, 0], [1, 0], [1, 2], [0, 1], [0, 1], [2, 1]]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("phi", [[1.5, 0]] + QUAD_PHI[1:]),
+        ("phi", [[True, 0]] + QUAD_PHI[1:]),
+        ("phi", [["1", 0]] + QUAD_PHI[1:]),
+        ("m", 5.0),
+        ("m", True),
+        ("k", "2"),
+        ("k", True),
+        ("k", 0),
+    ],
+    ids=["phi-float", "phi-bool", "phi-str", "m-float", "m-bool", "k-str", "k-bool", "k-zero"],
+)
+def test_malformed_cover_json_is_input_error(tmp_path, capsys, field, value):
+    cover = {"arrangement": "builtin:complete_quadrilateral", "m": 5, "k": 2, "phi": QUAD_PHI}
+    cover[field] = value
+    if field == "k" and value == 0:
+        cover["phi"] = [[] for _ in QUAD_PHI]
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(cover))
+    code = run(["cover", "smoothness", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_symmetry_search_runs_one_automorphism_search(capsys, monkeypatch):
+    from planecover import arrangement, symmetry
+
+    calls = []
+    search = arrangement.combinatorial_automorphisms
+
+    def counted(arr):
+        calls.append(arr)
+        return search(arr)
+
+    for module in (arrangement, symmetry):
+        monkeypatch.setattr(module, "combinatorial_automorphisms", counted)
+    code, out = capture(capsys, ["--format", "json", "symmetry", "search", "builtin:example3"])
+    assert code == 0
+    assert len(calls) == 1
+    data = json.loads(out)
+    assert data["combinatorial_automorphisms"] == 24
+    assert data["character_preserving"] == ["id", "(1 2)(4 5)"]

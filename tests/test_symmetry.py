@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from planecover.arrangement import perm_cycles_str
+from klein_oracle import anti_involutions, brute_force_classify, elements, is_involution
+from planecover.arrangement import combinatorial_automorphisms, perm_cycles_str
 from planecover.bounds import hodge_from_surface, smith_total
 from planecover.catalog import PHI2, PHI3
 from planecover.characters import enumerate_characters
@@ -22,19 +23,20 @@ OPPOSITE_SWAP = (3, 4, 5, 0, 1, 2)  # (1 4)(2 5)(3 6)
 
 def test_example1_only_identity_preserves_characters(dh, cover1):
     charset = enumerate_characters(cover1.phi)
-    assert character_preserving_symmetries(dh, charset) == [IDENTITY9]
+    perms = character_preserving_symmetries(combinatorial_automorphisms(dh), charset)
+    assert perms == [IDENTITY9]
 
 
 def test_example2_exactly_one_nontrivial_symmetry(dh, cover2):
     charset = enumerate_characters(cover2.phi)
-    perms = character_preserving_symmetries(dh, charset)
+    perms = character_preserving_symmetries(combinatorial_automorphisms(dh), charset)
     assert len(perms) == 2
     assert IDENTITY9 in perms and CONJ_PERM in perms
 
 
 def test_example3_preserving_subgroup(cq, cover3):
     charset = enumerate_characters(cover3.phi)
-    perms = character_preserving_symmetries(cq, charset)
+    perms = character_preserving_symmetries(combinatorial_automorphisms(cq), charset)
     assert tuple(range(6)) in perms
     assert QUAD_SWAP in perms
     # the opposite-swap preserves the characters but not the incidence,
@@ -138,11 +140,9 @@ def test_example2_unique_real_structure_class(model2):
 
 
 def test_example2_all_anti_elements_are_involutions(model2):
-    anti_elements = [
-        x for x in model2.elements() if model2.realized[x[0]].anti
-    ]
+    anti_elements = [x for x in elements(model2) if model2.realized[x[0]].anti]
     assert len(anti_elements) == 25
-    assert all(model2.is_involution(x) for x in anti_elements)
+    assert all(is_involution(model2, x) for x in anti_elements)
 
 
 def test_example3_two_classes_with_distinct_fingerprints(model3):
@@ -163,12 +163,7 @@ def test_example3_two_classes_with_distinct_fingerprints(model3):
 def test_classes_partition_the_involutions(model3):
     classes = classify_real_structures(model3)
     total = sum(c.size for c in classes)
-    anti_involutions = [
-        x
-        for x in model3.elements()
-        if model3.realized[x[0]].anti and model3.is_involution(x)
-    ]
-    assert total == len(anti_involutions)
+    assert total == len(anti_involutions(model3))
 
 
 def test_representatives_square_to_identity(model2, model3):
@@ -222,3 +217,70 @@ def test_example2_not_maximal_cross_module(cover2, model2):
 def test_perm_cycle_labels(model2):
     labels = sorted(perm_cycles_str(r.perm) for r in model2.realized)
     assert labels == ["(2 3)(4 6)(7 8)", "id"]
+
+
+# -- structural classification against the brute-force oracle -----------------
+
+QUAD_COVERS = {
+    "quadrilateral_5_3": (5, [(1, 4, 3), (2, 3, 0), (3, 0, 2), (4, 4, 4), (3, 1, 1), (2, 3, 0)]),
+    "quadrilateral_5_4": (
+        5,
+        [(4, 1, 0, 1), (4, 4, 1, 3), (4, 2, 4, 2), (3, 2, 4, 4), (0, 3, 4, 1), (0, 3, 2, 4)],
+    ),
+    "kummer_3_5": (
+        3,
+        [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1),
+         (2, 2, 2, 2, 2)],
+    ),
+    # m = 2 covers with nonzero H^1 = ker(1 + A) / im(1 - A)
+    "quadrilateral_2_4": (
+        2,
+        [(1, 0, 1, 0), (1, 0, 0, 1), (1, 1, 0, 0), (0, 1, 1, 1), (1, 1, 1, 0), (0, 1, 1, 0)],
+    ),
+    "quadrilateral_2_5": (
+        2,
+        [(0, 1, 1, 0, 1), (0, 1, 1, 1, 0), (1, 1, 0, 0, 0), (0, 0, 1, 1, 1), (0, 0, 0, 0, 1),
+         (1, 1, 1, 0, 1)],
+    ),
+}
+
+
+def quadrilateral_cover(cq, m, rows):
+    from planecover.cover import BLOW_ALL_TRIPLE, CoverModel
+    from planecover.homology import Epimorphism
+
+    phi = Epimorphism(m=m, k=len(rows[0]), rows=tuple(tuple(r) for r in rows))
+    return CoverModel.build(cq, phi, BLOW_ALL_TRIPLE)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", *QUAD_COVERS])
+def test_structural_classes_match_brute_force(name, cq):
+    from planecover.catalog import builtin_cover
+
+    if name in QUAD_COVERS:
+        cover = quadrilateral_cover(cq, *QUAD_COVERS[name])
+    else:
+        cover = builtin_cover(name)
+    model = klein_model(cover)
+    # every field, the least-element representative included, and the order
+    assert classify_real_structures(model) == brute_force_classify(model)
+
+
+def test_structural_classes_with_nonzero_h1(cq):
+    sizes = [
+        [c.size for c in classify_real_structures(klein_model(quadrilateral_cover(cq, *spec)))]
+        for spec in (QUAD_COVERS["quadrilateral_2_4"], QUAD_COVERS["quadrilateral_2_5"])
+    ]
+    assert sizes[0] == [1, 4, 4, 4, 2, 1, 4]
+    assert len(sizes[1]) == 10
+
+
+def test_full_kummer_cover_mod_5(cq):
+    # |G| = 5^5 * 48 = 150000: out of the oracle's reach
+    rows = [tuple(int(i == j) for j in range(5)) for i in range(5)] + [(4, 4, 4, 4, 4)]
+    classes = classify_real_structures(klein_model(quadrilateral_cover(cq, 5, rows)))
+    assert [(c.perm_cycles, c.size) for c in classes] == [
+        ("id", 3125),
+        ("(2 3)(5 6)", 750),
+        ("(2 5)(3 6)", 375),
+    ]
