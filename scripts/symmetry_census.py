@@ -19,7 +19,6 @@ from planecover.arrangement import (
     realize_symmetry,
 )
 from planecover.catalog import PHI1, PHI2, PHI3, builtin_arrangement
-from planecover.characters import enumerate_characters
 from planecover.symmetry import character_preserving_symmetries
 
 CASES = (
@@ -33,7 +32,7 @@ def main() -> None:
     for arr_name, phi, label in CASES:
         arr = builtin_arrangement(arr_name)
         autos = combinatorial_automorphisms(arr)
-        preserving = character_preserving_symmetries(autos, enumerate_characters(phi))
+        preserving = character_preserving_symmetries(autos, phi)
         print(f"== {label} ({arr_name}) ==")
         print(f"  incidence automorphisms: {len(autos)}")
         print(f"  character-preserving:    {len(preserving)}")

@@ -18,11 +18,9 @@ from .linalg import (
     Vec3,
     canonical,
     columns_to_matrix,
-    conj_mat,
     conj_vec,
     cross,
     det3,
-    identity,
     inverse,
     matmul,
     matvec,
@@ -99,14 +97,6 @@ class Arrangement:
             p.incident_1based() for p in self.points if p.r == 3
         )
 
-    def point_id_of_pair(self, i: int, j: int) -> int:
-        for pid, p in enumerate(self.points):
-            if i in p.incident and j in p.incident:
-                return pid
-        raise ValueError(f"no point through lines {i} and {j}")
-
-    def to_json(self) -> dict:
-        return {"lines": [line.as_strings() for line in self.lines]}
 
 
 def build_arrangement(lines: list[Line] | tuple[Line, ...], notes: tuple[str, ...] = ()) -> Arrangement:
@@ -312,7 +302,10 @@ def _general_position_quadruple(arr: Arrangement) -> tuple[int, int, int, int]:
         vs = [arr.lines[i].coeffs for i in quad]
         if all(det3((vs[a], vs[b], vs[c])) for a, b, c in itertools.combinations(range(4), 3)):
             return quad
-    raise ValueError("arrangement has no 4 lines in general position")
+    raise ValueError(
+        "the symmetry model needs a finite projective stabilizer: "
+        "the arrangement has no 4 lines in general position"
+    )
 
 
 def realize_symmetry(arr: Arrangement, perm: Perm, anti: bool) -> Mat3 | None:
@@ -353,17 +346,6 @@ def make_symmetry(arr: Arrangement, perm: Perm, anti: bool) -> LineSymmetry:
     return LineSymmetry(perm=perm, anti=anti, matrix=realize_symmetry(arr, perm, anti))
 
 
-def compose_symmetries(s1: LineSymmetry, s2: LineSymmetry) -> LineSymmetry:
-    """Apply s2 first, then s1; matrices compose as M1 . sigma1(M2)."""
-    perm = compose_perms(s1.perm, s2.perm)
-    anti = s1.anti != s2.anti
-    matrix = None
-    if s1.matrix is not None and s2.matrix is not None:
-        m2 = conj_mat(s2.matrix) if s1.anti else s2.matrix
-        matrix = normalize_matrix(matmul(s1.matrix, m2))
-    return LineSymmetry(perm=perm, anti=anti, matrix=matrix)
-
-
 def fixed_points_of(arr: Arrangement, sym: LineSymmetry) -> list[IncidencePoint]:
     """Incidence points fixed by the realized (anti-)projectivity, which maps
     a point x to (M^T)^(-1) sigma(x)."""
@@ -372,10 +354,6 @@ def fixed_points_of(arr: Arrangement, sym: LineSymmetry) -> list[IncidencePoint]
     n = inverse(transpose(sym.matrix))
     sigma = conj_vec if sym.anti else (lambda v: v)
     return [p for p in arr.points if canonical(matvec(n, sigma(p.coords))) == p.coords]
-
-
-def identity_symmetry(arr: Arrangement) -> LineSymmetry:
-    return LineSymmetry(perm=tuple(range(arr.n)), anti=False, matrix=identity())
 
 
 def arrangement_from_json(data: dict) -> Arrangement:

@@ -31,10 +31,6 @@ from .cover import (
 from .symmetry import classify_real_structures, klein_model
 
 
-def _coords_str(coords) -> str:
-    return "[" + ":".join(str(c) for c in coords) + "]"
-
-
 # -- report builders (dicts with deterministic ordering) ------------------------
 
 

@@ -16,11 +16,10 @@ from fractions import Fraction
 
 from .arrangement import Arrangement
 from .homology import (
-    DeckGroup,
     Epimorphism,
     SmoothnessCertificate,
     Vector,
-    galois_kernel,
+    _is_int,
     smoothness_check,
     validate_epimorphism,
 )
@@ -41,7 +40,6 @@ class CoverModel:
     phi: Epimorphism
     blown_ids: tuple[int, ...]
     certificate: SmoothnessCertificate
-    deck: DeckGroup
 
     @classmethod
     def build(
@@ -56,14 +54,20 @@ class CoverModel:
             )
         if blow == BLOW_ALL_TRIPLE:
             blown = tuple(pid for pid, p in enumerate(arr.points) if p.r >= 3)
-        else:
-            blown = tuple(sorted(set(int(b) for b in blow)))
+        elif isinstance(blow, (list, tuple)) and all(_is_int(b) for b in blow):
+            blown = tuple(sorted(set(blow)))
             for pid in blown:
                 if not 0 <= pid < len(arr.points):
                     raise ValueError(f"blow-up id {pid} out of range")
-        cert = smoothness_check(arr, phi, blown)
-        deck = galois_kernel(phi)
-        return cls(arr, phi, blown, cert, deck)
+        else:
+            raise ValueError(
+                f"blow_up must be {BLOW_ALL_TRIPLE!r} or a list of integer point ids, "
+                f"got {blow!r}"
+            )
+        report = validate_epimorphism(phi)
+        if not report.ok:
+            raise ValueError(f"invalid epimorphism: {report.errors}")
+        return cls(arr, phi, blown, smoothness_check(arr, phi, blown))
 
     @property
     def m(self) -> int:

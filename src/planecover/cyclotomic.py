@@ -26,12 +26,6 @@ class CycNumber:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CycNumber is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, x: _RationalLike) -> CycNumber:
-        return cls(Fraction(x), 0)
-
     # -- ring / field structure -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -116,9 +110,6 @@ class CycNumber:
 
     def is_real(self) -> bool:
         return self.b == 0
-
-    def is_zero(self) -> bool:
-        return not self
 
     # -- textual form -------------------------------------------------------
 

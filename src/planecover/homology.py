@@ -31,46 +31,44 @@ def is_prime(n: int) -> bool:
 # -- linear algebra mod a prime ----------------------------------------------
 
 
-def rank_mod_p(rows: list[Vector] | tuple[Vector, ...], p: int) -> int:
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
+def row_reduce(
+    rows: list[Vector] | tuple[Vector, ...], p: int, cols: int
+) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of `rows` mod p, pivoting only in the first
+    `cols` columns, left to right.
+
+    Returns the reduced rows and the pivot columns: row r < len(pivots) has a
+    1 at pivots[r] and 0 at every other pivot, and the later rows are zero in
+    the first `cols` columns.  Columns past `cols` (say a right-hand side)
+    are carried along by the row operations.
+    """
+    mat = [[x % p for x in r] for r in rows]
+    pivots: list[int] = []
     for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         inv = pow(mat[rank][col], p - 2, p)
         mat[rank] = [(x * inv) % p for x in mat[rank]]
         for r in range(len(mat)):
-            if r != rank and mat[r][col] % p:
-                f = mat[r][col]
+            f = mat[r][col]
+            if r != rank and f:
                 mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return mat, pivots
+
+
+def rank_mod_p(rows: list[Vector] | tuple[Vector, ...], p: int) -> int:
+    return len(row_reduce(rows, p, len(rows[0]) if rows else 0)[1])
 
 
 def nullspace_mod_p(rows: list[Vector], p: int, unknowns: int) -> list[Vector]:
     """Basis of {x : rows . x = 0 mod p}; rows are equations over `unknowns`."""
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(unknowns):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] % p:
-                f = mat[r][col]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(unknowns) if c not in pivots]
+    mat, pivots = row_reduce(rows, p, unknowns)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(unknowns) if c not in pivots):
         v = [0] * unknowns
         v[fc] = 1
         for r, pc in enumerate(pivots):
@@ -82,28 +80,12 @@ def nullspace_mod_p(rows: list[Vector], p: int, unknowns: int) -> list[Vector]:
 def solve_mod_p(rows: list[Vector], rhs: Vector, p: int) -> Vector | None:
     """One solution of rows . x = rhs mod p, or None if inconsistent."""
     unknowns = len(rows[0])
-    mat = [list(r) + [b % p] for r, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(unknowns):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] % p:
-                f = mat[r][col]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(mat)):
-        if mat[r][unknowns] % p:
-            return None
+    mat, pivots = row_reduce([tuple(r) + (b,) for r, b in zip(rows, rhs)], p, unknowns)
+    if any(r[unknowns] for r in mat[len(pivots):]):
+        return None
     x = [0] * unknowns
     for r, pc in enumerate(pivots):
-        x[pc] = mat[r][unknowns] % p
+        x[pc] = mat[r][unknowns]
     return tuple(x)
 
 
@@ -126,8 +108,8 @@ class Epimorphism:
         for name, value in (("m", self.m), ("k", self.k)):
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.m < 2:
-            raise ValueError("modulus must be at least 2")
+        if not is_prime(self.m):
+            raise ValueError(f"modulus {self.m} is not prime")
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
         bad = next((x for r in self.rows for x in r if not _is_int(x)), None)
@@ -171,13 +153,9 @@ def validate_epimorphism(phi: Epimorphism) -> EpimorphismReport:
     zero_sum_ok = all(s == 0 for s in sums)
     if not zero_sum_ok:
         errors.append(f"row sums {tuple(sums)} are not 0 mod {phi.m}")
-    if is_prime(phi.m):
-        surjective = rank_mod_p(phi.rows, phi.m) == phi.k
-        if not surjective:
-            errors.append("rows do not generate (Z/mZ)^k")
-    else:
-        surjective = False
-        errors.append(f"composite modulus {phi.m} is unsupported")
+    surjective = rank_mod_p(phi.rows, phi.m) == phi.k
+    if not surjective:
+        errors.append("rows do not generate (Z/mZ)^k")
     return EpimorphismReport(zero_sum_ok, surjective, tuple(errors))
 
 

@@ -30,12 +30,6 @@ class DivisorClass:
         cleaned = tuple(sorted((p, Fraction(c)) for p, c in e.items() if c))
         return cls(Fraction(h), cleaned, tuple(context))
 
-    def coeff(self, point_id: int) -> Fraction:
-        for p, c in self.e:
-            if p == point_id:
-                return c
-        return Fraction(0)
-
     def __add__(self, other: DivisorClass) -> DivisorClass:
         self._check(other)
         e = {p: c for p, c in self.e}
@@ -60,10 +54,6 @@ class DivisorClass:
             sign = "-" if c < 0 else "+"
             parts.append(f" {sign} {abs(c)}E{p}")
         return "".join(parts).lstrip(" +") or "0"
-
-
-def hyperplane(context: Context) -> DivisorClass:
-    return DivisorClass.make(Fraction(1), {}, context)
 
 
 def exceptional(point_id: int, context: Context) -> DivisorClass:
@@ -96,13 +86,3 @@ def canonical_class(context: Context) -> DivisorClass:
         Fraction(-3), {p: Fraction(1) for p in context}, context
     )
 
-
-def total_transform(arr: Arrangement, line_index: int, context: Context) -> DivisorClass:
-    """Pullback of the line: strict transform plus the E_p through it."""
-    e = {
-        pid: Fraction(1)
-        for pid in context
-        if line_index in arr.points[pid].incident
-    }
-    st = strict_transform(arr, line_index, context)
-    return st + DivisorClass.make(Fraction(0), e, context)

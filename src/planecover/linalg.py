@@ -12,10 +12,6 @@ Vec3 = tuple[CycNumber, CycNumber, CycNumber]
 Mat3 = tuple[Vec3, Vec3, Vec3]
 
 
-def vec(a: CycNumber, b: CycNumber, c: CycNumber) -> Vec3:
-    return (a, b, c)
-
-
 def dot(u: Vec3, v: Vec3) -> CycNumber:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 

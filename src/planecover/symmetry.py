@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .arrangement import (
     LineSymmetry,
     Perm,
+    _general_position_quadruple,
     combinatorial_automorphisms,
     compose_perms,
     fixed_points_of,
@@ -25,19 +26,33 @@ from .arrangement import (
     make_symmetry,
     perm_cycles_str,
 )
-from .characters import Character, enumerate_characters, preserves_charset
 from .cover import CoverModel
-from .homology import Epimorphism, Vector, nullspace_mod_p, solve_mod_p
+from .homology import Epimorphism, Vector, nullspace_mod_p, row_reduce, solve_mod_p
 
 Matrix = tuple[Vector, ...]  # k x k over Z/mZ
 
 
-def character_preserving_symmetries(
-    autos: list[Perm], charset: tuple[Character, ...]
-) -> list[Perm]:
-    """The incidence automorphisms `autos` whose coordinate action fixes the set."""
-    cset = frozenset(charset)
-    return [perm for perm in autos if preserves_charset(perm, cset)]
+def character_preserving_symmetries(autos: list[Perm], phi: Epimorphism) -> list[Perm]:
+    """The incidence automorphisms `autos` whose coordinate action fixes the
+    character set, the span A of phi's columns.
+
+    A permutation fixes A iff it maps each column of phi into A, that is iff
+    every permuted column is annihilated by the annihilator
+    Y = {y : sum_i y_i phi[i][j] = 0 for all j} of A.  Y is computed once, so
+    the test costs O(n^2 k) per permutation and never forms the m^k characters.
+    """
+    m, n = phi.m, phi.n
+    columns = [phi.column(j) for j in range(phi.k)]
+    annihilator = nullspace_mod_p(columns, m, n)
+    return [
+        perm
+        for perm in autos
+        if all(
+            sum(y[i] * col[perm[i]] for i in range(n)) % m == 0
+            for y in annihilator
+            for col in columns
+        )
+    ]
 
 
 def _charset_matrix(perm: Perm, phi: Epimorphism) -> Matrix:
@@ -106,7 +121,6 @@ class KleinModel:
     """
 
     cover: CoverModel
-    charset: tuple[Character, ...]
     realized: tuple[RealizedSymmetry, ...]
     combinatorial_only: tuple[tuple[Perm, bool], ...]
     automorphism_count: int
@@ -150,9 +164,9 @@ def klein_model(cover: CoverModel) -> KleinModel:
     """Deck group plus every realizable character-preserving symmetry."""
     cover.require_smooth()
     arr, phi = cover.arrangement, cover.phi
-    charset = enumerate_characters(phi)
+    _general_position_quadruple(arr)  # refuse before the automorphism search
     autos = combinatorial_automorphisms(arr)
-    preserving = character_preserving_symmetries(autos, charset)
+    preserving = character_preserving_symmetries(autos, phi)
     realized: list[RealizedSymmetry] = []
     rejected: list[tuple[Perm, bool]] = []
     for perm in preserving:
@@ -167,7 +181,6 @@ def klein_model(cover: CoverModel) -> KleinModel:
     realized.sort(key=lambda r: (r.perm, r.anti))
     return KleinModel(
         cover=cover,
-        charset=charset,
         realized=tuple(realized),
         combinatorial_only=tuple(rejected),
         automorphism_count=len(autos),
@@ -249,18 +262,12 @@ def _h1_orbits(
     centralizer's deck actions on H^1 = ker(1 + A) / im(1 - A), by least vector.
 
     The least vector of a coset d + im(1 - A) is d reduced by the reduced
-    echelon basis of im(1 - A), so that it is zero at every pivot.  That basis
-    is the null space of the annihilator of im(1 - A) computed with the
-    coordinates reversed: the pivots of a subspace, chosen first to last, are
-    the complement of the pivots of its annihilator chosen last to first
-    (bases of dual matroids are complements), and a null-space basis is the
-    identity on the complement of the pivots.
+    echelon basis of im(1 - A), so that it is zero at every pivot.
     """
     k = len(a)
     minus_columns = [tuple((int(i == j) - a[i][j]) % m for i in range(k)) for j in range(k)]
-    annihilator = nullspace_mod_p(minus_columns, m, k)
-    echelon = [v[::-1] for v in nullspace_mod_p([y[::-1] for y in annihilator], m, k)]
-    pivots = [next(j for j, x in enumerate(v) if x) for v in echelon]
+    reduced, pivots = row_reduce(minus_columns, m, k)
+    echelon = reduced[: len(pivots)]
 
     def least(d: Vector) -> Vector:
         out = list(d)
@@ -282,7 +289,7 @@ def _h1_orbits(
         orbit = {least(_mat_apply(ah, d, m)) for ah in centralizer}
         placed |= orbit
         orbits[min(orbit)] = len(orbit)
-    return len(echelon), sorted(orbits.items())
+    return len(pivots), sorted(orbits.items())
 
 
 def _fingerprint(

@@ -100,7 +100,7 @@ def test_criterion_5(dh, model1):
     q = 3
     agl_order = q**2 * (q**2 - 1) * (q**2 - q)  # |AGL(2,3)| oracle
     assert len(autos) == agl_order == 432
-    preserving = character_preserving_symmetries(autos, enumerate_characters(PHI1))
+    preserving = character_preserving_symmetries(autos, PHI1)
     assert preserving == [tuple(range(9))]
     assert model1.order == 25
     assert not model1.has_anti
@@ -110,7 +110,7 @@ def test_criterion_5(dh, model1):
 @criterion(6, "example II: unique conjugation symmetry, inversion action, one class, not maximal")
 def test_criterion_6(dh, cover2, model2):
     autos = combinatorial_automorphisms(dh)
-    preserving = character_preserving_symmetries(autos, enumerate_characters(PHI2))
+    preserving = character_preserving_symmetries(autos, PHI2)
     assert len(preserving) == 2  # identity plus exactly one nontrivial
     conj_perm = (0, 2, 1, 5, 4, 3, 7, 6, 8)
     assert conj_perm in preserving

@@ -204,8 +204,16 @@ QUAD_PHI = [[1, 0], [1, 0], [1, 2], [0, 1], [0, 1], [2, 1]]
         ("k", "2"),
         ("k", True),
         ("k", 0),
+        ("m", 4),
+        ("blow_up", [0.5, 2.5, 3.5, 5.5]),
+        ("blow_up", ["0"]),
+        ("blow_up", [True]),
+        ("blow_up", "all"),
     ],
-    ids=["phi-float", "phi-bool", "phi-str", "m-float", "m-bool", "k-str", "k-bool", "k-zero"],
+    ids=[
+        "phi-float", "phi-bool", "phi-str", "m-float", "m-bool", "k-str", "k-bool", "k-zero",
+        "m-composite", "blow-float", "blow-str", "blow-bool", "blow-unknown-keyword",
+    ],
 )
 def test_malformed_cover_json_is_input_error(tmp_path, capsys, field, value):
     cover = {"arrangement": "builtin:complete_quadrilateral", "m": 5, "k": 2, "phi": QUAD_PHI}
@@ -218,6 +226,33 @@ def test_malformed_cover_json_is_input_error(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    if field == "m" and value == 4:
+        assert "modulus 4 is not prime" in err
+
+
+@pytest.mark.parametrize("command", [["symmetry", "search"], ["real", "classify"]])
+def test_near_pencil_refused_before_automorphism_search(tmp_path, capsys, monkeypatch, command):
+    from planecover import symmetry
+
+    def no_search(arr):
+        raise AssertionError("automorphism search started")
+
+    monkeypatch.setattr(symmetry, "combinatorial_automorphisms", no_search)
+    # x, y and x + y meet in one point: no 4 lines in general position
+    cover = {
+        "arrangement": {"lines": [["1", "0", "0"], ["0", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]]},
+        "m": 5,
+        "k": 2,
+        "phi": [[1, 0], [0, 1], [1, 2], [3, 2]],
+    }
+    path = tmp_path / "near_pencil.json"
+    path.write_text(json.dumps(cover))
+    assert run(["cover", "smoothness", "--format", "json", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["smooth"] is True
+    assert run([*command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite projective stabilizer" in err and "4 lines in general position" in err
 
 
 def test_symmetry_search_runs_one_automorphism_search(capsys, monkeypatch):

@@ -220,3 +220,36 @@ def test_build_accepts_explicit_blow_list(cq):
     assert cover.certificate.ok
     with pytest.raises(ValueError, match="out of range"):
         CoverModel.build(cq, PHI3, [99])
+
+
+def hirzebruch_closed_forms(n, t, m, k):
+    """K^2 and e of the (Z/m)^k cover of the plane blown up at every point of
+    multiplicity r >= 3 (Hirzebruch 1983): with f blown points and
+    S = t_2 + sum r t_r nodes of the branch divisor,
+      K^2 = m^(k-2) [ (n(m-1) - 3m)^2 - sum_{r>=3} t_r (m - (m-1)(r-1))^2 ]
+      e   = m^(k-2) [ m^2 (3 - 2n - f + S) + 2m (n + f - S) + S ]."""
+    f = sum(c for r, c in t.items() if r >= 3)
+    s = t.get(2, 0) + sum(r * c for r, c in t.items() if r >= 3)
+    k2 = (n * (m - 1) - 3 * m) ** 2 - sum(
+        c * (m - (m - 1) * (r - 1)) ** 2 for r, c in t.items() if r >= 3
+    )
+    e = m * m * (3 - 2 * n - f + s) + 2 * m * (n + f - s) + s
+    return k2 * m ** (k - 2), e * m ** (k - 2)
+
+
+FULL_KUMMER_5 = (5, [tuple(int(i == j) for j in range(5)) for i in range(5)] + [(4,) * 5])
+
+
+@pytest.mark.parametrize(
+    "name", ["quadrilateral_5_3", "quadrilateral_5_4", "full_kummer_5", "kummer_3_5"]
+)
+def test_kummer_invariants_match_hirzebruch_closed_forms(cq, name):
+    from test_symmetry import QUAD_COVERS, quadrilateral_cover
+
+    m, rows = FULL_KUMMER_5 if name == "full_kummer_5" else QUAD_COVERS[name]
+    rep = invariants(quadrilateral_cover(cq, m, rows))
+    # the complete quadrilateral: 6 lines, 3 double and 4 triple points
+    assert (rep.k2, rep.euler) == hirzebruch_closed_forms(6, {2: 3, 3: 4}, m, len(rows[0]))
+    if name == "full_kummer_5":
+        assert (rep.k2, rep.euler) == (5625, 1875)
+

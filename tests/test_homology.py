@@ -41,10 +41,8 @@ def test_zero_sum_violation_detected():
 
 
 def test_composite_modulus_reported():
-    phi = Epimorphism(m=6, k=1, rows=((1,), (5,)))
-    report = validate_epimorphism(phi)
-    assert not report.ok
-    assert any("composite" in e for e in report.errors)
+    with pytest.raises(ValueError, match="modulus 6 is not prime"):
+        Epimorphism(m=6, k=1, rows=((1,), (5,)))
 
 
 def test_exceptional_class_triple(dh):

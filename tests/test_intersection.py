@@ -7,15 +7,17 @@ from planecover.intersection import (
     DivisorClass,
     canonical_class,
     exceptional,
-    hyperplane,
     pairing,
     strict_transform,
-    total_transform,
 )
 
 
 def blown_ids(arr):
     return tuple(pid for pid, p in enumerate(arr.points) if p.r >= 3)
+
+
+def hyperplane(context):
+    return DivisorClass.make(1, {}, context)
 
 
 def test_hyperplane_squares_to_one():
@@ -77,7 +79,11 @@ def test_pullback_of_line_has_self_intersection_one(dh, cq):
     for arr in (dh, cq):
         ctx = blown_ids(arr)
         for i in range(arr.n):
-            tt = total_transform(arr, i, ctx)
+            # the total transform: the strict transform plus the E_p through the line
+            tt = strict_transform(arr, i, ctx)
+            for pid in ctx:
+                if i in arr.points[pid].incident:
+                    tt = tt + exceptional(pid, ctx)
             assert pairing(tt, tt) == 1
 
 

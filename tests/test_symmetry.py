@@ -1,12 +1,21 @@
 import itertools
+import random
 
 import pytest
 
-from klein_oracle import anti_involutions, brute_force_classify, elements, is_involution
-from planecover.arrangement import combinatorial_automorphisms, perm_cycles_str
+from klein_oracle import anti_involutions, brute_force_classify, elements, inverse, is_involution
+from planecover.arrangement import (
+    Line,
+    build_arrangement,
+    combinatorial_automorphisms,
+    dual_hesse,
+    perm_cycles_str,
+)
 from planecover.bounds import hodge_from_surface, smith_total
-from planecover.catalog import PHI2, PHI3
-from planecover.characters import enumerate_characters
+from planecover.catalog import PHI2, PHI3, builtin_cover
+from planecover.characters import enumerate_characters, preserves_charset
+from planecover.cyclotomic import ONE, ZERO, ZETA
+from planecover.homology import Epimorphism, validate_epimorphism
 from planecover.symmetry import (
     character_preserving_symmetries,
     classify_real_structures,
@@ -22,21 +31,18 @@ OPPOSITE_SWAP = (3, 4, 5, 0, 1, 2)  # (1 4)(2 5)(3 6)
 
 
 def test_example1_only_identity_preserves_characters(dh, cover1):
-    charset = enumerate_characters(cover1.phi)
-    perms = character_preserving_symmetries(combinatorial_automorphisms(dh), charset)
+    perms = character_preserving_symmetries(combinatorial_automorphisms(dh), cover1.phi)
     assert perms == [IDENTITY9]
 
 
 def test_example2_exactly_one_nontrivial_symmetry(dh, cover2):
-    charset = enumerate_characters(cover2.phi)
-    perms = character_preserving_symmetries(combinatorial_automorphisms(dh), charset)
+    perms = character_preserving_symmetries(combinatorial_automorphisms(dh), cover2.phi)
     assert len(perms) == 2
     assert IDENTITY9 in perms and CONJ_PERM in perms
 
 
 def test_example3_preserving_subgroup(cq, cover3):
-    charset = enumerate_characters(cover3.phi)
-    perms = character_preserving_symmetries(combinatorial_automorphisms(cq), charset)
+    perms = character_preserving_symmetries(combinatorial_automorphisms(cq), cover3.phi)
     assert tuple(range(6)) in perms
     assert QUAD_SWAP in perms
     # the opposite-swap preserves the characters but not the incidence,
@@ -247,21 +253,20 @@ QUAD_COVERS = {
 
 def quadrilateral_cover(cq, m, rows):
     from planecover.cover import BLOW_ALL_TRIPLE, CoverModel
-    from planecover.homology import Epimorphism
 
     phi = Epimorphism(m=m, k=len(rows[0]), rows=tuple(tuple(r) for r in rows))
     return CoverModel.build(cq, phi, BLOW_ALL_TRIPLE)
 
 
+def named_cover(name, cq):
+    if name in QUAD_COVERS:
+        return quadrilateral_cover(cq, *QUAD_COVERS[name])
+    return builtin_cover(name)
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", *QUAD_COVERS])
 def test_structural_classes_match_brute_force(name, cq):
-    from planecover.catalog import builtin_cover
-
-    if name in QUAD_COVERS:
-        cover = quadrilateral_cover(cq, *QUAD_COVERS[name])
-    else:
-        cover = builtin_cover(name)
-    model = klein_model(cover)
+    model = klein_model(named_cover(name, cq))
     # every field, the least-element representative included, and the order
     assert classify_real_structures(model) == brute_force_classify(model)
 
@@ -284,3 +289,101 @@ def test_full_kummer_cover_mod_5(cq):
         ("(2 3)(5 6)", 750),
         ("(2 5)(3 6)", 375),
     ]
+
+
+@pytest.mark.parametrize("name", ["example2", "example3", "quadrilateral_2_4"])
+def test_klein_model_group_law(name, cq):
+    model = klein_model(named_cover(name, cq))
+    group = list(elements(model))
+    members = set(group)
+    one = (model.index_of(tuple(range(model.cover.arrangement.n)), False), (0,) * model.k)
+    for x in group:
+        assert model.multiply(one, x) == x == model.multiply(x, one)
+        x_inv = inverse(model, x)
+        assert model.multiply(x, x_inv) == one == model.multiply(x_inv, x)
+        for y in group:
+            assert model.multiply(x, y) in members
+    rng = random.Random(4)
+    for _ in range(2000):
+        x, y, z = (rng.choice(group) for _ in range(3))
+        assert model.multiply(model.multiply(x, y), z) == model.multiply(x, model.multiply(y, z))
+
+
+# -- the annihilator filter against the enumerated character set -------------
+
+
+def hesse():
+    """The 12 lines through the 9 flexes of x^3 + y^3 + z^3 (t2 = 12, t4 = 9)."""
+    cube = [ZETA ** (2 * j) for j in range(3)]
+    axes = [Line.make(ONE, ZERO, ZERO), Line.make(ZERO, ONE, ZERO), Line.make(ZERO, ZERO, ONE)]
+    return build_arrangement(axes + [Line.make(ONE, a, b) for a in cube for b in cube])
+
+
+def ceva6_plus_3():
+    """xyz (x^6 - y^6)(y^6 - z^6)(z^6 - x^6) = 0: 21 lines, t2 = 18, t3 = 36, t8 = 3."""
+    axes = [Line.make(ONE, ZERO, ZERO), Line.make(ZERO, ONE, ZERO), Line.make(ZERO, ZERO, ONE)]
+    return build_arrangement(axes + [
+        line
+        for r in (ZETA**j for j in range(6))
+        for line in (Line.make(ONE, -r, ZERO), Line.make(ZERO, ONE, -r), Line.make(-r, ZERO, ONE))
+    ])
+
+
+def invariant_phi(autos, m, k, rng):
+    """A random epimorphism onto (Z/m)^k whose rows are constant on the cycles
+    of a random nontrivial automorphism, which therefore fixes every column."""
+    n = len(autos[0])
+    while True:
+        perm = rng.choice(autos[1:])
+        cycles = set()
+        for i in range(n):
+            cycle, j = {i}, perm[i]
+            while j != i:
+                cycle.add(j)
+                j = perm[j]
+            cycles.add(frozenset(cycle))
+        # the rows of one cycle whose length is a unit mod m restore the zero sum
+        fix = next((c for c in cycles if len(c) % m), None)
+        if fix is None:
+            continue
+        rows = [None] * n
+        for c in cycles:
+            row = tuple(rng.randrange(m) for _ in range(k))
+            for i in c:
+                rows[i] = row
+        rest = [sum(rows[i][j] for i in range(n) if i not in fix) for j in range(k)]
+        scale = pow(len(fix), m - 2, m)
+        for i in fix:
+            rows[i] = tuple((-x * scale) % m for x in rest)
+        phi = Epimorphism(m=m, k=k, rows=tuple(rows))
+        if validate_epimorphism(phi).ok:
+            return phi
+
+
+SEARCH_ARRANGEMENTS = {"dual_hesse": dual_hesse, "hesse": hesse, "ceva6_plus_3": ceva6_plus_3}
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", *QUAD_COVERS])
+def test_annihilator_filter_matches_character_enumeration(name, cq):
+    cover = named_cover(name, cq)
+    autos = combinatorial_automorphisms(cover.arrangement)
+    charset = frozenset(enumerate_characters(cover.phi))
+    expected = [perm for perm in autos if preserves_charset(perm, charset)]
+    assert character_preserving_symmetries(autos, cover.phi) == expected
+
+
+@pytest.mark.parametrize("name", SEARCH_ARRANGEMENTS)
+def test_annihilator_filter_on_symmetric_epimorphisms(name):
+    from test_homology import random_valid_phi
+
+    arr = SEARCH_ARRANGEMENTS[name]()
+    autos = combinatorial_automorphisms(arr)
+    rng = random.Random(name)
+    phis = [random_valid_phi(rng, arr.n)]
+    phis += [invariant_phi(autos, m, k, rng) for m, k in ((5, 1), (5, 2), (3, 3), (2, 4))]
+    for index, phi in enumerate(phis):
+        charset = frozenset(enumerate_characters(phi))
+        expected = [perm for perm in autos if preserves_charset(perm, charset)]
+        assert character_preserving_symmetries(autos, phi) == expected
+        # an invariant phi keeps its automorphism besides the identity
+        assert index == 0 or len(expected) >= 2
