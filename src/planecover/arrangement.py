@@ -11,23 +11,23 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .cyclotomic import ONE, ZERO, ZETA, CycNumber, parse_cyc
 from .linalg import (
     Mat3,
     Vec3,
+    adjugate,
     canonical,
     columns_to_matrix,
     conj_vec,
     cross,
     det3,
-    inverse,
     matmul,
     matvec,
     normalize_matrix,
     proportional,
     scale,
-    solve3,
     transpose,
 )
 
@@ -97,6 +97,13 @@ class Arrangement:
             p.incident_1based() for p in self.points if p.r == 3
         )
 
+    @cached_property
+    def _frame(self) -> tuple[tuple[int, ...], tuple[Mat3, Mat3]]:
+        """A general-position quadruple and adj of the scaled frame of its
+        lines, then of its conjugated lines (realize_symmetry)."""
+        quad = _general_position_quadruple(self)
+        vs = [self.lines[i].coeffs for i in quad]
+        return quad, tuple(adjugate(_scaled_frame(w)) for w in (vs, [conj_vec(v) for v in vs]))
 
 
 def build_arrangement(lines: list[Line] | tuple[Line, ...], notes: tuple[str, ...] = ()) -> Arrangement:
@@ -308,33 +315,27 @@ def _general_position_quadruple(arr: Arrangement) -> tuple[int, int, int, int]:
     )
 
 
+def _scaled_frame(vs: list[Vec3]) -> Mat3:
+    """Columns c_i v_i (i < 3), c the Cramer numerators of v_3 in the basis
+    v_0, v_1, v_2: the matrix maps (1, 1, 1) to det(v_0, v_1, v_2) v_3."""
+    v0, v1, v2, v3 = vs
+    c = (det3((v3, v1, v2)), det3((v0, v3, v2)), det3((v0, v1, v3)))
+    return columns_to_matrix(*(scale(vs[i], c[i]) for i in range(3)))
+
+
 def realize_symmetry(arr: Arrangement, perm: Perm, anti: bool) -> Mat3 | None:
     """Return a matrix realizing (perm, anti) on line coefficients, or None.
 
-    The matrix is pinned up to scalar by a quadruple of lines in general
-    position and then verified exactly on every line; absence of a matrix is
-    a definite answer, not a failure.
+    M = W adj(V), for the scaled frames V and W of a quadruple of lines in
+    general position and of its images, is verified exactly on every line (a
+    degenerate image quadruple fails it); absence of a matrix is a definite
+    answer, not a failure.
     """
     if sorted(perm) != list(range(arr.n)):
         raise ValueError("perm is not a permutation of the lines")
-    quad = _general_position_quadruple(arr)
+    quad, source_adjugates = arr._frame
+    m = matmul(_scaled_frame([arr.lines[perm[i]].coeffs for i in quad]), source_adjugates[anti])
     sigma = conj_vec if anti else (lambda v: v)
-    sources = [sigma(arr.lines[i].coeffs) for i in quad]
-    targets = [arr.lines[perm[i]].coeffs for i in quad]
-
-    v_basis = columns_to_matrix(sources[0], sources[1], sources[2])
-    a = solve3(v_basis, sources[3])
-    w_basis = columns_to_matrix(targets[0], targets[1], targets[2])
-    b = solve3(w_basis, targets[3])
-    if not all(a) or not all(b):
-        # perm failed to preserve general position; cannot happen for
-        # incidence-preserving input
-        return None
-
-    v_scaled = columns_to_matrix(*(scale(sources[i], a[i]) for i in range(3)))
-    w_scaled = columns_to_matrix(*(scale(targets[i], b[i]) for i in range(3)))
-    m = matmul(w_scaled, inverse(v_scaled))
-
     for i in range(arr.n):
         image = matvec(m, sigma(arr.lines[i].coeffs))
         if not proportional(image, arr.lines[perm[i]].coeffs):
@@ -348,17 +349,19 @@ def make_symmetry(arr: Arrangement, perm: Perm, anti: bool) -> LineSymmetry:
 
 def fixed_points_of(arr: Arrangement, sym: LineSymmetry) -> list[IncidencePoint]:
     """Incidence points fixed by the realized (anti-)projectivity, which maps
-    a point x to (M^T)^(-1) sigma(x)."""
+    a point x to (M^T)^(-1) sigma(x), a multiple of adj(M)^T sigma(x)."""
     if sym.matrix is None:
         raise ValueError("symmetry has no realizing matrix")
-    n = inverse(transpose(sym.matrix))
+    n = transpose(adjugate(sym.matrix))
     sigma = conj_vec if sym.anti else (lambda v: v)
     return [p for p in arr.points if canonical(matvec(n, sigma(p.coords))) == p.coords]
 
 
 def arrangement_from_json(data: dict) -> Arrangement:
-    try:
-        rows = data["lines"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError("arrangement JSON needs a 'lines' array") from exc
+    rows = data.get("lines") if isinstance(data, dict) else None
+    if not isinstance(rows, list):
+        raise ValueError("arrangement JSON needs a 'lines' array")
+    for idx, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == 3 and all(isinstance(x, str) for x in row)):
+            raise ValueError(f"lines[{idx}] must be 3 coefficient strings, got {row!r}")
     return build_arrangement([Line.parse(row) for row in rows])

@@ -80,7 +80,7 @@ def builtin_cover(name: str) -> CoverModel:
 
 def resolve_arrangement(ref: str | dict) -> Arrangement:
     """Accept 'builtin:<name>', a JSON file path, or an inline JSON object."""
-    if isinstance(ref, dict):
+    if not isinstance(ref, str):
         return arrangement_from_json(ref)
     if ref.startswith("builtin:"):
         return builtin_arrangement(ref.split(":", 1)[1])

@@ -4,83 +4,89 @@ Elements are written a + b*zeta with rational a, b and the reduction rule
 zeta^2 = zeta - 1.  Conjugation sends zeta to 1 - zeta (so zeta*conj(zeta) = 1)
 and is the unique nontrivial field automorphism.  This degree-2 field contains
 every constant needed by the bundled line arrangements.
+
+An element is stored as integers (p, q, d), a + b*zeta = (p + q*zeta)/d with
+d > 0 and gcd(p, q, d) = 1: a canonical form, so equality and hashing compare
+the triple, and each operation is integer arithmetic and one gcd.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 _RationalLike = int | Fraction
 
 
 class CycNumber:
-    """Immutable element a + b*zeta of Q(zeta), zeta^2 = zeta - 1."""
+    """Immutable element (p + q*zeta)/d of Q(zeta), zeta^2 = zeta - 1."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("p", "q", "d")
 
-    def __init__(self, a: _RationalLike = 0, b: _RationalLike = 0) -> None:
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+    def __new__(cls, a: _RationalLike = 0, b: _RationalLike = 0) -> CycNumber:
+        (p, d1), (q, d2) = Fraction(a).as_integer_ratio(), Fraction(b).as_integer_ratio()
+        return _reduced(p * d2, q * d1, d1 * d2)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CycNumber is immutable")
+
+    a = property(lambda self: Fraction(self.p, self.d), doc="rational part")
+    b = property(lambda self: Fraction(self.q, self.d), doc="coefficient of zeta")
 
     # -- ring / field structure -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CycNumber):
-            return self.a == other.a and self.b == other.b
+            return self.p == other.p and self.q == other.q and self.d == other.d
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return self.q == 0 and self.p * other.denominator == other.numerator * self.d
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        return hash((self.p, self.q, self.d))
 
     def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
+        return bool(self.p) or bool(self.q)
 
     def __neg__(self) -> CycNumber:
-        return CycNumber(-self.a, -self.b)
+        return _reduced(-self.p, -self.q, self.d)
 
     def __add__(self, other: CycNumber | _RationalLike) -> CycNumber:
-        other = _coerce(other)
-        if other is None:
+        if other.__class__ is not CycNumber and (other := _coerce(other)) is None:
             return NotImplemented
-        return CycNumber(self.a + other.a, self.b + other.b)
+        d1, d2 = self.d, other.d
+        return _reduced(self.p * d2 + other.p * d1, self.q * d2 + other.q * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other: CycNumber | _RationalLike) -> CycNumber:
-        other = _coerce(other)
-        if other is None:
+        if other.__class__ is not CycNumber and (other := _coerce(other)) is None:
             return NotImplemented
-        return CycNumber(self.a - other.a, self.b - other.b)
+        d1, d2 = self.d, other.d
+        return _reduced(self.p * d2 - other.p * d1, self.q * d2 - other.q * d1, d1 * d2)
 
     def __rsub__(self, other: CycNumber | _RationalLike) -> CycNumber:
         return (-self) + other
 
     def __mul__(self, other: CycNumber | _RationalLike) -> CycNumber:
-        other = _coerce(other)
-        if other is None:
+        if other.__class__ is not CycNumber and (other := _coerce(other)) is None:
             return NotImplemented
-        # (a1 + b1 z)(a2 + b2 z) with z^2 = z - 1
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return CycNumber(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 + b1 * b2)
+        # (p1 + q1 z)(p2 + q2 z) with z^2 = z - 1
+        p1, q1, p2, q2 = self.p, self.q, other.p, other.q
+        return _reduced(p1 * p2 - q1 * q2, p1 * q2 + q1 * p2 + q1 * q2, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: CycNumber | _RationalLike) -> CycNumber:
-        other = _coerce(other)
-        if other is None:
+        if other.__class__ is not CycNumber and (other := _coerce(other)) is None:
             return NotImplemented
-        n = other.norm()
-        if n == 0:
+        if not other:
             raise ZeroDivisionError("division by zero in Q(zeta)")
-        c = other.conjugate()
-        num = self * c
-        return CycNumber(num.a / n, num.b / n)
+        # x / y = x conj(y) / norm(y), conj(y) = (c - q2 z)/d2, norm(y) = n/d2^2
+        p1, q1, p2, q2, d2 = self.p, self.q, other.p, other.q, other.d
+        c, n = p2 + q2, p2 * p2 + p2 * q2 + q2 * q2
+        return _reduced((p1 * c + q1 * q2) * d2, (q1 * c - p1 * q2 - q1 * q2) * d2, self.d * n)
 
     def __rtruediv__(self, other: CycNumber | _RationalLike) -> CycNumber:
         return CycNumber(other) / self
@@ -102,14 +108,14 @@ class CycNumber:
 
     def conjugate(self) -> CycNumber:
         """Complex conjugation: a + b*zeta maps to (a+b) - b*zeta."""
-        return CycNumber(self.a + self.b, -self.b)
+        return _reduced(self.p + self.q, -self.q, self.d)
 
     def norm(self) -> Fraction:
         """x * conj(x) = a^2 + a*b + b^2, a rational."""
-        return self.a * self.a + self.a * self.b + self.b * self.b
+        return Fraction(self.p * self.p + self.p * self.q + self.q * self.q, self.d * self.d)
 
     def is_real(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     # -- textual form -------------------------------------------------------
 
@@ -117,26 +123,37 @@ class CycNumber:
         if not self:
             return "0"
         parts = []
-        if self.a:
+        if self.p:
             parts.append(_fmt_fraction(self.a))
-        if self.b:
+        if self.q:
             term = f"{_fmt_fraction(abs(self.b))}*z"
             if parts:
-                parts.append("+" if self.b > 0 else "-")
+                parts.append("+" if self.q > 0 else "-")
                 parts.append(term)
             else:
-                parts.append(term if self.b > 0 else "-" + term)
+                parts.append(term if self.q > 0 else "-" + term)
         return "".join(parts)
 
     def __repr__(self) -> str:
         return f"CycNumber({self.a!r}, {self.b!r})"
 
 
+_set_p, _set_q, _set_d = CycNumber.p.__set__, CycNumber.q.__set__, CycNumber.d.__set__
+
+
+def _reduced(p: int, q: int, d: int) -> CycNumber:
+    """(p + q*zeta)/d for d > 0, with gcd(p, q, d) divided out."""
+    g = gcd(p, q, d)
+    x = object.__new__(CycNumber)
+    _set_p(x, p // g)
+    _set_q(x, q // g)
+    _set_d(x, d // g)
+    return x
+
+
 def _coerce(x: object) -> CycNumber | None:
-    if isinstance(x, CycNumber):
-        return x
     if isinstance(x, (int, Fraction)):
-        return CycNumber(x)
+        return _reduced(x.numerator, 0, x.denominator)
     return None
 
 
@@ -150,7 +167,7 @@ ZETA = CycNumber(0, 1)
 
 _TERM = re.compile(
     r"""(?P<sign>[+-]?)
-        (?: (?P<coef>\d+(?:/\d+)?) (?P<star>\*z)?
+        (?: (?P<coef>\d+(?:/(?!0+(?!\d))\d+)?) (?P<star>\*z)?  # no zero denominator
           | (?P<barez>z) )""",
     re.VERBOSE,
 )

@@ -76,17 +76,18 @@ def columns_to_matrix(c0: Vec3, c1: Vec3, c2: Vec3) -> Mat3:
     return transpose((c0, c1, c2))
 
 
+def adjugate(m: Mat3) -> Mat3:
+    """adj(m), with m . adj(m) = det(m) I: its columns are the cross
+    products of pairs of rows of m."""
+    return columns_to_matrix(cross(m[1], m[2]), cross(m[2], m[0]), cross(m[0], m[1]))
+
+
 def inverse(m: Mat3) -> Mat3:
     d = det3(m)
     if not d:
         raise ValueError("singular matrix")
-    c = (
-        cross(m[1], m[2]),
-        cross(m[2], m[0]),
-        cross(m[0], m[1]),
-    )
-    # adjugate rows are the cofactor columns
-    return tuple(tuple(c[j][i] / d for j in range(3)) for i in range(3))  # type: ignore[return-value]
+    inv = ONE / d
+    return tuple(scale(row, inv) for row in adjugate(m))  # type: ignore[return-value]
 
 
 def identity() -> Mat3:
@@ -102,7 +103,3 @@ def normalize_matrix(m: Mat3) -> Mat3:
                 return tuple(scale(r, inv) for r in m)  # type: ignore[return-value]
     raise ValueError("zero matrix")
 
-
-def solve3(m: Mat3, rhs: Vec3) -> Vec3:
-    """Solve m * x = rhs exactly (m must be invertible)."""
-    return matvec(inverse(m), rhs)

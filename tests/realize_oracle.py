@@ -1,0 +1,71 @@
+"""Reference realization: the inverse-based `realize_symmetry` and
+`fixed_points_of` that rebuild the projective frame of the general-position
+quadruple for every permutation, solving for its scaling with 3x3 inverses.
+
+The library instead keeps one frame per arrangement and anti flag and works
+with adjugates; the tests require the same matrix, or None, and the same
+fixed points from both routes.
+"""
+
+from __future__ import annotations
+
+from planecover.arrangement import (
+    Arrangement,
+    IncidencePoint,
+    LineSymmetry,
+    Perm,
+    _general_position_quadruple,
+)
+from planecover.linalg import (
+    Mat3,
+    Vec3,
+    canonical,
+    columns_to_matrix,
+    conj_vec,
+    inverse,
+    matmul,
+    matvec,
+    normalize_matrix,
+    proportional,
+    scale,
+    transpose,
+)
+
+
+def solve3(m: Mat3, rhs: Vec3) -> Vec3:
+    """Solve m * x = rhs exactly (m must be invertible)."""
+    return matvec(inverse(m), rhs)
+
+
+def realize_symmetry(arr: Arrangement, perm: Perm, anti: bool) -> Mat3 | None:
+    if sorted(perm) != list(range(arr.n)):
+        raise ValueError("perm is not a permutation of the lines")
+    quad = _general_position_quadruple(arr)
+    sigma = conj_vec if anti else (lambda v: v)
+    sources = [sigma(arr.lines[i].coeffs) for i in quad]
+    targets = [arr.lines[perm[i]].coeffs for i in quad]
+
+    v_basis = columns_to_matrix(sources[0], sources[1], sources[2])
+    a = solve3(v_basis, sources[3])
+    w_basis = columns_to_matrix(targets[0], targets[1], targets[2])
+    b = solve3(w_basis, targets[3])
+    if not all(a) or not all(b):
+        return None
+
+    v_scaled = columns_to_matrix(*(scale(sources[i], a[i]) for i in range(3)))
+    w_scaled = columns_to_matrix(*(scale(targets[i], b[i]) for i in range(3)))
+    m = matmul(w_scaled, inverse(v_scaled))
+
+    for i in range(arr.n):
+        image = matvec(m, sigma(arr.lines[i].coeffs))
+        if not proportional(image, arr.lines[perm[i]].coeffs):
+            return None
+    return normalize_matrix(m)
+
+
+def fixed_points_of(arr: Arrangement, sym: LineSymmetry) -> list[IncidencePoint]:
+    if sym.matrix is None:
+        raise ValueError("symmetry has no realizing matrix")
+    n = inverse(transpose(sym.matrix))
+    sigma = conj_vec if sym.anti else (lambda v: v)
+    return [p for p in arr.points if canonical(matvec(n, sigma(p.coords))) == p.coords]

@@ -9,14 +9,16 @@ from planecover.arrangement import (
     LineSymmetry,
     build_arrangement,
     combinatorial_automorphisms,
+    complete_quadrilateral,
     compose_perms,
+    dual_hesse,
     fixed_points_of,
     make_symmetry,
     perm_cycles_str,
     realize_symmetry,
 )
 from planecover.catalog import DUAL_HESSE_TRIPLES
-from planecover.cyclotomic import CycNumber
+from planecover.cyclotomic import ONE, ZERO, ZETA, CycNumber
 from planecover.linalg import conj_mat, identity, matmul, normalize_matrix
 
 CONJ_PERM = (0, 2, 1, 5, 4, 3, 7, 6, 8)  # (2 3)(4 6)(7 8), 0-based
@@ -216,3 +218,39 @@ def test_pair_count_identity_random(lines):
         assert p.r >= 2
         for i in p.incident:
             assert arr.lines[i].contains(p.coords)
+
+
+# -- realization against the inverse-based reference --------------------------
+
+
+def hesse():
+    """The 12 lines xyz = 0 and x + a y + b z = 0, a^3 = b^3 = 1, through the
+    nine flexes of x^3 + y^3 + z^3; zeta^2 and zeta^4 = -zeta are the
+    nontrivial cube roots of unity."""
+    cube_roots = (ONE, ZETA * ZETA, -ZETA)
+    rows = [(ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)]
+    rows += [(ONE, a, b) for a in cube_roots for b in cube_roots]
+    return build_arrangement([Line.make(*r) for r in rows])
+
+
+@pytest.mark.parametrize(
+    "build, autos, realized",
+    [(complete_quadrilateral, 24, 48), (dual_hesse, 432, 432), (hesse, 432, 432)],
+    ids=["quadrilateral", "dual_hesse", "hesse"],
+)
+def test_realization_matches_inverse_based_reference(build, autos, realized):
+    import realize_oracle
+
+    arr = build()
+    perms = combinatorial_automorphisms(arr)
+    assert len(perms) == autos
+    hits = 0
+    for perm in perms:
+        for anti in (False, True):
+            matrix = realize_symmetry(arr, perm, anti)
+            assert matrix == realize_oracle.realize_symmetry(arr, perm, anti)
+            if matrix is not None:
+                hits += 1
+                sym = LineSymmetry(perm=perm, anti=anti, matrix=matrix)
+                assert fixed_points_of(arr, sym) == realize_oracle.fixed_points_of(arr, sym)
+    assert hits == realized

@@ -209,10 +209,16 @@ QUAD_PHI = [[1, 0], [1, 0], [1, 2], [0, 1], [0, 1], [2, 1]]
         ("blow_up", ["0"]),
         ("blow_up", [True]),
         ("blow_up", "all"),
+        ("arrangement", 5),
+        ("arrangement", ["builtin:dual_hesse"]),
+        # a Mersenne prime far past trial division: refused by the zero-sum check, at once
+        ("m", 2**61 - 1),
+        ("m", 2**89 - 1),
     ],
     ids=[
         "phi-float", "phi-bool", "phi-str", "m-float", "m-bool", "k-str", "k-bool", "k-zero",
         "m-composite", "blow-float", "blow-str", "blow-bool", "blow-unknown-keyword",
+        "arrangement-int", "arrangement-list", "m-mersenne-61", "m-too-large",
     ],
 )
 def test_malformed_cover_json_is_input_error(tmp_path, capsys, field, value):
@@ -228,6 +234,8 @@ def test_malformed_cover_json_is_input_error(tmp_path, capsys, field, value):
     assert err.startswith("error: ") and err.count("\n") == 1
     if field == "m" and value == 4:
         assert "modulus 4 is not prime" in err
+    if field == "m" and value == 2**89 - 1:
+        assert "past the range of the exact primality test" in err
 
 
 @pytest.mark.parametrize("command", [["symmetry", "search"], ["real", "classify"]])
@@ -273,3 +281,26 @@ def test_symmetry_search_runs_one_automorphism_search(capsys, monkeypatch):
     data = json.loads(out)
     assert data["combinatorial_automorphisms"] == 24
     assert data["character_preserving"] == ["id", "(1 2)(4 5)"]
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "lines[0] must be 3 coefficient strings"),
+        ([["1", "0", "0"], ["0", "1"], ["0", "0", "1"]], "lines[1] must be 3 coefficient strings"),
+        ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1", "1"]], "lines[2] must be 3"),
+        ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", None]], "lines[2] must be 3"),
+        ([["1", "0", "0"], "010", ["0", "0", "1"]], "lines[1] must be 3"),
+        ("abc", "needs a 'lines' array"),
+        ({"0": ["1", "0", "0"]}, "needs a 'lines' array"),
+        ([["1", "0", "0"], ["0", "1/0", "0"], ["0", "0", "1"]], "bad cyclotomic literal '1/0'"),
+    ],
+    ids=["ints", "short-row", "long-row", "null", "string-row", "string", "object", "zero-denominator"],
+)
+def test_malformed_arrangement_json_is_input_error(tmp_path, capsys, lines, message):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"lines": lines}))
+    assert run(["arrangement", "info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -109,10 +110,127 @@ def test_parsing_is_liberal_about_bare_z():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "q", "1**z", "1/0+z"):
-        with pytest.raises((ValueError, ZeroDivisionError)):
+    for bad in ("", "q", "1**z", "1/0+z", "1/00", "z-3/0*z"):
+        with pytest.raises(ValueError):
             parse_cyc(bad)
+    assert parse_cyc("1/10") == CycNumber(Fraction(1, 10))
 
 
 def test_hashable_for_map_keys():
     assert len({ZETA, ZETA * ONE, ONE}) == 2
+
+
+# -- second route: the field on pairs of Fractions ----------------------------
+#
+# A test-local reference keeps a + b*zeta as the pair (a, b) of Fractions,
+# the representation the integer triples replaced, with the same formulas.
+
+
+def ref_mul(x, y):
+    (a1, b1), (a2, b2) = x, y
+    return (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 + b1 * b2)
+
+
+def ref_conj(x):
+    return (x[0] + x[1], -x[1])
+
+
+def ref_norm(x):
+    return x[0] * x[0] + x[0] * x[1] + x[1] * x[1]
+
+
+def ref_div(x, y):
+    n = ref_norm(y)
+    a, b = ref_mul(x, ref_conj(y))
+    return (a / n, b / n)
+
+
+def ref_str(x):
+    def fmt(f):
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+    a, b = x
+    if not a and not b:
+        return "0"
+    out = fmt(a) if a else ""
+    if b:
+        term = f"{fmt(abs(b))}*z"
+        out += ("+" if b > 0 else "-") + term if a else (term if b > 0 else "-" + term)
+    return out
+
+
+def assert_canonical(z):
+    assert z.d > 0 and gcd(z.p, z.q, z.d) == 1
+    assert (z.a, z.b) == (Fraction(z.p, z.d), Fraction(z.q, z.d))
+
+
+wide_fraction = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
+
+
+@settings(max_examples=200)
+@given(wide_fraction, wide_fraction, wide_fraction, wide_fraction, st.integers(-9, 9))
+def test_kernel_matches_fraction_pairs(a1, b1, a2, b2, n):
+    x, y = CycNumber(a1, b1), CycNumber(a2, b2)
+    rx, ry = (a1, b1), (a2, b2)
+    results = {
+        "add": (x + y, (a1 + a2, b1 + b2)),
+        "sub": (x - y, (a1 - a2, b1 - b2)),
+        "mul": (x * y, ref_mul(rx, ry)),
+        "conjugate": (x.conjugate(), ref_conj(rx)),
+        "neg": (-x, (-a1, -b1)),
+        "radd int": (n + x, (n + a1, b1)),
+        "rsub int": (n - x, (n - a1, -b1)),
+        "mul Fraction": (x * a2, (a1 * a2, b1 * a2)),
+    }
+    if y:
+        results["div"] = (x / y, ref_div(rx, ry))
+        results["rtruediv Fraction"] = (a1 / y, ref_div((a1, Fraction(0)), ry))
+    if n:
+        results["div int"] = (x / n, (a1 / n, b1 / n))
+    for name, (got, want) in results.items():
+        assert (got.a, got.b) == want, name
+        assert_canonical(got)
+        assert str(got) == ref_str(want), name
+        assert parse_cyc(str(got)) == got, name
+    assert x.norm() == ref_norm(rx)
+    assert x.is_real() == (b1 == 0)
+    assert bool(x) == (rx != (0, 0))
+    assert (x == y) == (rx == ry)
+    assert (x == a2) == (rx == (a2, 0)) and (x == n) == (rx == (n, 0))
+
+
+@given(small_fraction, small_fraction, st.integers(1, 6))
+def test_routes_to_one_value_are_equal_and_hash_equally(a, b, s):
+    scaled = CycNumber(
+        Fraction(a.numerator * s, a.denominator * s), Fraction(b.numerator * s, b.denominator * s)
+    )
+    routes = [
+        CycNumber(a, b),
+        scaled,
+        CycNumber(a) + CycNumber(0, b),
+        a + b * ZETA,
+        parse_cyc(str(CycNumber(a, b))),
+        (CycNumber(a, b) * s) / s,
+        ONE / (ONE / CycNumber(a, b)) if a or b else CycNumber(0),
+    ]
+    for z in routes:
+        assert_canonical(z)
+        assert z == routes[0]
+        assert hash(z) == hash(routes[0])
+        assert (z.p, z.q, z.d) == (routes[0].p, routes[0].q, routes[0].d)
+
+
+def test_one_half_by_every_route():
+    routes = [
+        CycNumber(Fraction(2, 4)),
+        CycNumber(Fraction(1, 2), 0),
+        parse_cyc("1/2"),
+        parse_cyc("2/4"),
+        ONE / 2,
+        Fraction(1, 2) * ONE,
+        (ONE + ONE) / 4,
+    ]
+    assert {(z.p, z.q, z.d) for z in routes} == {(1, 0, 2)}
+    assert len({hash(z) for z in routes}) == 1
+    assert routes[0] == Fraction(1, 2) and routes[0] != 1
+    assert ZETA / 2 == CycNumber(0, Fraction(3, 6)) == parse_cyc("1/2*z")

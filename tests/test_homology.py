@@ -9,6 +9,7 @@ from planecover.homology import (
     exceptional_class,
     galois_kernel,
     independence,
+    is_prime,
     loop_pairing,
     smoothness_check,
     validate_epimorphism,
@@ -198,3 +199,25 @@ def test_random_phis_kernel_annihilation(dh, cq):
             for gamma in deck.kernel_basis:
                 for a in charset:
                     assert loop_pairing(gamma, a, 5) == 0
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 20000) if is_prime(n)] == [
+        n for n in range(-3, 20000) if _trial_division(n)
+    ]
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    # Carmichael numbers and the least strong pseudoprimes to the bases up to
+    # 2, 3, 5, 7, 11, 13, 17, 23 and 37 (OEIS A014233)
+    composites = [561, 1105, 1729, 2047, 1373653, 25326001, 3215031751, 2152302898747,
+                  3474749660383, 341550071728321, 3825123056546413051,
+                  318665857834031151167461, (2**61 - 1) * 65537]
+    assert not any(is_prime(n) for n in composites)
+    assert all(is_prime(n) for n in (2**31 - 1, 2**61 - 1, 10**18 + 9, 2**64 - 59))
+    with pytest.raises(ValueError, match="past the range"):
+        is_prime(3317044064679887385961981)
