@@ -28,6 +28,7 @@ from .cover import (
     three_canonical_decomposition,
     word_str,
 )
+from .homology import _is_int
 from .symmetry import classify_real_structures, klein_model
 
 
@@ -158,26 +159,65 @@ def real_report(cover: CoverModel, ref: str) -> dict:
     }
 
 
-def bounds_report(data: dict) -> dict:
+_REQUIRED = object()
+
+
+def _hodge_int(data: dict, name: str, default: object = _REQUIRED) -> int | None:
+    """An integer field of hodge JSON; a missing optional one (or null where
+    the default is None) gives the default."""
+    value = data.get(name, default)
+    if value is _REQUIRED:
+        raise ValueError(f"hodge JSON needs an integer {name!r}")
+    if value is not default and not _is_int(value):
+        raise ValueError(f"hodge JSON field {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _hodge_components(data: dict) -> tuple[bounds_mod.Betti, ...]:
+    comps = data.get("components", [])
+    if not isinstance(comps, list):
+        raise ValueError(f"hodge JSON field 'components' must be a list, got {comps!r}")
+    for idx, c in enumerate(comps):
+        if not (
+            isinstance(c, list)
+            and len(c) == 3
+            and all(_is_int(b) and b >= 0 for b in c)
+        ):
+            raise ValueError(
+                f"hodge JSON field components[{idx}] must be 3 non-negative integer "
+                f"Betti numbers, got {c!r}"
+            )
+    return tuple(tuple(c) for c in comps)
+
+
+def bounds_report(data: dict, k3: int | None = None) -> dict:
+    """Bound arithmetic on hodge JSON: an object with integer k2 and euler
+    (and optional q), or integer h10, h20 and h11; optional integer nu,
+    p_plus, p_minus and k3 (the `--k3` argument overrides it), and
+    components as Betti triples."""
+    if not isinstance(data, dict):
+        raise ValueError(f"hodge JSON must be an object, got {type(data).__name__}")
+    optional = {
+        "nu": _hodge_int(data, "nu", 0),
+        "p_plus": _hodge_int(data, "p_plus", None),
+        "p_minus": _hodge_int(data, "p_minus", None),
+        "components": _hodge_components(data),
+    }
+    if k3 is None:
+        k3 = _hodge_int(data, "k3", None)
     if "k2" in data or "euler" in data:
         h = bounds_mod.hodge_from_surface(
-            int(data["k2"]),
-            int(data["euler"]),
-            q=int(data.get("q", 0)),
-            nu=int(data.get("nu", 0)),
-            p_plus=data.get("p_plus"),
-            p_minus=data.get("p_minus"),
-            components=tuple(tuple(c) for c in data.get("components", [])),
+            _hodge_int(data, "k2"),
+            _hodge_int(data, "euler"),
+            q=_hodge_int(data, "q", 0),
+            **optional,
         )
     else:
         h = bounds_mod.HodgeData(
-            h10=int(data["h10"]),
-            h20=int(data["h20"]),
-            h11=int(data["h11"]),
-            nu=int(data.get("nu", 0)),
-            p_plus=data.get("p_plus"),
-            p_minus=data.get("p_minus"),
-            components=tuple(tuple(c) for c in data.get("components", [])),
+            h10=_hodge_int(data, "h10"),
+            h20=_hodge_int(data, "h20"),
+            h11=_hodge_int(data, "h11"),
+            **optional,
         )
     out: dict = {
         "hodge": {"h10": h.h10, "h20": h.h20, "h11": h.h11, "nu": h.nu},
@@ -193,10 +233,10 @@ def bounds_report(data: dict) -> dict:
         ]
     if h.p_plus is not None and bounds_mod.my_identity(h):
         out["h20_lower_bound"] = bounds_mod.prop_h20_lower_bound(h)
-    if "k3" in data and h.p_plus is not None:
-        verdict = bounds_mod.component_count_bound(h, int(data["k3"]))
+    if k3 is not None and h.p_plus is not None:
+        verdict = bounds_mod.component_count_bound(h, k3)
         out["component_count"] = {
-            "k3": int(data["k3"]),
+            "k3": k3,
             "feasible": verdict.feasible,
             "note": verdict.note,
         }
@@ -491,10 +531,7 @@ def run(argv: list[str]) -> int:
             report = real_report(resolve_cover(args.ref), args.ref)
         elif command == "bounds check":
             with open(args.hodge, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if args.k3 is not None:
-                data["k3"] = args.k3
-            report = bounds_report(data)
+                report = bounds_report(json.load(fh), args.k3)
         elif command == "paper verify":
             report, code = verify_report()
             _emit(report, command, args.format, args.out)

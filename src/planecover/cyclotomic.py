@@ -31,6 +31,11 @@ class CycNumber:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CycNumber is immutable")
 
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through _reduced: the default reduce would
+        # restore the slots through the refusing __setattr__
+        return (_reduced, (self.p, self.q, self.d))
+
     a = property(lambda self: Fraction(self.p, self.d), doc="rational part")
     b = property(lambda self: Fraction(self.q, self.d), doc="coefficient of zeta")
 

@@ -1,0 +1,90 @@
+"""Reference incidence-automorphism searches.
+
+`combinatorial_automorphisms` is the backtracking the library used before it
+ordered lines by constraint and propagated images through multiple points:
+lines are assigned in index order, every line is tried as the image of every
+line, and each candidate is checked against all earlier lines.
+`brute_force_automorphisms` tries all n! permutations.  The tests require
+the library's sorted list from both routes.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from planecover.arrangement import Arrangement, Perm
+
+
+def combinatorial_automorphisms(arr: Arrangement) -> list[Perm]:
+    """All line permutations preserving the incidence relation, sorted.
+
+    Backtracking with two prunings: a line may map only to a line with the
+    same multiset of point multiplicities, and partially assigned lines must
+    already induce a consistent injective map on incidence points.
+    """
+    n = arr.n
+    pair_point: dict[tuple[int, int], int] = {}
+    for pid, p in enumerate(arr.points):
+        for i, j in itertools.combinations(p.incident, 2):
+            pair_point[(i, j)] = pid
+    mult = [p.r for p in arr.points]
+    profiles = [arr.line_profile(i) for i in range(n)]
+
+    perm = [-1] * n
+    used = [False] * n
+    pmap: dict[int, int] = {}
+    pmap_inv: dict[int, int] = {}
+    results: list[Perm] = []
+
+    def key(i: int, j: int) -> tuple[int, int]:
+        return (i, j) if i < j else (j, i)
+
+    def extend(i: int) -> None:
+        if i == n:
+            results.append(tuple(perm))
+            return
+        for img in range(n):
+            if used[img] or profiles[img] != profiles[i]:
+                continue
+            added: list[int] = []
+            ok = True
+            for j in range(i):
+                p = pair_point[key(i, j)]
+                q = pair_point[key(img, perm[j])]
+                if mult[p] != mult[q]:
+                    ok = False
+                    break
+                if p in pmap:
+                    if pmap[p] != q:
+                        ok = False
+                        break
+                elif q in pmap_inv:
+                    ok = False
+                    break
+                else:
+                    pmap[p] = q
+                    pmap_inv[q] = p
+                    added.append(p)
+            if ok:
+                perm[i] = img
+                used[img] = True
+                extend(i + 1)
+                used[img] = False
+                perm[i] = -1
+            for p in added:
+                del pmap_inv[pmap[p]]
+                del pmap[p]
+
+    extend(0)
+    return sorted(results)
+
+
+def brute_force_automorphisms(arr: Arrangement) -> list[Perm]:
+    """Every permutation that maps the line set of each incidence point onto
+    the line set of an incidence point, in lexicographic order."""
+    point_sets = {frozenset(p.incident) for p in arr.points}
+    return [
+        perm
+        for perm in itertools.permutations(range(arr.n))
+        if all(frozenset(perm[i] for i in s) in point_sets for s in point_sets)
+    ]

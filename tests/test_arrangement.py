@@ -7,12 +7,15 @@ import hypothesis.strategies as st
 from planecover.arrangement import (
     Line,
     LineSymmetry,
+    _incidence,
+    _search_order,
     build_arrangement,
     combinatorial_automorphisms,
     complete_quadrilateral,
     compose_perms,
     dual_hesse,
     fixed_points_of,
+    invert_perm,
     make_symmetry,
     perm_cycles_str,
     realize_symmetry,
@@ -20,6 +23,7 @@ from planecover.arrangement import (
 from planecover.catalog import DUAL_HESSE_TRIPLES
 from planecover.cyclotomic import ONE, ZERO, ZETA, CycNumber
 from planecover.linalg import conj_mat, identity, matmul, normalize_matrix
+from test_symmetry import ceva6_plus_3
 
 CONJ_PERM = (0, 2, 1, 5, 4, 3, 7, 6, 8)  # (2 3)(4 6)(7 8), 0-based
 
@@ -254,3 +258,109 @@ def test_realization_matches_inverse_based_reference(build, autos, realized):
                 sym = LineSymmetry(perm=perm, anti=anti, matrix=matrix)
                 assert fixed_points_of(arr, sym) == realize_oracle.fixed_points_of(arr, sym)
     assert hits == realized
+
+
+# -- the automorphism search against its oracles -------------------------------
+
+
+def triangle():
+    return build_arrangement([line_of_ints(1, 0, 0), line_of_ints(0, 1, 0), line_of_ints(0, 0, 1)])
+
+
+def concurrent_three():
+    return build_arrangement([line_of_ints(1, 0, 0), line_of_ints(0, 1, 0), line_of_ints(1, 1, 0)])
+
+
+SEARCH_CASES = {
+    "quadrilateral": complete_quadrilateral,
+    "dual_hesse": dual_hesse,
+    "hesse": hesse,
+    "ceva6_plus_3": ceva6_plus_3,
+    "triangle": triangle,
+    "concurrent_three": concurrent_three,
+}
+
+
+def assert_search_matches_oracles(arr):
+    import autos_oracle
+
+    autos = combinatorial_automorphisms(arr)
+    assert autos == autos_oracle.combinatorial_automorphisms(arr)
+    if arr.n <= 7:
+        assert autos == autos_oracle.brute_force_automorphisms(arr)
+    return autos
+
+
+@pytest.mark.parametrize("name", SEARCH_CASES)
+def test_search_matches_backtracking_and_brute_force(name):
+    autos = assert_search_matches_oracles(SEARCH_CASES[name]())
+    sizes = {"quadrilateral": 24, "dual_hesse": 432, "hesse": 432, "ceva6_plus_3": 432,
+             "triangle": 6, "concurrent_three": 6}
+    assert len(autos) == sizes[name]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(line_strategy, min_size=2, max_size=7, unique_by=lambda l: l.coeffs))
+def test_search_matches_oracles_random(lines):
+    assert_search_matches_oracles(build_arrangement(lines))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 20), min_size=4, max_size=10, unique=True))
+def test_search_matches_oracles_on_ceva_subsets(picked):
+    """Subsets of Ceva(6)+3 in a random line order: triple and 4- to 8-fold
+    points, so most lines are anchored."""
+    full = ceva6_plus_3()
+    assert_search_matches_oracles(build_arrangement([full.lines[i] for i in picked]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["dual_hesse", "hesse", "ceva6_plus_3"]), st.randoms(use_true_random=False))
+def test_search_on_relabelled_lines_is_the_conjugate_group(name, rng):
+    arr = SEARCH_CASES[name]()
+    s = list(range(arr.n))
+    rng.shuffle(s)
+    relabelled = build_arrangement([arr.lines[i] for i in s])
+    # line k of the relabelled arrangement is line s[k]: g acts as s^-1 g s
+    s_inv = invert_perm(tuple(s))
+    expected = sorted(compose_perms(s_inv, compose_perms(g, tuple(s)))
+                      for g in combinatorial_automorphisms(arr))
+    assert combinatorial_automorphisms(relabelled) == expected
+
+
+# which positions of the search order have no anchor (U) and which have one
+# (a); the same for every line order
+ANCHOR_PATTERNS = {
+    "quadrilateral": "UUaUaa",
+    "dual_hesse": "UUaUaaaaa",
+    "hesse": "UUUaaaaaaaaa",
+    "ceva6_plus_3": "UUU" + "a" * 18,
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(sorted(ANCHOR_PATTERNS)), st.randoms(use_true_random=False))
+def test_search_order_anchors_all_but_three_lines(name, rng):
+    """In any line order the search starts from three unanchored lines and
+    takes every other line's candidates from a point of multiplicity >= 3
+    on two earlier lines; on Ceva(6)+3 it starts at the three coordinate
+    lines, the only ones through two 8-fold points."""
+    arr = SEARCH_CASES[name]()
+    s = list(range(arr.n))
+    rng.shuffle(s)
+    arr = build_arrangement([arr.lines[i] for i in s])
+    mult = [p.r for p in arr.points]
+    meet, profiles = _incidence(arr)
+    order, anchors = _search_order(meet, mult, profiles)
+    assert sorted(order) == list(range(arr.n))
+    assert "".join("U" if a is None else "a" for a in anchors) == ANCHOR_PATTERNS[name]
+    for k, anchor in enumerate(anchors):
+        if anchor is None:
+            continue
+        i, (a, b) = order[k], anchor
+        assert a in order[:k] and b in order[:k] and a != b
+        assert meet[i][a] == meet[i][b] == meet[a][b]
+        assert mult[meet[i][a]] >= 3
+    if name == "ceva6_plus_3":
+        coordinate = {i for i in range(arr.n) if profiles[i].count(8) == 2}
+        assert len(coordinate) == 3 and set(order[:3]) == coordinate

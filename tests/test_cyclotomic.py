@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -234,3 +237,21 @@ def test_one_half_by_every_route():
     assert len({hash(z) for z in routes}) == 1
     assert routes[0] == Fraction(1, 2) and routes[0] != 1
     assert ZETA / 2 == CycNumber(0, Fraction(3, 6)) == parse_cyc("1/2*z")
+
+
+@given(cyc)
+def test_copy_and_pickle_round_trip(x):
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is CycNumber
+        assert (y.p, y.q, y.d) == (x.p, x.q, x.d) and hash(y) == hash(x)
+    # the benchmark's trace wraps these by name on the class
+    assert {"__mul__", "__rmul__", "__truediv__", "__rtruediv__"} <= set(CycNumber.__dict__)
+
+
+def test_arrangement_dataclass_copies():
+    from planecover.arrangement import dual_hesse
+
+    dh = dual_hesse()
+    fields = dataclasses.asdict(dh)
+    assert [tuple(row["coeffs"]) for row in fields["lines"]] == [line.coeffs for line in dh.lines]
+    assert pickle.loads(pickle.dumps(dh)) == dh

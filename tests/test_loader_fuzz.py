@@ -1,4 +1,5 @@
-"""Arbitrary JSON values in the fields of cover and arrangement JSON files.
+"""Arbitrary JSON values in the fields of cover, arrangement and hodge JSON
+files.
 
 The CLI must exit 0 or 2 and never raise; exit 2 writes exactly one
 `error:` line to stderr.
@@ -59,6 +60,23 @@ def arrangement_docs(draw):
     return {"lines": lines}
 
 
+HODGE = {"k2": 333, "euler": 111, "q": 0, "nu": 0, "p_plus": 0, "p_minus": 36,
+         "components": [[1, 5, 1]], "k3": 0}
+HODGE_BY_H = {"h10": 0, "h20": 27, "h11": 37, "nu": 0, "p_plus": 1, "p_minus": 35}
+
+
+@st.composite
+def hodge_docs(draw):
+    """Hodge data in either form with some fields replaced by arbitrary JSON
+    values or small integers, or dropped, or an arbitrary JSON document."""
+    doc = dict(draw(st.sampled_from([HODGE, HODGE_BY_H])))
+    fields = sorted(doc)
+    doc.update(draw(st.dictionaries(st.sampled_from(fields), json_values | st.integers(-3, 40), max_size=3)))
+    for key in draw(st.sets(st.sampled_from(fields), max_size=2)):
+        doc.pop(key, None)
+    return draw(json_values) if draw(st.integers(0, 9)) == 0 else doc
+
+
 @st.composite
 def cover_docs(draw):
     """A quadrilateral cover with some fields replaced or dropped; the
@@ -95,3 +113,9 @@ def test_arrangement_json_fuzz(tmp_path_factory, doc):
 @given(cover_docs())
 def test_cover_json_fuzz(tmp_path_factory, doc):
     _run_on(tmp_path_factory, ["cover", "smoothness"], doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hodge_docs())
+def test_hodge_json_fuzz(tmp_path_factory, doc):
+    _run_on(tmp_path_factory, ["bounds", "check"], doc)

@@ -387,3 +387,67 @@ def test_annihilator_filter_on_symmetric_epimorphisms(name):
         assert character_preserving_symmetries(autos, phi) == expected
         # an invariant phi keeps its automorphism besides the identity
         assert index == 0 or len(expected) >= 2
+
+
+# -- topology cross-checks through the bounds module ---------------------------
+
+# the conjugation-invariant (Z/5)^3 census covers of seed 1, one per census
+# arrangement: each has anti-holomorphic symmetries and real structures
+CENSUS_COVERS = {
+    "census_dual_hesse": (dual_hesse, [
+        (3, 0, 0), (0, 1, 2), (0, 1, 3), (2, 4, 4), (0, 2, 0), (2, 4, 1), (1, 3, 1), (1, 3, 4),
+        (1, 2, 0)]),
+    "census_hesse": (hesse, [
+        (0, 3, 0), (2, 0, 0), (4, 1, 0), (4, 2, 0), (3, 0, 0), (3, 0, 0), (4, 3, 2), (2, 4, 1),
+        (1, 0, 2), (4, 3, 3), (1, 0, 3), (2, 4, 4)]),
+    "census_ceva6_plus_3": (ceva6_plus_3, [
+        (4, 1, 0), (1, 1, 0), (1, 1, 0), (4, 0, 0), (4, 3, 0), (2, 1, 0), (0, 1, 4), (4, 2, 0),
+        (1, 1, 2), (3, 2, 2), (2, 0, 1), (4, 3, 0), (3, 1, 0), (3, 0, 0), (0, 4, 0), (3, 2, 3),
+        (2, 0, 4), (4, 3, 0), (0, 1, 1), (4, 2, 0), (1, 1, 3)]),
+}
+ODD_COVERS = ["example1", "example2", "example3", "quadrilateral_5_3", "quadrilateral_5_4",
+              "kummer_3_5", "kummer_5_5", *CENSUS_COVERS]
+
+
+def odd_cover(name, cq):
+    from planecover.cover import BLOW_ALL_TRIPLE, CoverModel
+
+    if name == "kummer_5_5":
+        rows = [tuple(int(i == j) for j in range(5)) for i in range(5)] + [(4, 4, 4, 4, 4)]
+        return quadrilateral_cover(cq, 5, rows)
+    if name in CENSUS_COVERS:
+        build, rows = CENSUS_COVERS[name]
+        phi = Epimorphism(m=5, k=len(rows[0]), rows=tuple(rows))
+        return CoverModel.build(build(), phi, BLOW_ALL_TRIPLE)
+    return named_cover(name, cq)
+
+
+@pytest.mark.parametrize("name", ODD_COVERS)
+def test_topology_cross_checks(name, cq):
+    """Noether (12 | K^2 + e), Bogomolov-Miyaoka-Yau (K^2 <= 3e, equality on
+    the paper's ball-quotient examples), and for every real structure the
+    parity chi(X_R) = e(X) mod 2 and Smith's b*(X_R; Z/2) <= b*(X; Z/2).
+
+    The Hodge data take q = nu = 0; then `my_identity` holds iff K^2 = 3e,
+    and `smith_total` is e(X) <= e(X) + 4 b_1(X) <= b*(X; Z/2), so the
+    Smith check is at least as strict as the inequality itself."""
+    from planecover.bounds import my_identity
+    from planecover.cover import invariants
+
+    cover = odd_cover(name, cq)
+    rep = invariants(cover)
+    assert (rep.k2 + rep.euler) % 12 == 0
+    h = hodge_from_surface(rep.k2, rep.euler, q=0, nu=0)
+    assert smith_total(h) == rep.euler
+    assert rep.k2 <= 3 * rep.euler
+    assert my_identity(h) == (rep.k2 == 3 * rep.euler)
+    if name in ("example1", "example2", "example3"):
+        assert my_identity(h)
+    classes = classify_real_structures(klein_model(cover))
+    assert classes or name == "example1"
+    for cls in classes:
+        euler_r, betti_r = real_part_topology(cover, cls)
+        assert (euler_r, betti_r) == (cls.real_part_euler, cls.real_part_betti)
+        assert euler_r == betti_r[0] - betti_r[1] + betti_r[2]
+        assert (euler_r - rep.euler) % 2 == 0
+        assert sum(betti_r) <= smith_total(h)
