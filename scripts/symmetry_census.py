@@ -32,7 +32,7 @@ def main() -> None:
     for arr_name, phi, label in CASES:
         arr = builtin_arrangement(arr_name)
         autos = combinatorial_automorphisms(arr)
-        preserving = character_preserving_symmetries(autos, phi)
+        preserving = character_preserving_symmetries(arr, phi)
         print(f"== {label} ({arr_name}) ==")
         print(f"  incidence automorphisms: {len(autos)}")
         print(f"  character-preserving:    {len(preserving)}")

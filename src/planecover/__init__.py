@@ -34,7 +34,6 @@ from .catalog import (
     resolve_cover,
 )
 from .characters import (
-    character_action,
     enumerate_characters,
     r_profile,
     unique_profile_elements,
@@ -54,7 +53,6 @@ from .homology import (
     exceptional_class,
     galois_kernel,
     independence,
-    loop_pairing,
     smoothness_check,
     validate_epimorphism,
 )
@@ -63,7 +61,6 @@ from .symmetry import (
     classify_real_structures,
     deck_action_of,
     klein_model,
-    real_part_topology,
 )
 
 __version__ = "0.1.0"

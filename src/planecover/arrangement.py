@@ -2,7 +2,8 @@
 
 Lines and points are canonical projective triples (first nonzero entry 1),
 so deduplication and fixed-point tests are exact dictionary lookups.  The
-module also enumerates incidence-preserving line permutations and decides
+module also enumerates incidence-preserving line permutations, optionally
+only those that preserve an epimorphism's character set, and decides
 whether a permutation is realized by a projectivity or anti-projectivity.
 """
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .cyclotomic import ONE, ZERO, ZETA, CycNumber, parse_cyc
+from .homology import Vector, row_reduce
 from .linalg import (
     Mat3,
     Vec3,
@@ -85,12 +87,6 @@ class Arrangement:
     @property
     def n(self) -> int:
         return len(self.lines)
-
-    def point_ids_on_line(self, i: int) -> tuple[int, ...]:
-        return tuple(pid for pid, p in enumerate(self.points) if i in p.incident)
-
-    def line_profile(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(self.points[pid].r for pid in self.point_ids_on_line(i)))
 
     def triples_1based(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
@@ -245,7 +241,18 @@ def _search_order(
 
 
 def combinatorial_automorphisms(arr: Arrangement) -> list[Perm]:
-    """All line permutations preserving the incidence relation, sorted.
+    """All line permutations preserving the incidence relation (Aut_comb),
+    sorted: `incidence_automorphisms` without a linear constraint."""
+    return incidence_automorphisms(arr)
+
+
+def incidence_automorphisms(
+    arr: Arrangement, rows: tuple[Vector, ...] | None = None, m: int = 0
+) -> list[Perm]:
+    """The incidence automorphisms, sorted; given the rows of an epimorphism
+    phi onto (Z/m)^k, m prime, only those sigma with phi[sigma(i)] = phi[i] P
+    for one matrix P, which are the permutations whose coordinate action
+    fixes the span of phi's columns.
 
     Backtracking over the static line order of `_search_order`.  A line
     anchored at two earlier lines a, b must map to a line through the point
@@ -262,6 +269,18 @@ def combinatorial_automorphisms(arr: Arrangement) -> list[Perm]:
     most the lines through one point and checking one pair per earlier
     line.  Arrangements with only double points anchor nothing and list
     all n! permutations.
+
+    With phi, one reduction of the rows in search order (`row_reduce`)
+    writes each line's row as a combination of the earlier lines with new
+    rows, the pivots, or finds it new.  A line with a combination must map
+    to a line whose row is the same combination of the pivots' images'
+    rows; a pivot line is unconstrained.  A permutation passing every such
+    check has phi[sigma(i)] = phi[i] P for the P taking the pivots' rows to
+    their images' rows, and every such permutation passes them.  The check
+    only prunes, so the search visits a subset of the full search's nodes.
+    Past the at most k pivots every line's image must carry one given row,
+    so in practice it visits about |H_comb| x n nodes, H_comb the
+    character-preserving automorphisms, even where Aut_comb is all of S_n.
     """
     n = arr.n
     mult = [p.r for p in arr.points]
@@ -269,6 +288,16 @@ def combinatorial_automorphisms(arr: Arrangement) -> list[Perm]:
     meet, profiles = _incidence(arr)
     same_profile = [tuple(j for j in range(n) if profiles[j] == profiles[i]) for i in range(n)]
     order, anchors = _search_order(meet, mult, profiles)
+    # combos[k]: (pivot line, coefficient) pairs giving the row of order[k]
+    combos: list[tuple[tuple[int, int], ...] | None] = [None] * n
+    if rows is not None:
+        if len(rows) != n:
+            raise ValueError("epimorphism size does not match the arrangement")
+        reduced, pivots = row_reduce(
+            [tuple(rows[i][j] for i in order) for j in range(len(rows[0]))], m, n
+        )
+        for k in set(range(n)) - set(pivots):
+            combos[k] = tuple((order[p], r[k]) for p, r in zip(pivots, reduced) if r[k])
 
     perm = [-1] * n
     used = [False] * n
@@ -289,8 +318,15 @@ def combinatorial_automorphisms(arr: Arrangement) -> list[Perm]:
         profile = profiles[i]
         row = meet[i]
         earlier = order[:k]
+        combo = combos[k]
+        if combo is not None:
+            target = tuple(
+                sum(c * rows[perm[b]][j] for b, c in combo) % m for j in range(len(rows[i]))
+            )
         for img in candidates:
             if used[img] or profiles[img] != profile:
+                continue
+            if combo is not None and rows[img] != target:
                 continue
             img_row = meet[img]
             added: list[int] = []

@@ -103,14 +103,6 @@ def m_surface_beta1(h: HodgeData) -> int:
     return 1 + 2 * (h.h10 + h.nu) + h.h20 + p_minus
 
 
-def my_m_surface_beta1(h: HodgeData) -> int:
-    """The same number rewritten under the h11 = h20 + h10 + 1 identity."""
-    _, p_minus = h.require_split()
-    if not my_identity(h):
-        raise ValueError("h11 = h20 + h10 + 1 fails for this data")
-    return h.h11 + p_minus + h.h10 + 2 * h.nu
-
-
 def prop_h20_lower_bound(h: HodgeData) -> int:
     """Lower bound 2 nu + 5 p_plus + 4 for h20 of a maximal MY surface."""
     if not my_identity(h):

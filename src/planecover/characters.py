@@ -65,10 +65,5 @@ def act_on_character(perm: Perm, a: Character) -> Character:
     return tuple(a[inv[i]] for i in range(len(a)))
 
 
-def character_action(perm: Perm, charset: tuple[Character, ...]) -> tuple[Character, ...]:
-    """The permuted character set, re-sorted; profiles are preserved."""
-    return tuple(sorted(act_on_character(perm, a) for a in charset))
-
-
 def preserves_charset(perm: Perm, charset: frozenset[Character]) -> bool:
     return all(act_on_character(perm, a) in charset for a in charset)

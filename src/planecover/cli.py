@@ -29,7 +29,7 @@ from .cover import (
     word_str,
 )
 from .homology import _is_int
-from .symmetry import classify_real_structures, klein_model
+from .symmetry import automorphism_count, classify_real_structures, klein_model
 
 
 # -- report builders (dicts with deterministic ordering) ------------------------
@@ -115,7 +115,7 @@ def symmetry_report(cover: CoverModel, ref: str) -> dict:
     model = klein_model(cover)
     return {
         "cover": ref,
-        "combinatorial_automorphisms": model.automorphism_count,
+        "combinatorial_automorphisms": automorphism_count(cover.arrangement),
         "character_preserving": [perm_cycles_str(p) for p in model.character_preserving],
         "realized": [
             {
@@ -515,6 +515,7 @@ def run(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 2
 
     command = f"{args.group} {args.action}"
+    code = 0
     try:
         if command == "arrangement info":
             arr = resolve_arrangement(args.ref)
@@ -534,17 +535,14 @@ def run(argv: list[str]) -> int:
                 report = bounds_report(json.load(fh), args.k3)
         elif command == "paper verify":
             report, code = verify_report()
-            _emit(report, command, args.format, args.out)
-            return code
         else:  # pragma: no cover
             parser.error(f"unknown command {command!r}")
             return 2
+        _emit(report, command, args.format, args.out)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-
-    _emit(report, command, args.format, args.out)
-    return 0
+    return code
 
 
 def main() -> None:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .arrangement import Arrangement, IncidencePoint
+if TYPE_CHECKING:  # arrangement imports this module's elimination
+    from .arrangement import Arrangement, IncidencePoint
 
 Vector = tuple[int, ...]
 
@@ -290,12 +292,3 @@ def galois_kernel(phi: Epimorphism) -> DeckGroup:
         tuple(v) + ((-sum(v)) % m,) for v in short_basis
     )
     return DeckGroup(m=m, k=k, n=n, kernel_basis=basis)
-
-
-def loop_pairing(gamma: Vector, a: Vector, m: int) -> int:
-    """Deck pairing sum over i<n of gamma_i * a_i mod m.
-
-    Both vectors are zero-sum lifts; the n-th coordinate is redundant under
-    the relation sum(lambda_i) = 0 and is excluded from the sum.
-    """
-    return sum(g * x for g, x in zip(gamma[:-1], a[:-1])) % m

@@ -1,8 +1,8 @@
 """Symmetry classification for the branched covers.
 
-Pipeline: enumerate incidence-preserving line permutations, keep those whose
-coordinate action preserves the character set, decide projective or
-anti-projective realizability over Q(zeta), and assemble the finite model
+Pipeline: search the incidence-preserving line permutations whose coordinate
+action preserves the character set, decide projective or anti-projective
+realizability over Q(zeta), and assemble the finite model
 deck-group x realized-symmetries with its semidirect law.  Anti elements act
 on the deck group by gamma -> -(P^T) gamma where P is the induced matrix on
 character coordinates (eigenvalues conjugate under anti-linear maps); the
@@ -16,12 +16,13 @@ import itertools
 from dataclasses import dataclass
 
 from .arrangement import (
+    Arrangement,
     LineSymmetry,
     Perm,
-    _general_position_quadruple,
     combinatorial_automorphisms,
     compose_perms,
     fixed_points_of,
+    incidence_automorphisms,
     invert_perm,
     make_symmetry,
     perm_cycles_str,
@@ -32,27 +33,22 @@ from .homology import Epimorphism, Vector, nullspace_mod_p, row_reduce, solve_mo
 Matrix = tuple[Vector, ...]  # k x k over Z/mZ
 
 
-def character_preserving_symmetries(autos: list[Perm], phi: Epimorphism) -> list[Perm]:
-    """The incidence automorphisms `autos` whose coordinate action fixes the
-    character set, the span A of phi's columns.
+def character_preserving_symmetries(arr: Arrangement, phi: Epimorphism) -> list[Perm]:
+    """The incidence automorphisms whose coordinate action fixes the
+    character set, the span A of phi's columns, sorted.
 
-    A permutation fixes A iff it maps each column of phi into A, that is iff
-    every permuted column is annihilated by the annihilator
-    Y = {y : sum_i y_i phi[i][j] = 0 for all j} of A.  Y is computed once, so
-    the test costs O(n^2 k) per permutation and never forms the m^k characters.
+    A permutation sigma fixes A iff phi[sigma(i)] = phi[i] P for one matrix
+    P, a linear constraint that prunes the automorphism search itself
+    (`incidence_automorphisms`), so Aut_comb is never listed and the m^k
+    characters are never formed.
     """
-    m, n = phi.m, phi.n
-    columns = [phi.column(j) for j in range(phi.k)]
-    annihilator = nullspace_mod_p(columns, m, n)
-    return [
-        perm
-        for perm in autos
-        if all(
-            sum(y[i] * col[perm[i]] for i in range(n)) % m == 0
-            for y in annihilator
-            for col in columns
-        )
-    ]
+    return incidence_automorphisms(arr, phi.rows, phi.m)
+
+
+def automorphism_count(arr: Arrangement) -> int:
+    """|Aut_comb|, by listing every incidence automorphism: `symmetry search`
+    prints it, and nothing in the Klein model needs it."""
+    return len(combinatorial_automorphisms(arr))
 
 
 def _charset_matrix(perm: Perm, phi: Epimorphism) -> Matrix:
@@ -111,10 +107,9 @@ class KleinModel:
     H is `realized`, sorted by (perm, anti); an element of G is a pair
     (index into H, deck vector), with (s, a)(t, b) = (st, a + A_s b) for the
     deck action A_s of s.  The model stores H and its deck actions only, never
-    the m^k |H| elements: building it costs one incidence-automorphism search,
-    the character filter on the automorphisms found and two realizability
-    tests per surviving permutation.  The search's results are kept in
-    `automorphism_count` and `character_preserving` for the reports.  Every
+    the m^k |H| elements: building it costs one search for the
+    character-preserving automorphisms, kept in `character_preserving` for
+    the reports, and two realizability tests per permutation found.  Every
     question about G asked here reduces to H and linear algebra mod m on the
     A_s: the real-structure classes cost O(|H|^2 n + k^3) per H-class of
     anti-holomorphic involutions for odd m (`classify_real_structures`).
@@ -123,7 +118,6 @@ class KleinModel:
     cover: CoverModel
     realized: tuple[RealizedSymmetry, ...]
     combinatorial_only: tuple[tuple[Perm, bool], ...]
-    automorphism_count: int
     character_preserving: tuple[Perm, ...]
 
     @property
@@ -164,9 +158,8 @@ def klein_model(cover: CoverModel) -> KleinModel:
     """Deck group plus every realizable character-preserving symmetry."""
     cover.require_smooth()
     arr, phi = cover.arrangement, cover.phi
-    _general_position_quadruple(arr)  # refuse before the automorphism search
-    autos = combinatorial_automorphisms(arr)
-    preserving = character_preserving_symmetries(autos, phi)
+    arr._frame  # refuse before the search if no 4 lines are in general position
+    preserving = character_preserving_symmetries(arr, phi)
     realized: list[RealizedSymmetry] = []
     rejected: list[tuple[Perm, bool]] = []
     for perm in preserving:
@@ -183,7 +176,6 @@ def klein_model(cover: CoverModel) -> KleinModel:
         cover=cover,
         realized=tuple(realized),
         combinatorial_only=tuple(rejected),
-        automorphism_count=len(autos),
         character_preserving=tuple(preserving),
     )
 
@@ -319,19 +311,7 @@ def _fingerprint(
 
 
 def _real_part_from_count(n_real: int) -> tuple[int, tuple[int, int, int]]:
-    # the real locus is the real projective plane blown up at the real centers
+    # for odd m the real locus maps homeomorphically onto the real projective
+    # plane blown up at the real centers: an odd-degree radical of a real
+    # function has exactly one real root
     return 1 - n_real, (1, 1 + n_real, 1)
-
-
-def real_part_topology(
-    cover: CoverModel, cls: RealStructureClass
-) -> tuple[int, tuple[int, int, int]]:
-    """Euler characteristic and Z/2-Betti numbers of the real locus.
-
-    For odd m the real locus upstairs maps homeomorphically onto the real
-    locus of the blown plane: odd-degree radicals of real functions have
-    exactly one real root.
-    """
-    if cover.m % 2 == 0:
-        raise ValueError("even covering degree: the real locus is not determined")
-    return _real_part_from_count(cls.n_real_blown)

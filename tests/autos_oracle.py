@@ -6,6 +6,10 @@ lines are assigned in index order, every line is tried as the image of every
 line, and each candidate is checked against all earlier lines.
 `brute_force_automorphisms` tries all n! permutations.  The tests require
 the library's sorted list from both routes.
+
+`annihilator_filter` is the character filter the library applied to the
+full list before its search took the epimorphism's linear constraint: it
+keeps the automorphisms that map every column of phi into the column span.
 """
 
 from __future__ import annotations
@@ -13,6 +17,16 @@ from __future__ import annotations
 import itertools
 
 from planecover.arrangement import Arrangement, Perm
+from planecover.homology import Epimorphism, nullspace_mod_p
+
+
+def points_on_line(arr: Arrangement, i: int) -> tuple[int, ...]:
+    return tuple(pid for pid, p in enumerate(arr.points) if i in p.incident)
+
+
+def line_profile(arr: Arrangement, i: int) -> tuple[int, ...]:
+    """The sorted multiplicities of the points on line i."""
+    return tuple(sorted(arr.points[pid].r for pid in points_on_line(arr, i)))
 
 
 def combinatorial_automorphisms(arr: Arrangement) -> list[Perm]:
@@ -28,7 +42,7 @@ def combinatorial_automorphisms(arr: Arrangement) -> list[Perm]:
         for i, j in itertools.combinations(p.incident, 2):
             pair_point[(i, j)] = pid
     mult = [p.r for p in arr.points]
-    profiles = [arr.line_profile(i) for i in range(n)]
+    profiles = [line_profile(arr, i) for i in range(n)]
 
     perm = [-1] * n
     used = [False] * n
@@ -87,4 +101,22 @@ def brute_force_automorphisms(arr: Arrangement) -> list[Perm]:
         perm
         for perm in itertools.permutations(range(arr.n))
         if all(frozenset(perm[i] for i in s) in point_sets for s in point_sets)
+    ]
+
+
+def annihilator_filter(autos: list[Perm], phi: Epimorphism) -> list[Perm]:
+    """The permutations in `autos` whose coordinate action fixes the span A
+    of phi's columns: every permuted column is annihilated by the
+    annihilator Y = {y : sum_i y_i phi[i][j] = 0 for all j} of A."""
+    m, n = phi.m, phi.n
+    columns = [phi.column(j) for j in range(phi.k)]
+    annihilator = nullspace_mod_p(columns, m, n)
+    return [
+        perm
+        for perm in autos
+        if all(
+            sum(y[i] * col[perm[i]] for i in range(n)) % m == 0
+            for y in annihilator
+            for col in columns
+        )
     ]

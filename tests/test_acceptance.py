@@ -24,14 +24,15 @@ from planecover.catalog import DUAL_HESSE_TRIPLES, PHI1, PHI2
 from planecover.characters import enumerate_characters, r_profile, unique_profile_elements
 from planecover.cover import invariants, nonnegative_solutions
 from planecover.cyclotomic import CycNumber
-from planecover.homology import galois_kernel, loop_pairing, validate_epimorphism
+from planecover.homology import galois_kernel, validate_epimorphism
 from planecover.linalg import identity
 from planecover.symmetry import (
     character_preserving_symmetries,
     classify_real_structures,
 )
 
-from test_homology import random_valid_phi
+from autos_oracle import points_on_line
+from test_homology import loop_pairing, random_valid_phi
 
 
 def criterion(number, summary):
@@ -54,7 +55,7 @@ def criterion(number, summary):
 def test_criterion_1(dh):
     assert dh.t == {3: 12}
     for i in range(9):
-        assert len(dh.point_ids_on_line(i)) == 4
+        assert len(points_on_line(dh, i)) == 4
     assert set(dh.triples_1based()) == set(DUAL_HESSE_TRIPLES)
 
 
@@ -100,7 +101,7 @@ def test_criterion_5(dh, model1):
     q = 3
     agl_order = q**2 * (q**2 - 1) * (q**2 - q)  # |AGL(2,3)| oracle
     assert len(autos) == agl_order == 432
-    preserving = character_preserving_symmetries(autos, PHI1)
+    preserving = character_preserving_symmetries(dh, PHI1)
     assert preserving == [tuple(range(9))]
     assert model1.order == 25
     assert not model1.has_anti
@@ -109,8 +110,7 @@ def test_criterion_5(dh, model1):
 
 @criterion(6, "example II: unique conjugation symmetry, inversion action, one class, not maximal")
 def test_criterion_6(dh, cover2, model2):
-    autos = combinatorial_automorphisms(dh)
-    preserving = character_preserving_symmetries(autos, PHI2)
+    preserving = character_preserving_symmetries(dh, PHI2)
     assert len(preserving) == 2  # identity plus exactly one nontrivial
     conj_perm = (0, 2, 1, 5, 4, 3, 7, 6, 8)
     assert conj_perm in preserving

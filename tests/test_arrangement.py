@@ -23,7 +23,9 @@ from planecover.arrangement import (
 from planecover.catalog import DUAL_HESSE_TRIPLES
 from planecover.cyclotomic import ONE, ZERO, ZETA, CycNumber
 from planecover.linalg import conj_mat, identity, matmul, normalize_matrix
-from test_symmetry import ceva6_plus_3
+from planecover.symmetry import character_preserving_symmetries
+from test_homology import random_valid_phi
+from test_symmetry import ceva6_plus_3, invariant_phi
 
 CONJ_PERM = (0, 2, 1, 5, 4, 3, 7, 6, 8)  # (2 3)(4 6)(7 8), 0-based
 
@@ -66,8 +68,10 @@ def test_dual_hesse_triples_match_reference_set(dh):
 
 
 def test_dual_hesse_four_triples_per_line(dh):
+    from autos_oracle import points_on_line
+
     for i in range(9):
-        assert len(dh.point_ids_on_line(i)) == 4
+        assert len(points_on_line(dh, i)) == 4
 
 
 def test_dual_hesse_real_lines(dh):
@@ -85,8 +89,10 @@ def test_quadrilateral_double_points(cq):
 
 
 def test_quadrilateral_per_line_profile(cq):
+    from autos_oracle import line_profile
+
     for i in range(6):
-        assert cq.line_profile(i) == (2, 3, 3)
+        assert line_profile(cq, i) == (2, 3, 3)
 
 
 def test_pair_count_identity_builtin(dh, cq):
@@ -303,6 +309,29 @@ def test_search_matches_backtracking_and_brute_force(name):
 @given(st.lists(line_strategy, min_size=2, max_size=7, unique_by=lambda l: l.coeffs))
 def test_search_matches_oracles_random(lines):
     assert_search_matches_oracles(build_arrangement(lines))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(line_strategy, min_size=2, max_size=7, unique_by=lambda l: l.coeffs),
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_constrained_search_matches_annihilator_filter_random(lines, m, k, invariant, rng):
+    """A random valid phi, or one whose rows are constant on the cycles of a
+    nontrivial automorphism where such a phi exists: the search with phi's
+    linear constraint returns the filter's list over the full search."""
+    import autos_oracle
+
+    arr = build_arrangement(lines)
+    k = min(k, arr.n - 1)
+    autos = combinatorial_automorphisms(arr)
+    phi = invariant_phi(autos, m, k, rng, tries=20) if invariant and len(autos) > 1 else None
+    if phi is None:
+        phi = random_valid_phi(rng, arr.n, m, k)
+    assert character_preserving_symmetries(arr, phi) == autos_oracle.annihilator_filter(autos, phi)
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,7 +13,6 @@ from planecover.bounds import (
     lefschetz_trace,
     m_surface_beta1,
     my_identity,
-    my_m_surface_beta1,
     prop_h20_lower_bound,
     real_betti_total,
     small_component_exclusion,
@@ -67,6 +66,13 @@ def test_my_identity():
     assert my_identity(HodgeData(h10=0, h20=36, h11=37))
     assert my_identity(HodgeData(h10=0, h20=0, h11=1))
     assert not my_identity(HodgeData(h10=0, h20=3, h11=3))
+
+
+def my_m_surface_beta1(h):
+    """The maximal-surface beta1 rewritten under the h11 = h20 + h10 + 1
+    identity: h11 + p_minus + h10 + 2 nu."""
+    assert my_identity(h)
+    return h.h11 + h.p_minus + h.h10 + 2 * h.nu
 
 
 def test_beta1_formulas_agree_under_my_identity():

@@ -7,7 +7,6 @@ import pytest
 from planecover.catalog import PHI1, PHI2, PHI3
 from planecover.characters import (
     act_on_character,
-    character_action,
     enumerate_characters,
     preserves_charset,
     r_profile,
@@ -17,6 +16,11 @@ from planecover.homology import Epimorphism
 
 ALPHA = (1, 1, 1, 3, 3, 0, 0, 0, 1)
 BETA = (1, 0, 1, 3, 0, 1, 1, 2, 1)
+
+
+def character_action(perm, charset):
+    """The permuted character set, re-sorted."""
+    return tuple(sorted(act_on_character(perm, a) for a in charset))
 
 
 def reference_lists():

@@ -284,12 +284,15 @@ def test_malformed_cover_json_is_input_error(tmp_path, capsys, field, value):
 
 @pytest.mark.parametrize("command", [["symmetry", "search"], ["real", "classify"]])
 def test_near_pencil_refused_before_automorphism_search(tmp_path, capsys, monkeypatch, command):
-    from planecover import symmetry
+    from planecover import arrangement, symmetry
 
-    def no_search(arr):
+    def no_search(*args):
         raise AssertionError("automorphism search started")
 
     monkeypatch.setattr(symmetry, "combinatorial_automorphisms", no_search)
+    # the search constrained by phi, behind the character filter
+    for module in (arrangement, symmetry):
+        monkeypatch.setattr(module, "incidence_automorphisms", no_search)
     # x, y and x + y meet in one point: no 4 lines in general position
     cover = {
         "arrangement": {"lines": [["1", "0", "0"], ["0", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]]},
@@ -325,6 +328,57 @@ def test_symmetry_search_runs_one_automorphism_search(capsys, monkeypatch):
     data = json.loads(out)
     assert data["combinatorial_automorphisms"] == 24
     assert data["character_preserving"] == ["id", "(1 2)(4 5)"]
+
+
+def test_real_classify_never_lists_the_combinatorial_group(capsys, monkeypatch):
+    import importlib
+    import pkgutil
+
+    import planecover
+    from planecover import arrangement
+
+    search = arrangement.combinatorial_automorphisms
+
+    def no_search(arr):
+        raise AssertionError("Aut_comb listed")
+
+    for info in pkgutil.iter_modules(planecover.__path__):
+        module = importlib.import_module(f"planecover.{info.name}")
+        for name, value in list(vars(module).items()):
+            if value is search:
+                monkeypatch.setattr(module, name, no_search)
+    monkeypatch.setattr(planecover, "combinatorial_automorphisms", no_search)
+    for name, order in (("example1", 25), ("example2", 50), ("example3", 100)):
+        code, out = capture(capsys, ["--format", "json", "real", "classify", f"builtin:{name}"])
+        assert code == 0
+        assert json.loads(out)["klein_order"] == order
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arrangement", "info", "builtin:dual_hesse"],
+        ["cover", "smoothness", "builtin:example3"],
+        ["cover", "invariants", "builtin:example3"],
+        ["characters", "list", "builtin:example3"],
+        ["symmetry", "search", "builtin:example3"],
+        ["real", "classify", "builtin:example3"],
+        ["bounds", "check", "HODGE_JSON"],
+        ["paper", "verify"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_unwritable_out_path_is_input_error(tmp_path, capsys, argv):
+    hodge = tmp_path / "hodge.json"
+    hodge.write_text(json.dumps({"k2": 333, "euler": 111}))
+    argv = [str(hodge) if a == "HODGE_JSON" else a for a in argv]
+    out = tmp_path / "missing" / "report.json"
+    assert run([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "report.json" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

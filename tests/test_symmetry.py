@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from autos_oracle import annihilator_filter
 from klein_oracle import anti_involutions, brute_force_classify, elements, inverse, is_involution
 from planecover.arrangement import (
     Line,
@@ -11,7 +12,7 @@ from planecover.arrangement import (
     dual_hesse,
     perm_cycles_str,
 )
-from planecover.bounds import hodge_from_surface, smith_total
+from planecover.bounds import hodge_from_surface, lefschetz_trace, smith_total
 from planecover.catalog import PHI2, PHI3, builtin_cover
 from planecover.characters import enumerate_characters, preserves_charset
 from planecover.cyclotomic import ONE, ZERO, ZETA
@@ -21,7 +22,6 @@ from planecover.symmetry import (
     classify_real_structures,
     deck_action_of,
     klein_model,
-    real_part_topology,
 )
 
 IDENTITY9 = tuple(range(9))
@@ -31,18 +31,18 @@ OPPOSITE_SWAP = (3, 4, 5, 0, 1, 2)  # (1 4)(2 5)(3 6)
 
 
 def test_example1_only_identity_preserves_characters(dh, cover1):
-    perms = character_preserving_symmetries(combinatorial_automorphisms(dh), cover1.phi)
+    perms = character_preserving_symmetries(dh, cover1.phi)
     assert perms == [IDENTITY9]
 
 
 def test_example2_exactly_one_nontrivial_symmetry(dh, cover2):
-    perms = character_preserving_symmetries(combinatorial_automorphisms(dh), cover2.phi)
+    perms = character_preserving_symmetries(dh, cover2.phi)
     assert len(perms) == 2
     assert IDENTITY9 in perms and CONJ_PERM in perms
 
 
 def test_example3_preserving_subgroup(cq, cover3):
-    perms = character_preserving_symmetries(combinatorial_automorphisms(cq), cover3.phi)
+    perms = character_preserving_symmetries(cq, cover3.phi)
     assert tuple(range(6)) in perms
     assert QUAD_SWAP in perms
     # the opposite-swap preserves the characters but not the incidence,
@@ -182,9 +182,18 @@ def test_representatives_square_to_identity(model2, model3):
             assert all(v == 0 for v in delta)
 
 
+def real_part_topology(cls):
+    """Euler characteristic and Z/2-Betti numbers of the real projective
+    plane blown up at the class's real blown-up points, which for odd m is
+    the real locus upstairs."""
+    blown = len(cls.real_blown_points)
+    return 1 - blown, (1, 1 + blown, 1)
+
+
 def test_real_part_topology_example2(cover2, model2):
     cls = classify_real_structures(model2)[0]
-    euler, betti = real_part_topology(cover2, cls)
+    euler, betti = cls.real_part_euler, cls.real_part_betti
+    assert (euler, betti) == real_part_topology(cls)
     assert euler == -3
     assert betti == (1, 5, 1)
     assert sum(betti) == 7
@@ -196,15 +205,11 @@ def test_real_part_no_real_centers():
     assert _real_part_from_count(0) == (1, (1, 1, 1))
 
 
-def test_even_degree_refused(model2):
-    cls = classify_real_structures(model2)[0]
-    from planecover import symmetry as sym_mod
-
-    class EvenCover:
-        m = 4
-
-    with pytest.raises(ValueError, match="even"):
-        sym_mod.real_part_topology(EvenCover(), cls)
+def test_even_degree_refused(cq):
+    # for even m the real locus is not determined by the real blown-up points
+    classes = classify_real_structures(klein_model(quadrilateral_cover(cq, *QUAD_COVERS["quadrilateral_2_4"])))
+    assert classes
+    assert all(c.real_part_euler is None and c.real_part_betti is None for c in classes)
 
 
 def test_example2_not_maximal_cross_module(cover2, model2):
@@ -329,11 +334,12 @@ def ceva6_plus_3():
     ])
 
 
-def invariant_phi(autos, m, k, rng):
+def invariant_phi(autos, m, k, rng, tries=1000):
     """A random epimorphism onto (Z/m)^k whose rows are constant on the cycles
-    of a random nontrivial automorphism, which therefore fixes every column."""
+    of a random nontrivial automorphism, which therefore fixes every column;
+    None if `tries` draws find none."""
     n = len(autos[0])
-    while True:
+    for _ in range(tries):
         perm = rng.choice(autos[1:])
         cycles = set()
         for i in range(n):
@@ -358,9 +364,18 @@ def invariant_phi(autos, m, k, rng):
         phi = Epimorphism(m=m, k=k, rows=tuple(rows))
         if validate_epimorphism(phi).ok:
             return phi
+    return None
 
 
 SEARCH_ARRANGEMENTS = {"dual_hesse": dual_hesse, "hesse": hesse, "ceva6_plus_3": ceva6_plus_3}
+
+
+def assert_search_matches_filter(arr, phi):
+    """The constrained search returns the annihilator filter's list over
+    Aut_comb, order included; returns that list."""
+    expected = annihilator_filter(combinatorial_automorphisms(arr), phi)
+    assert character_preserving_symmetries(arr, phi) == expected
+    return expected
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", *QUAD_COVERS])
@@ -369,7 +384,8 @@ def test_annihilator_filter_matches_character_enumeration(name, cq):
     autos = combinatorial_automorphisms(cover.arrangement)
     charset = frozenset(enumerate_characters(cover.phi))
     expected = [perm for perm in autos if preserves_charset(perm, charset)]
-    assert character_preserving_symmetries(autos, cover.phi) == expected
+    assert annihilator_filter(autos, cover.phi) == expected
+    assert assert_search_matches_filter(cover.arrangement, cover.phi) == expected
 
 
 @pytest.mark.parametrize("name", SEARCH_ARRANGEMENTS)
@@ -384,7 +400,8 @@ def test_annihilator_filter_on_symmetric_epimorphisms(name):
     for index, phi in enumerate(phis):
         charset = frozenset(enumerate_characters(phi))
         expected = [perm for perm in autos if preserves_charset(perm, charset)]
-        assert character_preserving_symmetries(autos, phi) == expected
+        assert annihilator_filter(autos, phi) == expected
+        assert assert_search_matches_filter(arr, phi) == expected
         # an invariant phi keeps its automorphism besides the identity
         assert index == 0 or len(expected) >= 2
 
@@ -405,6 +422,17 @@ CENSUS_COVERS = {
         (1, 1, 2), (3, 2, 2), (2, 0, 1), (4, 3, 0), (3, 1, 0), (3, 0, 0), (0, 4, 0), (3, 2, 3),
         (2, 0, 4), (4, 3, 0), (0, 1, 1), (4, 2, 0), (1, 1, 3)]),
 }
+# the other three census covers of seed 1, onto (Z/5)^2
+CENSUS_GENERIC_COVERS = {
+    "census_generic_dual_hesse": (dual_hesse, [
+        (1, 4), (2, 2), (4, 4), (1, 4), (2, 3), (3, 4), (4, 0), (1, 4), (2, 0)]),
+    "census_generic_hesse": (hesse, [
+        (3, 0), (3, 2), (2, 1), (4, 2), (4, 1), (1, 2), (1, 0), (1, 3), (1, 2), (2, 0), (4, 4),
+        (4, 3)]),
+    "census_generic_ceva6_plus_3": (ceva6_plus_3, [
+        (2, 4), (4, 0), (0, 2), (4, 1), (4, 1), (1, 3), (2, 4), (1, 3), (1, 2), (3, 1), (3, 4),
+        (1, 3), (3, 1), (2, 1), (4, 1), (3, 2), (1, 3), (1, 3), (3, 1), (1, 3), (1, 2)]),
+}
 ODD_COVERS = ["example1", "example2", "example3", "quadrilateral_5_3", "quadrilateral_5_4",
               "kummer_3_5", "kummer_5_5", *CENSUS_COVERS]
 
@@ -422,11 +450,21 @@ def odd_cover(name, cq):
     return named_cover(name, cq)
 
 
+@pytest.mark.parametrize("name", [*CENSUS_COVERS, *CENSUS_GENERIC_COVERS])
+def test_search_matches_annihilator_filter_on_census_covers(name):
+    build, rows = {**CENSUS_COVERS, **CENSUS_GENERIC_COVERS}[name]
+    phi = Epimorphism(m=5, k=len(rows[0]), rows=tuple(rows))
+    preserving = assert_search_matches_filter(build(), phi)
+    # the conjugation-invariant covers keep the conjugation permutation
+    assert len(preserving) >= (2 if name in CENSUS_COVERS else 1)
+
+
 @pytest.mark.parametrize("name", ODD_COVERS)
 def test_topology_cross_checks(name, cq):
     """Noether (12 | K^2 + e), Bogomolov-Miyaoka-Yau (K^2 <= 3e, equality on
     the paper's ball-quotient examples), and for every real structure the
-    parity chi(X_R) = e(X) mod 2 and Smith's b*(X_R; Z/2) <= b*(X; Z/2).
+    parity chi(X_R) = e(X) mod 2, Smith's b*(X_R; Z/2) <= b*(X; Z/2) and
+    the Lefschetz trace chi(X_R) - 1 within the primitive (1,1)-part.
 
     The Hodge data take q = nu = 0; then `my_identity` holds iff K^2 = 3e,
     and `smith_total` is e(X) <= e(X) + 4 b_1(X) <= b*(X; Z/2), so the
@@ -446,8 +484,9 @@ def test_topology_cross_checks(name, cq):
     classes = classify_real_structures(klein_model(cover))
     assert classes or name == "example1"
     for cls in classes:
-        euler_r, betti_r = real_part_topology(cover, cls)
+        euler_r, betti_r = real_part_topology(cls)
         assert (euler_r, betti_r) == (cls.real_part_euler, cls.real_part_betti)
         assert euler_r == betti_r[0] - betti_r[1] + betti_r[2]
         assert (euler_r - rep.euler) % 2 == 0
         assert sum(betti_r) <= smith_total(h)
+        assert lefschetz_trace(h, (betti_r,)) == cls.real_part_euler - 1
