@@ -40,7 +40,6 @@ from .characters import (
 )
 from .cover import (
     CoverModel,
-    cover_canonical,
     generator_words,
     invariants,
     nonnegative_solutions,
@@ -50,7 +49,6 @@ from .cyclotomic import ZETA, CycNumber, parse_cyc
 from .homology import (
     DeckGroup,
     Epimorphism,
-    exceptional_class,
     galois_kernel,
     independence,
     smoothness_check,

@@ -101,6 +101,20 @@ class Arrangement:
         vs = [self.lines[i].coeffs for i in quad]
         return quad, tuple(adjugate(_scaled_frame(w)) for w in (vs, [conj_vec(v) for v in vs]))
 
+    @cached_property
+    def _search_tables(self) -> tuple:
+        """What `incidence_automorphisms` reads besides phi: each point's
+        multiplicity and lines, the meet table and line profiles
+        (`_incidence`), each line's same-profile lines, and the line order
+        with its anchors (`_search_order`)."""
+        mult = [p.r for p in self.points]
+        meet, profiles = _incidence(self)
+        same_profile = [tuple(j for j in range(self.n) if profiles[j] == p) for p in profiles]
+        return (
+            mult, [p.incident for p in self.points], meet, profiles, same_profile,
+            *_search_order(meet, mult, profiles),
+        )
+
 
 def build_arrangement(lines: list[Line] | tuple[Line, ...], notes: tuple[str, ...] = ()) -> Arrangement:
     """Intersect all line pairs exactly and merge into incidence points."""
@@ -254,7 +268,8 @@ def incidence_automorphisms(
     for one matrix P, which are the permutations whose coordinate action
     fixes the span of phi's columns.
 
-    Backtracking over the static line order of `_search_order`.  A line
+    Backtracking over the static line order of `_search_order`, computed
+    once per arrangement (`Arrangement._search_tables`).  A line
     anchored at two earlier lines a, b must map to a line through the point
     where the images of a and b meet, so its candidates are the lines
     through that one point; an unanchored line tries the lines of its
@@ -283,11 +298,7 @@ def incidence_automorphisms(
     character-preserving automorphisms, even where Aut_comb is all of S_n.
     """
     n = arr.n
-    mult = [p.r for p in arr.points]
-    through = [p.incident for p in arr.points]
-    meet, profiles = _incidence(arr)
-    same_profile = [tuple(j for j in range(n) if profiles[j] == profiles[i]) for i in range(n)]
-    order, anchors = _search_order(meet, mult, profiles)
+    mult, through, meet, profiles, same_profile, order, anchors = arr._search_tables
     # combos[k]: (pivot line, coefficient) pairs giving the row of order[k]
     combos: list[tuple[tuple[int, int], ...] | None] = [None] * n
     if rows is not None:

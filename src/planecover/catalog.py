@@ -7,6 +7,8 @@ points of multiplicity at least 3.
 
 from __future__ import annotations
 
+import json
+
 from .arrangement import Arrangement, arrangement_from_json, complete_quadrilateral, dual_hesse
 from .cover import BLOW_ALL_TRIPLE, CoverModel
 from .homology import Epimorphism
@@ -78,16 +80,23 @@ def builtin_cover(name: str) -> CoverModel:
     return CoverModel.build(builtin_arrangement(arr_name), phi, BLOW_ALL_TRIPLE)
 
 
+def read_json(path: str):
+    """The JSON document in a file; nesting too deep to parse is an input
+    error, not a crash."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
 def resolve_arrangement(ref: str | dict) -> Arrangement:
     """Accept 'builtin:<name>', a JSON file path, or an inline JSON object."""
     if not isinstance(ref, str):
         return arrangement_from_json(ref)
     if ref.startswith("builtin:"):
         return builtin_arrangement(ref.split(":", 1)[1])
-    import json
-
-    with open(ref, "r", encoding="utf-8") as fh:
-        return arrangement_from_json(json.load(fh))
+    return arrangement_from_json(read_json(ref))
 
 
 def cover_from_json(data: dict) -> CoverModel:
@@ -109,7 +118,4 @@ def resolve_cover(ref: str | dict) -> CoverModel:
         return cover_from_json(ref)
     if ref.startswith("builtin:"):
         return builtin_cover(ref.split(":", 1)[1])
-    import json
-
-    with open(ref, "r", encoding="utf-8") as fh:
-        return cover_from_json(json.load(fh))
+    return cover_from_json(read_json(ref))

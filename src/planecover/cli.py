@@ -1,9 +1,8 @@
 """Command-line front end.
 
-Subcommands: `arrangement info`, `cover smoothness`, `cover invariants`,
-`characters list`, `symmetry search`, `real classify`, `bounds check`, and
-`paper verify` (recompute everything and diff against the bundled reference
-values).  Identical inputs produce byte-identical reports.
+Each `<group> <action>` subcommand is declared once, in `COMMANDS`;
+`paper verify` recomputes everything and diffs it against the bundled
+reference values.  Identical inputs produce byte-identical reports.
 
 Exit codes: 0 success, 1 verification mismatch, 2 input error.
 """
@@ -13,12 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 
 from . import bounds as bounds_mod
-from .arrangement import Arrangement, perm_cycles_str
-from .catalog import resolve_arrangement, resolve_cover
+from .arrangement import Arrangement, combinatorial_automorphisms, perm_cycles_str
+from .catalog import read_json, resolve_arrangement, resolve_cover
 from .characters import enumerate_characters, r_profile, unique_profile_elements
 from .cover import (
     CoverModel,
@@ -54,10 +52,7 @@ def arrangement_report(arr: Arrangement, ref: str, with_autos: bool) -> dict:
         "notes": list(arr.notes),
     }
     if with_autos:
-        from .arrangement import combinatorial_automorphisms
-
-        autos = combinatorial_automorphisms(arr)
-        report["automorphism_order"] = len(autos)
+        report["automorphism_order"] = len(combinatorial_automorphisms(arr))
     return report
 
 
@@ -205,6 +200,8 @@ def bounds_report(data: dict, k3: int | None = None) -> dict:
     }
     if k3 is None:
         k3 = _hodge_int(data, "k3", None)
+    if k3 is not None and k3 < 0:
+        raise ValueError(f"k3 must be non-negative, got {k3}")
     if "k2" in data or "euler" in data:
         h = bounds_mod.hodge_from_surface(
             _hodge_int(data, "k2"),
@@ -255,7 +252,6 @@ def _load_reference() -> dict:
 
 def current_reference_values() -> dict:
     """Recompute everything the bundled reference file pins down."""
-    from .arrangement import combinatorial_automorphisms
     from .catalog import PHI1, PHI2, builtin_arrangement, builtin_cover
 
     dh = builtin_arrangement("dual_hesse")
@@ -415,8 +411,6 @@ def _short(value) -> str:
         return "yes" if value else "no"
     if isinstance(value, list):
         return "(" + " ".join(_short(v) for v in value) + ")"
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
@@ -432,7 +426,75 @@ def _emit(report: dict, command: str, fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-# -- argument parsing ---------------------------------------------------------------
+# -- commands -----------------------------------------------------------------------
+
+
+def _arg(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return names, kwargs
+
+
+_REF = _arg("ref")
+_COVER_REF = _arg("ref", help="builtin:example1|example2|example3 or a JSON file")
+
+# (group, action) -> (group help, action help, arguments, handler); a handler
+# returns the report and the exit code.  Handlers look up the report builders
+# and resolvers by global name at call time, so a patched name is the one run.
+COMMANDS = {
+    ("arrangement", "info"): (
+        "line arrangement reports",
+        "incidence structure of an arrangement",
+        (
+            _arg("ref", help="builtin:<name> or a JSON file"),
+            _arg("--autos", action="store_true", help="include the automorphism count"),
+        ),
+        lambda a: (arrangement_report(resolve_arrangement(a.ref), a.ref, a.autos), 0),
+    ),
+    ("cover", "smoothness"): (
+        "branched cover reports",
+        "smoothness certificate",
+        (_COVER_REF,),
+        lambda a: (smoothness_report(resolve_cover(a.ref), a.ref), 0),
+    ),
+    ("cover", "invariants"): (
+        "branched cover reports",
+        "numeric invariants of the smooth cover",
+        (_COVER_REF,),
+        lambda a: (invariants_report(resolve_cover(a.ref), a.ref), 0),
+    ),
+    ("characters", "list"): (
+        "character set reports",
+        "enumerate the character set",
+        (_REF,),
+        lambda a: (characters_report(resolve_cover(a.ref), a.ref), 0),
+    ),
+    ("symmetry", "search"): (
+        "symmetry search",
+        "realizable character-preserving symmetries",
+        (_REF,),
+        lambda a: (symmetry_report(resolve_cover(a.ref), a.ref), 0),
+    ),
+    ("real", "classify"): (
+        "real structure classification",
+        "conjugacy classes of real structures",
+        (_REF,),
+        lambda a: (real_report(resolve_cover(a.ref), a.ref), 0),
+    ),
+    ("bounds", "check"): (
+        "topological bound arithmetic",
+        "evaluate bound identities on Hodge data",
+        (
+            _arg("hodge", help="JSON file with the Hodge data"),
+            _arg("--k3", type=int, default=None, help="count of N3 components"),
+        ),
+        lambda a: (bounds_report(read_json(a.hodge), a.k3), 0),
+    ),
+    ("paper", "verify"): (
+        "bundled reference values",
+        "recompute and diff the bundled reference values",
+        (),
+        lambda a: verify_report(),
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -450,95 +512,32 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
 
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    p_arr = sub.add_parser("arrangement", help="line arrangement reports")
-    arr_sub = p_arr.add_subparsers(dest="action", required=True)
-    p_info = arr_sub.add_parser(
-        "info", parents=[common], help="incidence structure of an arrangement"
-    )
-    p_info.add_argument("ref", help="builtin:<name> or a JSON file")
-    p_info.add_argument("--autos", action="store_true", help="include the automorphism count")
-
-    p_cover = sub.add_parser("cover", help="branched cover reports")
-    cover_sub = p_cover.add_subparsers(dest="action", required=True)
-    for action, help_text in (
-        ("smoothness", "smoothness certificate"),
-        ("invariants", "numeric invariants of the smooth cover"),
-    ):
-        p = cover_sub.add_parser(action, parents=[common], help=help_text)
-        p.add_argument("ref", help="builtin:example1|example2|example3 or a JSON file")
-
-    p_chars = sub.add_parser("characters", help="character set reports")
-    chars_sub = p_chars.add_subparsers(dest="action", required=True)
-    p = chars_sub.add_parser("list", parents=[common], help="enumerate the character set")
-    p.add_argument("ref")
-
-    p_sym = sub.add_parser("symmetry", help="symmetry search")
-    sym_sub = p_sym.add_subparsers(dest="action", required=True)
-    p = sym_sub.add_parser(
-        "search", parents=[common], help="realizable character-preserving symmetries"
-    )
-    p.add_argument("ref")
-
-    p_real = sub.add_parser("real", help="real structure classification")
-    real_sub = p_real.add_subparsers(dest="action", required=True)
-    p = real_sub.add_parser(
-        "classify", parents=[common], help="conjugacy classes of real structures"
-    )
-    p.add_argument("ref")
-
-    p_bounds = sub.add_parser("bounds", help="topological bound arithmetic")
-    bounds_sub = p_bounds.add_subparsers(dest="action", required=True)
-    p = bounds_sub.add_parser(
-        "check", parents=[common], help="evaluate bound identities on Hodge data"
-    )
-    p.add_argument("hodge", help="JSON file with the Hodge data")
-    p.add_argument("--k3", type=int, default=None, help="count of N3 components")
-
-    p_paper = sub.add_parser("paper", help="bundled reference values")
-    paper_sub = p_paper.add_subparsers(dest="action", required=True)
-    paper_sub.add_parser(
-        "verify",
-        parents=[common],
-        help="recompute and diff the bundled reference values",
-    )
-
+    groups = parser.add_subparsers(dest="group", required=True)
+    actions = {}
+    for (group, action), (group_help, action_help, arguments, _) in COMMANDS.items():
+        if group not in actions:
+            actions[group] = groups.add_parser(group, help=group_help).add_subparsers(
+                dest="action", required=True
+            )
+        leaf = actions[group].add_parser(action, parents=[common], help=action_help)
+        for names, kwargs in arguments:
+            leaf.add_argument(*names, **kwargs)
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 
-    command = f"{args.group} {args.action}"
-    code = 0
+    handler = COMMANDS[args.group, args.action][3]
     try:
-        if command == "arrangement info":
-            arr = resolve_arrangement(args.ref)
-            report = arrangement_report(arr, args.ref, args.autos)
-        elif command == "cover smoothness":
-            report = smoothness_report(resolve_cover(args.ref), args.ref)
-        elif command == "cover invariants":
-            report = invariants_report(resolve_cover(args.ref), args.ref)
-        elif command == "characters list":
-            report = characters_report(resolve_cover(args.ref), args.ref)
-        elif command == "symmetry search":
-            report = symmetry_report(resolve_cover(args.ref), args.ref)
-        elif command == "real classify":
-            report = real_report(resolve_cover(args.ref), args.ref)
-        elif command == "bounds check":
-            with open(args.hodge, "r", encoding="utf-8") as fh:
-                report = bounds_report(json.load(fh), args.k3)
-        elif command == "paper verify":
-            report, code = verify_report()
-        else:  # pragma: no cover
-            parser.error(f"unknown command {command!r}")
-            return 2
-        _emit(report, command, args.format, args.out)
+        report, code = handler(args)
+        _emit(report, f"{args.group} {args.action}", args.format, args.out)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, IncidencePoint
 from .homology import (
     Epimorphism,
     SmoothnessCertificate,
@@ -104,11 +104,6 @@ def adjoint_branch_class(
     if m == 1:
         return ktilde
     return ktilde + branch_class(arr, blown_ids).scaled(Fraction(m - 1, m))
-
-
-def cover_canonical(cover: CoverModel) -> DivisorClass:
-    cover.require_smooth()
-    return adjoint_branch_class(cover.arrangement, cover.blown_ids, cover.m)
 
 
 # -- Euler characteristic --------------------------------------------------------
@@ -266,6 +261,12 @@ class ThreeCanonicalDecomposition:
         }
 
 
+def _point_coeff(point: IncidencePoint, m: int, line_coeffs) -> int | Fraction:
+    """A blown point's coefficient in 3K, given the line coefficients:
+    3m - 3(m-1)(r-1) plus the coefficients of the lines through it."""
+    return 3 * m - 3 * (m - 1) * (point.r - 1) + sum(line_coeffs[i] for i in point.incident)
+
+
 def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposition:
     """Express 3K of the cover as a combination of branch-curve classes.
 
@@ -279,7 +280,7 @@ def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposit
     if m < 2:
         raise ValueError("no branch curves: the covering is trivial")
     n = arr.n
-    incident = {pid: arr.points[pid].incident for pid in blown}
+    blown_points = [arr.points[pid] for pid in blown]
 
     ktilde3 = canonical_class(blown).scaled(3)
     minus_lines = canonical_class(blown).scaled(0)
@@ -288,12 +289,7 @@ def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposit
     if ktilde3 == minus_lines:
         line_coeffs = tuple([2 * m - 3] * n)
         # reduces to 3(m-1) at every 3-fold point, which the class identity forces
-        point_coeffs = tuple(
-            3 * m
-            - 3 * (m - 1) * (arr.points[pid].r - 1)
-            + sum(line_coeffs[i] for i in incident[pid])
-            for pid in blown
-        )
+        point_coeffs = tuple(_point_coeff(p, m, line_coeffs) for p in blown_points)
         return ThreeCanonicalDecomposition(
             line_coeffs,
             point_coeffs,
@@ -304,15 +300,10 @@ def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposit
         )
 
     total = 3 * (n * (m - 1) - 3 * m)  # sum of line coefficients
-
-    def point_coeff(pid: int, c: list[int]) -> int:
-        r = arr.points[pid].r
-        return 3 * m - 3 * (m - 1) * (r - 1) + sum(c[i] for i in incident[pid])
-
     base, rem = divmod(total, n)
     for extra in itertools.combinations(range(n), rem):
         c = [base + (1 if i in extra else 0) for i in range(n)]
-        d = [point_coeff(pid, c) for pid in blown]
+        d = [_point_coeff(p, m, c) for p in blown_points]
         if all(x > 0 for x in c) and all(x > 0 for x in d):
             return ThreeCanonicalDecomposition(
                 tuple(c),
@@ -324,10 +315,7 @@ def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposit
             )
 
     c_rat = [Fraction(total, n)] * n
-    d_rat = [
-        3 * m - 3 * (m - 1) * (arr.points[pid].r - 1) + sum(c_rat[i] for i in incident[pid])
-        for pid in blown
-    ]
+    d_rat = [_point_coeff(p, m, c_rat) for p in blown_points]
     return ThreeCanonicalDecomposition(
         tuple(c_rat),
         tuple(d_rat),

@@ -9,12 +9,11 @@ supported; every bundled example has m = 5.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # arrangement imports this module's elimination
-    from .arrangement import Arrangement, IncidencePoint
+    from .arrangement import Arrangement
 
 Vector = tuple[int, ...]
 
@@ -164,14 +163,6 @@ def validate_epimorphism(phi: Epimorphism) -> EpimorphismReport:
     return EpimorphismReport(zero_sum_ok, surjective, tuple(errors))
 
 
-def exceptional_class(point: IncidencePoint, n: int) -> Vector:
-    """Loop class around the exceptional curve over a blown-up point:
-    the indicator vector of the incident lines (eps_p = sum of lambda_i)."""
-    if point.r < 2:
-        raise ValueError("blow-up centers must have multiplicity >= 2")
-    return tuple(1 if i in point.incident else 0 for i in range(n))
-
-
 def independence(vectors: list[Vector] | tuple[Vector, ...], r: int, m: int) -> bool:
     """True iff the vectors generate a subgroup isomorphic to (Z/mZ)^r."""
     if not is_prime(m):
@@ -270,15 +261,6 @@ class DeckGroup:
     @property
     def kernel_rank(self) -> int:
         return len(self.kernel_basis)
-
-    def kernel_elements(self):
-        """All kernel vectors (size m**kernel_rank); fine at desk scale."""
-        for coeffs in itertools.product(range(self.m), repeat=self.kernel_rank):
-            v = [0] * self.n
-            for c, basis_vec in zip(coeffs, self.kernel_basis):
-                for i in range(self.n):
-                    v[i] = (v[i] + c * basis_vec[i]) % self.m
-            yield tuple(v)
 
 
 def galois_kernel(phi: Epimorphism) -> DeckGroup:

@@ -68,10 +68,6 @@ def transpose(m: Mat3) -> Mat3:
     return tuple(zip(*m))  # type: ignore[return-value]
 
 
-def conj_mat(m: Mat3) -> Mat3:
-    return tuple(conj_vec(row) for row in m)  # type: ignore[return-value]
-
-
 def columns_to_matrix(c0: Vec3, c1: Vec3, c2: Vec3) -> Mat3:
     return transpose((c0, c1, c2))
 

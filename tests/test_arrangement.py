@@ -22,7 +22,7 @@ from planecover.arrangement import (
 )
 from planecover.catalog import DUAL_HESSE_TRIPLES
 from planecover.cyclotomic import ONE, ZERO, ZETA, CycNumber
-from planecover.linalg import conj_mat, identity, matmul, normalize_matrix
+from planecover.linalg import conj_vec, identity, matmul, normalize_matrix
 from planecover.symmetry import character_preserving_symmetries
 from test_homology import random_valid_phi
 from test_symmetry import ceva6_plus_3, invariant_phi
@@ -196,7 +196,7 @@ def test_realizable_composition_closure(cq):
     for s1, s2 in itertools.product(syms, repeat=2):
         # s2 first, then s1: the matrices compose as M1 . sigma1(M2)
         perm = compose_perms(s1.perm, s2.perm)
-        m2 = conj_mat(s2.matrix) if s1.anti else s2.matrix
+        m2 = tuple(conj_vec(row) for row in s2.matrix) if s1.anti else s2.matrix
         direct = realize_symmetry(cq, perm, s1.anti != s2.anti)
         assert direct is not None
         assert normalize_matrix(matmul(s1.matrix, m2)) == direct

@@ -1,7 +1,9 @@
+import argparse
 import json
 
 import pytest
 
+from planecover import cli
 from planecover.cli import run
 
 
@@ -134,11 +136,12 @@ HODGE = {"k2": 333, "euler": 111, "p_plus": 0, "p_minus": 36, "components": [[1,
         ({**HODGE, "p_plus": 0.0}, "'p_plus' must be an integer"),
         ({**HODGE, "nu": None}, "'nu' must be an integer"),
         ({**HODGE, "k3": False}, "'k3' must be an integer"),
+        ({**HODGE, "k3": -1}, "k3 must be non-negative, got -1"),
     ],
     ids=[
         "list", "string", "component-str", "component-pair", "component-negative",
         "components-object", "h11-float", "h11-bool", "h10-missing", "euler-missing",
-        "k2-str", "p-plus-float", "nu-null", "k3-bool",
+        "k2-str", "p-plus-float", "nu-null", "k3-bool", "k3-negative",
     ],
 )
 def test_malformed_hodge_json_is_input_error(tmp_path, capsys, doc, message):
@@ -156,6 +159,25 @@ def test_bounds_check_k3_argument_overrides_json(tmp_path, capsys):
     code, out = capture(capsys, ["--format", "json", "bounds", "check", str(path), "--k3", "0"])
     assert code == 0
     assert json.loads(out)["component_count"]["k3"] == 0
+
+
+def test_bounds_check_negative_k3_argument_is_input_error(tmp_path, capsys):
+    path = tmp_path / "hodge.json"
+    path.write_text(json.dumps(HODGE))
+    assert run(["bounds", "check", str(path), "--k3", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k3 must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("command", [["arrangement", "info"], ["cover", "invariants"], ["bounds", "check"]])
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert run([*command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err
 
 
 def test_paper_verify_passes(capsys):
@@ -402,3 +424,81 @@ def test_malformed_arrangement_json_is_input_error(tmp_path, capsys, lines, mess
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_run_builds_no_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(["cover", "smoothness", "builtin:example3"]) == 0
+    assert run(["--format", "json", "bounds", "check", "/no/such/file.json"]) == 2
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--format", "json", "--out", "OUT", "cover", "invariants"], ["cover", "invariants", "--format", "json", "--out", "OUT"]],
+    ids=["top-level", "leaf"],
+)
+def test_format_and_out_do_not_carry_over(tmp_path, capsys, flags):
+    target = tmp_path / "report.json"
+    assert run([str(target) if f == "OUT" else f for f in flags] + ["builtin:example3"]) == 0
+    assert json.loads(target.read_text())["k2"] == 45
+    code, out = capture(capsys, ["cover", "invariants", "builtin:example3"])
+    assert code == 0
+    assert out.startswith("[cover invariants]\n")
+    assert json.loads(target.read_text())["k2"] == 45
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS), ids=" ".join)
+def test_every_command_has_help(capsys, command):
+    code, out = capture(capsys, [*command, "--help"])
+    assert code == 0
+    assert out.startswith(f"usage: planecover {' '.join(command)} [-h]")
+
+
+def test_top_level_help_names_every_group(capsys):
+    code, out = capture(capsys, ["--help"])
+    assert code == 0
+    for group, _ in cli.COMMANDS:
+        assert f"    {group} " in out
+
+
+def test_run_calls_the_patched_report_builder(capsys, monkeypatch):
+    # the benchmark's trace replaces these names in the cli namespace
+    resolved = []
+    resolve = cli.resolve_cover
+
+    def traced(ref):
+        resolved.append(ref)
+        return resolve(ref)
+
+    monkeypatch.setattr(cli, "resolve_cover", traced)
+    monkeypatch.setattr(cli, "real_report", lambda cover, ref: {"cover": ref, "m": cover.m})
+    code, out = capture(capsys, ["real", "classify", "builtin:example3"])
+    assert code == 0
+    assert out == "[real classify]\ncover: builtin:example3\nm: 5\n"
+    assert resolved == ["builtin:example3"]
+
+
+def test_symmetry_search_builds_the_incidence_tables_once(capsys, monkeypatch):
+    from planecover import arrangement
+
+    calls = []
+    for name in ("_incidence", "_search_order"):
+        original = getattr(arrangement, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(arrangement, name, counted)
+    code, out = capture(capsys, ["--format", "json", "symmetry", "search", "builtin:example2"])
+    assert code == 0
+    assert json.loads(out)["combinatorial_automorphisms"] == 432
+    assert calls == ["_incidence", "_search_order"]

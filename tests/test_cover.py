@@ -7,7 +7,6 @@ from planecover.catalog import PHI3, builtin_cover
 from planecover.cover import (
     CoverModel,
     adjoint_branch_class,
-    cover_canonical,
     generator_words,
     invariants,
     nonnegative_solutions,
@@ -58,6 +57,10 @@ def test_euler_cross_check_verbatim_grouping(cover1, cover2):
     # + 5*9(2-4) + 5*12(2-3) + 9*4
     grouped = 25 * (15 - 9 * 2 - 12 * 2 + 9 * 4) + 5 * 9 * (2 - 4) + 5 * 12 * (2 - 3) + 9 * 4
     assert grouped == invariants(cover1).euler == invariants(cover2).euler
+
+
+def cover_canonical(cover):
+    return adjoint_branch_class(cover.arrangement, cover.blown_ids, cover.m)
 
 
 def test_cover_canonical_example1(cover1):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,13 +7,21 @@ from planecover.catalog import PHI1, PHI2, PHI3
 from planecover.characters import enumerate_characters
 from planecover.homology import (
     Epimorphism,
-    exceptional_class,
     galois_kernel,
     independence,
     is_prime,
     smoothness_check,
     validate_epimorphism,
 )
+
+
+def kernel_elements(deck):
+    """All m**kernel_rank vectors of the deck group's kernel."""
+    for coeffs in itertools.product(range(deck.m), repeat=deck.kernel_rank):
+        yield tuple(
+            sum(c * b[i] for c, b in zip(coeffs, deck.kernel_basis)) % deck.m
+            for i in range(deck.n)
+        )
 
 
 def loop_pairing(gamma, a, m):
@@ -54,13 +63,7 @@ def test_composite_modulus_reported():
 
 def test_exceptional_class_triple(dh):
     p123 = next(p for p in dh.points if p.incident_1based() == (1, 2, 3))
-    assert exceptional_class(p123, 9) == (1, 1, 1, 0, 0, 0, 0, 0, 0)
     assert PHI1.of_loops(p123.incident) == (3, 2)
-
-
-def test_exceptional_class_double(cq):
-    p14 = next(p for p in cq.points if p.incident_1based() == (1, 4))
-    assert exceptional_class(p14, 6) == (1, 0, 0, 1, 0, 0)
 
 
 def test_phi_of_eps_is_row_sum(dh):
@@ -141,7 +144,6 @@ def test_galois_kernel_orders():
     deck = galois_kernel(PHI1)
     assert deck.order == 25
     assert deck.kernel_rank == 6
-    assert sum(1 for _ in deck.kernel_elements()) == 5**6
 
 
 def test_double_cover_kernel():
@@ -149,7 +151,7 @@ def test_double_cover_kernel():
     deck = galois_kernel(phi)
     assert deck.order == 2
     assert deck.kernel_rank == 0
-    assert list(deck.kernel_elements()) == [(0, 0)]
+    assert list(kernel_elements(deck)) == [(0, 0)]
 
 
 def test_kernel_vectors_are_zero_sum_and_annihilate_columns():
@@ -162,7 +164,7 @@ def test_kernel_vectors_are_zero_sum_and_annihilate_columns():
 
 def test_kernel_closed_under_addition():
     deck = galois_kernel(PHI3)
-    elements = set(deck.kernel_elements())
+    elements = set(kernel_elements(deck))
     basis = deck.kernel_basis
     for a in basis:
         for b in basis:
@@ -173,7 +175,7 @@ def test_kernel_closed_under_addition():
 def test_exhaustive_kernel_pairing_annihilation_phi1():
     deck = galois_kernel(PHI1)
     charset = enumerate_characters(PHI1)
-    for gamma in deck.kernel_elements():
+    for gamma in kernel_elements(deck):
         for a in charset:
             assert loop_pairing(gamma, a, 5) == 0
 
