@@ -6,13 +6,11 @@ from .arrangement import (
     Arrangement,
     IncidencePoint,
     Line,
-    LineSymmetry,
     build_arrangement,
     combinatorial_automorphisms,
     complete_quadrilateral,
     dual_hesse,
     fixed_points_of,
-    make_symmetry,
     realize_symmetry,
 )
 from .bounds import (
@@ -52,7 +50,6 @@ from .homology import (
     galois_kernel,
     independence,
     smoothness_check,
-    validate_epimorphism,
 )
 from .symmetry import (
     KleinModel,

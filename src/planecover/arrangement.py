@@ -400,23 +400,6 @@ def invert_perm(p: Perm) -> Perm:
 # -- projective / anti-projective realizability ------------------------------
 
 
-@dataclass(frozen=True)
-class LineSymmetry:
-    """A line permutation with an anti-holomorphic flag and, when it exists,
-    a 3x3 matrix M with M . sigma(line_i) ~ line_perm(i) (sigma = coefficient
-    conjugation iff anti)."""
-
-    perm: Perm
-    anti: bool
-    matrix: Mat3 | None = None
-
-    def cycles(self) -> str:
-        return perm_cycles_str(self.perm)
-
-    def fixed_lines_1based(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(len(self.perm)) if self.perm[i] == i)
-
-
 def _general_position_quadruple(arr: Arrangement) -> tuple[int, int, int, int]:
     for quad in itertools.combinations(range(arr.n), 4):
         vs = [arr.lines[i].coeffs for i in quad]
@@ -456,17 +439,11 @@ def realize_symmetry(arr: Arrangement, perm: Perm, anti: bool) -> Mat3 | None:
     return normalize_matrix(m)
 
 
-def make_symmetry(arr: Arrangement, perm: Perm, anti: bool) -> LineSymmetry:
-    return LineSymmetry(perm=perm, anti=anti, matrix=realize_symmetry(arr, perm, anti))
-
-
-def fixed_points_of(arr: Arrangement, sym: LineSymmetry) -> list[IncidencePoint]:
-    """Incidence points fixed by the realized (anti-)projectivity, which maps
-    a point x to (M^T)^(-1) sigma(x), a multiple of adj(M)^T sigma(x)."""
-    if sym.matrix is None:
-        raise ValueError("symmetry has no realizing matrix")
-    n = transpose(adjugate(sym.matrix))
-    sigma = conj_vec if sym.anti else (lambda v: v)
+def fixed_points_of(arr: Arrangement, matrix: Mat3, anti: bool) -> list[IncidencePoint]:
+    """Incidence points fixed by the (anti-)projectivity realized by `matrix`,
+    which maps a point x to (M^T)^(-1) sigma(x), a multiple of adj(M)^T sigma(x)."""
+    n = transpose(adjugate(matrix))
+    sigma = conj_vec if anti else (lambda v: v)
     return [p for p in arr.points if canonical(matvec(n, sigma(p.coords))) == p.coords]
 
 

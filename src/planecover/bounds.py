@@ -97,12 +97,6 @@ def my_identity(h: HodgeData) -> bool:
     return h.h11 == h.h20 + h.h10 + 1
 
 
-def m_surface_beta1(h: HodgeData) -> int:
-    """First real Betti number of a maximal surface: 1 + 2(h10+nu) + h20 + p-."""
-    _, p_minus = h.require_split()
-    return 1 + 2 * (h.h10 + h.nu) + h.h20 + p_minus
-
-
 def prop_h20_lower_bound(h: HodgeData) -> int:
     """Lower bound 2 nu + 5 p_plus + 4 for h20 of a maximal MY surface."""
     if not my_identity(h):

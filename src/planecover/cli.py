@@ -116,7 +116,7 @@ def symmetry_report(cover: CoverModel, ref: str) -> dict:
             {
                 "perm": perm_cycles_str(r.perm),
                 "anti": r.anti,
-                "matrix": [[str(x) for x in row] for row in r.sym.matrix],
+                "matrix": [[str(x) for x in row] for row in r.matrix],
                 "deck_action": [list(row) for row in r.deck_aut],
             }
             for r in model.realized
@@ -198,10 +198,12 @@ def bounds_report(data: dict, k3: int | None = None) -> dict:
         "p_minus": _hodge_int(data, "p_minus", None),
         "components": _hodge_components(data),
     }
+    document_k3 = _hodge_int(data, "k3", None)
     if k3 is None:
-        k3 = _hodge_int(data, "k3", None)
-    if k3 is not None and k3 < 0:
-        raise ValueError(f"k3 must be non-negative, got {k3}")
+        k3 = document_k3
+    for value in (k3, document_k3):
+        if value is not None and value < 0:
+            raise ValueError(f"k3 must be non-negative, got {value}")
     if "k2" in data or "euler" in data:
         h = bounds_mod.hodge_from_surface(
             _hodge_int(data, "k2"),

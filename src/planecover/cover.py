@@ -21,7 +21,6 @@ from .homology import (
     Vector,
     _is_int,
     smoothness_check,
-    validate_epimorphism,
 )
 from .intersection import (
     DivisorClass,
@@ -64,9 +63,6 @@ class CoverModel:
                 f"blow_up must be {BLOW_ALL_TRIPLE!r} or a list of integer point ids, "
                 f"got {blow!r}"
             )
-        report = validate_epimorphism(phi)
-        if not report.ok:
-            raise ValueError(f"invalid epimorphism: {report.errors}")
         return cls(arr, phi, blown, smoothness_check(arr, phi, blown))
 
     @property
@@ -361,9 +357,6 @@ def generator_words(phi: Epimorphism) -> tuple[Vector, ...]:
     The j-th word is phi's j-th column read as exponents in 0..m-1; the last
     line's exponent is forced by the zero-sum relation.
     """
-    report = validate_epimorphism(phi)
-    if not report.zero_sum_ok:
-        raise ValueError(f"invalid epimorphism: {report.errors}")
     return tuple(phi.column(j) for j in range(phi.k))
 
 

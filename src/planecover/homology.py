@@ -102,7 +102,12 @@ def _is_int(x: object) -> bool:
 
 @dataclass(frozen=True)
 class Epimorphism:
-    """phi: H_1 -> (Z/mZ)^k given by rows[i] = phi(lambda_i)."""
+    """phi: H_1 -> (Z/mZ)^k given by rows[i] = phi(lambda_i).
+
+    Construction refuses rows that are not an epimorphism: they must sum to
+    zero (the relation of H_1) and have rank k mod m, so every instance is
+    valid and no caller checks it again.
+    """
 
     m: int
     k: int
@@ -124,6 +129,14 @@ class Epimorphism:
         object.__setattr__(
             self, "rows", tuple(tuple(x % self.m for x in r) for r in self.rows)
         )
+        errors = []
+        sums = tuple(sum(r[j] for r in self.rows) % self.m for j in range(self.k))
+        if any(sums):
+            errors.append(f"row sums {sums} are not 0 mod {self.m}")
+        if rank_mod_p(self.rows, self.m) != self.k:
+            errors.append("rows do not generate (Z/mZ)^k")
+        if errors:
+            raise ValueError(f"invalid epimorphism: {tuple(errors)}")
 
     @property
     def n(self) -> int:
@@ -138,29 +151,6 @@ class Epimorphism:
             for j in range(self.k):
                 total[j] = (total[j] + self.rows[i][j]) % self.m
         return tuple(total)
-
-
-@dataclass(frozen=True)
-class EpimorphismReport:
-    zero_sum_ok: bool
-    surjective: bool
-    errors: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.zero_sum_ok and self.surjective and not self.errors
-
-
-def validate_epimorphism(phi: Epimorphism) -> EpimorphismReport:
-    errors: list[str] = []
-    sums = [sum(r[j] for r in phi.rows) % phi.m for j in range(phi.k)]
-    zero_sum_ok = all(s == 0 for s in sums)
-    if not zero_sum_ok:
-        errors.append(f"row sums {tuple(sums)} are not 0 mod {phi.m}")
-    surjective = rank_mod_p(phi.rows, phi.m) == phi.k
-    if not surjective:
-        errors.append("rows do not generate (Z/mZ)^k")
-    return EpimorphismReport(zero_sum_ok, surjective, tuple(errors))
 
 
 def independence(vectors: list[Vector] | tuple[Vector, ...], r: int, m: int) -> bool:
@@ -264,9 +254,6 @@ class DeckGroup:
 
 
 def galois_kernel(phi: Epimorphism) -> DeckGroup:
-    report = validate_epimorphism(phi)
-    if not report.ok:
-        raise ValueError(f"invalid epimorphism: {report.errors}")
     n, m, k = phi.n, phi.m, phi.k
     equations = [tuple(phi.rows[i][j] for i in range(n - 1)) for j in range(k)]
     short_basis = nullspace_mod_p(equations, m, n - 1)

@@ -17,18 +17,18 @@ from dataclasses import dataclass
 
 from .arrangement import (
     Arrangement,
-    LineSymmetry,
     Perm,
     combinatorial_automorphisms,
     compose_perms,
     fixed_points_of,
     incidence_automorphisms,
     invert_perm,
-    make_symmetry,
     perm_cycles_str,
+    realize_symmetry,
 )
 from .cover import CoverModel
 from .homology import Epimorphism, Vector, nullspace_mod_p, row_reduce, solve_mod_p
+from .linalg import Mat3
 
 Matrix = tuple[Vector, ...]  # k x k over Z/mZ
 
@@ -87,16 +87,14 @@ def _mat_apply(mat: Matrix, v: Vector, m: int) -> Vector:
 
 @dataclass(frozen=True)
 class RealizedSymmetry:
-    sym: LineSymmetry
+    """A line permutation with its anti-holomorphic flag, a 3x3 matrix M with
+    M . sigma(line_i) ~ line_perm(i) (sigma = coefficient conjugation iff
+    anti), and the deck-group automorphism it induces."""
+
+    perm: Perm
+    anti: bool
+    matrix: Mat3
     deck_aut: Matrix
-
-    @property
-    def perm(self) -> Perm:
-        return self.sym.perm
-
-    @property
-    def anti(self) -> bool:
-        return self.sym.anti
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,8 @@ class KleinModel:
     deck action A_s of s.  The model stores H and its deck actions only, never
     the m^k |H| elements: building it costs one search for the
     character-preserving automorphisms, kept in `character_preserving` for
-    the reports, and two realizability tests per permutation found.  Every
+    the reports once those that move the blow-up set are dropped, and two
+    realizability tests per permutation kept.  Every
     question about G asked here reduces to H and linear algebra mod m on the
     A_s: the real-structure classes cost O(|H|^2 n + k^3) per H-class of
     anti-holomorphic involutions for odd m (`classify_real_structures`).
@@ -159,17 +158,23 @@ def klein_model(cover: CoverModel) -> KleinModel:
     cover.require_smooth()
     arr, phi = cover.arrangement, cover.phi
     arr._frame  # refuse before the search if no 4 lines are in general position
-    preserving = character_preserving_symmetries(arr, phi)
+    # a symmetry moving a blown point to an unblown one is only birational
+    blown = {frozenset(arr.points[pid].incident) for pid in cover.blown_ids}
+    preserving = [
+        p
+        for p in character_preserving_symmetries(arr, phi)
+        if {frozenset(p[i] for i in s) for s in blown} == blown
+    ]
     realized: list[RealizedSymmetry] = []
     rejected: list[tuple[Perm, bool]] = []
     for perm in preserving:
         for anti in (False, True):
-            sym = make_symmetry(arr, perm, anti)
-            if sym.matrix is None:
+            matrix = realize_symmetry(arr, perm, anti)
+            if matrix is None:
                 rejected.append((perm, anti))
             else:
                 realized.append(
-                    RealizedSymmetry(sym, deck_action_of(perm, anti, phi))
+                    RealizedSymmetry(perm, anti, matrix, deck_action_of(perm, anti, phi))
                 )
     realized.sort(key=lambda r: (r.perm, r.anti))
     return KleinModel(
@@ -289,7 +294,7 @@ def _fingerprint(
 ) -> RealStructureClass:
     r = model.realized[rep[0]]
     arr = model.cover.arrangement
-    fixed = fixed_points_of(arr, r.sym)
+    fixed = fixed_points_of(arr, r.matrix, r.anti)
     blown = set(model.cover.blown_ids)
     real_blown = tuple(
         p.incident_1based()
@@ -303,7 +308,7 @@ def _fingerprint(
         representative=rep,
         size=size,
         perm_cycles=perm_cycles_str(r.perm),
-        fixed_lines=r.sym.fixed_lines_1based(),
+        fixed_lines=tuple(i + 1 for i, img in enumerate(r.perm) if img == i),
         real_blown_points=real_blown,
         real_part_euler=euler,
         real_part_betti=betti,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from planecover.arrangement import (
     Arrangement,
     IncidencePoint,
-    LineSymmetry,
     Perm,
     _general_position_quadruple,
 )
@@ -63,9 +62,7 @@ def realize_symmetry(arr: Arrangement, perm: Perm, anti: bool) -> Mat3 | None:
     return normalize_matrix(m)
 
 
-def fixed_points_of(arr: Arrangement, sym: LineSymmetry) -> list[IncidencePoint]:
-    if sym.matrix is None:
-        raise ValueError("symmetry has no realizing matrix")
-    n = inverse(transpose(sym.matrix))
-    sigma = conj_vec if sym.anti else (lambda v: v)
+def fixed_points_of(arr: Arrangement, matrix: Mat3, anti: bool) -> list[IncidencePoint]:
+    n = inverse(transpose(matrix))
+    sigma = conj_vec if anti else (lambda v: v)
     return [p for p in arr.points if canonical(matvec(n, sigma(p.coords))) == p.coords]

@@ -6,7 +6,6 @@ import hypothesis.strategies as st
 
 from planecover.arrangement import (
     Line,
-    LineSymmetry,
     _incidence,
     _search_order,
     build_arrangement,
@@ -16,7 +15,6 @@ from planecover.arrangement import (
     dual_hesse,
     fixed_points_of,
     invert_perm,
-    make_symmetry,
     perm_cycles_str,
     realize_symmetry,
 )
@@ -164,42 +162,36 @@ def test_realized_matrix_satisfies_proportionality_everywhere(dh):
 
 
 def test_fixed_points_of_standard_conjugation(dh):
-    sym = make_symmetry(dh, CONJ_PERM, anti=True)
-    fixed = {p.incident_1based() for p in fixed_points_of(dh, sym)}
+    matrix = realize_symmetry(dh, CONJ_PERM, anti=True)
+    fixed = {p.incident_1based() for p in fixed_points_of(dh, matrix, True)}
     assert fixed == {(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 5, 9)}
 
 
 def test_identity_fixes_all_points(dh):
-    sym = LineSymmetry(perm=tuple(range(9)), anti=False, matrix=identity())
-    assert len(fixed_points_of(dh, sym)) == 12
+    assert len(fixed_points_of(dh, identity(), False)) == 12
 
 
 def test_all_real_conjugation_fixes_all_quadrilateral_points(cq):
-    sym = make_symmetry(cq, tuple(range(6)), anti=True)
-    assert sym.matrix is not None
-    assert len(fixed_points_of(cq, sym)) == 7
-
-
-def test_unrealized_symmetry_has_no_fixed_point_query(dh):
-    sym = LineSymmetry(perm=tuple(range(9)), anti=True, matrix=None)
-    with pytest.raises(ValueError):
-        fixed_points_of(dh, sym)
+    matrix = realize_symmetry(cq, tuple(range(6)), anti=True)
+    assert matrix is not None
+    assert len(fixed_points_of(cq, matrix, True)) == 7
 
 
 def test_realizable_composition_closure(cq):
     # realizable(p1, a1) and realizable(p2, a2) imply realizable(p1 p2, a1 xor a2)
     syms = []
     for perm, anti in (((0, 1, 2, 3, 4, 5), True), ((1, 0, 2, 4, 3, 5), False)):
-        sym = make_symmetry(cq, perm, anti)
-        assert sym.matrix is not None
-        syms.append(sym)
-    for s1, s2 in itertools.product(syms, repeat=2):
+        matrix = realize_symmetry(cq, perm, anti)
+        assert matrix is not None
+        syms.append((perm, anti, matrix))
+    for (p1, a1, m1), (p2, a2, m2) in itertools.product(syms, repeat=2):
         # s2 first, then s1: the matrices compose as M1 . sigma1(M2)
-        perm = compose_perms(s1.perm, s2.perm)
-        m2 = tuple(conj_vec(row) for row in s2.matrix) if s1.anti else s2.matrix
-        direct = realize_symmetry(cq, perm, s1.anti != s2.anti)
+        perm = compose_perms(p1, p2)
+        if a1:
+            m2 = tuple(conj_vec(row) for row in m2)
+        direct = realize_symmetry(cq, perm, a1 != a2)
         assert direct is not None
-        assert normalize_matrix(matmul(s1.matrix, m2)) == direct
+        assert normalize_matrix(matmul(m1, m2)) == direct
 
 
 def test_cycle_notation():
@@ -261,8 +253,9 @@ def test_realization_matches_inverse_based_reference(build, autos, realized):
             assert matrix == realize_oracle.realize_symmetry(arr, perm, anti)
             if matrix is not None:
                 hits += 1
-                sym = LineSymmetry(perm=perm, anti=anti, matrix=matrix)
-                assert fixed_points_of(arr, sym) == realize_oracle.fixed_points_of(arr, sym)
+                assert fixed_points_of(arr, matrix, anti) == realize_oracle.fixed_points_of(
+                    arr, matrix, anti
+                )
     assert hits == realized
 
 

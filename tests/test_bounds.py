@@ -11,7 +11,6 @@ from planecover.bounds import (
     hodge_from_surface,
     is_maximal,
     lefschetz_trace,
-    m_surface_beta1,
     my_identity,
     prop_h20_lower_bound,
     real_betti_total,
@@ -66,6 +65,12 @@ def test_my_identity():
     assert my_identity(HodgeData(h10=0, h20=36, h11=37))
     assert my_identity(HodgeData(h10=0, h20=0, h11=1))
     assert not my_identity(HodgeData(h10=0, h20=3, h11=3))
+
+
+def m_surface_beta1(h):
+    """First real Betti number of a maximal surface: 1 + 2(h10+nu) + h20 + p-."""
+    _, p_minus = h.require_split()
+    return 1 + 2 * (h.h10 + h.nu) + h.h20 + p_minus
 
 
 def my_m_surface_beta1(h):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from importlib import resources
 
 import pytest
@@ -128,6 +129,6 @@ def test_enumeration_size_and_uniqueness():
 
 
 def test_invalid_phi_rejected():
-    phi = Epimorphism(m=5, k=2, rows=((1, 0), (4, 0), (0, 0)))
-    with pytest.raises(ValueError):
-        enumerate_characters(phi)
+    message = "invalid epimorphism: ('rows do not generate (Z/mZ)^k',)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Epimorphism(m=5, k=2, rows=((1, 0), (4, 0), (0, 0)))

@@ -120,34 +120,38 @@ HODGE = {"k2": 333, "euler": 111, "p_plus": 0, "p_minus": 36, "components": [[1,
 
 
 @pytest.mark.parametrize(
-    "doc, message",
+    "doc, message, options",
     [
-        ([1, 2], "hodge JSON must be an object, got list"),
-        ("k2", "hodge JSON must be an object, got str"),
-        ({**HODGE, "components": [[1, "a"]]}, "components[0] must be 3 non-negative integer"),
-        ({**HODGE, "components": [[1, 5]]}, "components[0] must be 3"),
-        ({**HODGE, "components": [[1, 5, -1]]}, "components[0] must be 3"),
-        ({**HODGE, "components": {"a": 1}}, "'components' must be a list"),
-        ({"h10": 0, "h20": 1, "h11": 1.5}, "'h11' must be an integer, got 1.5"),
-        ({"h10": 0, "h20": 1, "h11": True}, "'h11' must be an integer, got True"),
-        ({"h20": 1, "h11": 2}, "hodge JSON needs an integer 'h10'"),
-        ({"k2": 333}, "hodge JSON needs an integer 'euler'"),
-        ({**HODGE, "k2": "333"}, "'k2' must be an integer"),
-        ({**HODGE, "p_plus": 0.0}, "'p_plus' must be an integer"),
-        ({**HODGE, "nu": None}, "'nu' must be an integer"),
-        ({**HODGE, "k3": False}, "'k3' must be an integer"),
-        ({**HODGE, "k3": -1}, "k3 must be non-negative, got -1"),
+        ([1, 2], "hodge JSON must be an object, got list", []),
+        ("k2", "hodge JSON must be an object, got str", []),
+        ({**HODGE, "components": [[1, "a"]]}, "components[0] must be 3 non-negative integer", []),
+        ({**HODGE, "components": [[1, 5]]}, "components[0] must be 3", []),
+        ({**HODGE, "components": [[1, 5, -1]]}, "components[0] must be 3", []),
+        ({**HODGE, "components": {"a": 1}}, "'components' must be a list", []),
+        ({"h10": 0, "h20": 1, "h11": 1.5}, "'h11' must be an integer, got 1.5", []),
+        ({"h10": 0, "h20": 1, "h11": True}, "'h11' must be an integer, got True", []),
+        ({"h20": 1, "h11": 2}, "hodge JSON needs an integer 'h10'", []),
+        ({"k2": 333}, "hodge JSON needs an integer 'euler'", []),
+        ({**HODGE, "k2": "333"}, "'k2' must be an integer", []),
+        ({**HODGE, "p_plus": 0.0}, "'p_plus' must be an integer", []),
+        ({**HODGE, "nu": None}, "'nu' must be an integer", []),
+        ({**HODGE, "k3": False}, "'k3' must be an integer", []),
+        ({**HODGE, "k3": -1}, "k3 must be non-negative, got -1", []),
+        ({**HODGE, "k3": "x"}, "'k3' must be an integer", ["--k3", "0"]),
+        ({**HODGE, "k3": -1}, "k3 must be non-negative, got -1", ["--k3", "0"]),
     ],
     ids=[
         "list", "string", "component-str", "component-pair", "component-negative",
         "components-object", "h11-float", "h11-bool", "h10-missing", "euler-missing",
         "k2-str", "p-plus-float", "nu-null", "k3-bool", "k3-negative",
+        "k3-str-under-argument", "k3-negative-under-argument",
     ],
 )
-def test_malformed_hodge_json_is_input_error(tmp_path, capsys, doc, message):
+def test_malformed_hodge_json_is_input_error(tmp_path, capsys, doc, message, options):
+    # a malformed document field is refused even when an argument overrides it
     path = tmp_path / "hodge.json"
     path.write_text(json.dumps(doc))
-    assert run(["bounds", "check", str(path)]) == 2
+    assert run(["bounds", "check", str(path), *options]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err

@@ -1,7 +1,10 @@
 import itertools
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from planecover.catalog import PHI1, PHI2, PHI3
 from planecover.characters import enumerate_characters
@@ -10,8 +13,8 @@ from planecover.homology import (
     galois_kernel,
     independence,
     is_prime,
+    rank_mod_p,
     smoothness_check,
-    validate_epimorphism,
 )
 
 
@@ -31,29 +34,78 @@ def loop_pairing(gamma, a, m):
     return sum(g * x for g, x in zip(gamma[:-1], a[:-1])) % m
 
 
+def assert_epimorphism(phi):
+    """Rows summing to zero with rank k: the relation of H_1 holds and phi
+    is onto (Z/mZ)^k."""
+    assert all(sum(r[j] for r in phi.rows) % phi.m == 0 for j in range(phi.k))
+    assert rank_mod_p(phi.rows, phi.m) == phi.k
+
+
 def test_phi1_valid():
-    report = validate_epimorphism(PHI1)
-    assert report.ok and report.zero_sum_ok and report.surjective
+    assert_epimorphism(PHI1)
 
 
 def test_phi2_valid():
-    assert validate_epimorphism(PHI2).ok
+    assert_epimorphism(PHI2)
 
 
 def test_phi3_valid():
-    assert validate_epimorphism(PHI3).ok
+    assert_epimorphism(PHI3)
 
 
 def test_all_zero_rows_not_surjective():
-    phi = Epimorphism(m=5, k=2, rows=((0, 0),) * 5)
-    report = validate_epimorphism(phi)
-    assert report.zero_sum_ok and not report.surjective and not report.ok
+    message = "invalid epimorphism: ('rows do not generate (Z/mZ)^k',)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Epimorphism(m=5, k=2, rows=((0, 0),) * 5)
 
 
 def test_zero_sum_violation_detected():
-    phi = Epimorphism(m=5, k=1, rows=((1,), (1,), (1,)))
-    report = validate_epimorphism(phi)
-    assert not report.zero_sum_ok and not report.ok
+    message = "invalid epimorphism: ('row sums (3,) are not 0 mod 5',)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Epimorphism(m=5, k=1, rows=((1,), (1,), (1,)))
+
+
+def test_both_violations_reported_in_order():
+    message = (
+        "invalid epimorphism: ('row sums (1, 0) are not 0 mod 5', "
+        "'rows do not generate (Z/mZ)^k')"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Epimorphism(m=5, k=2, rows=((1, 0), (2, 0), (3, 0)))
+
+
+@st.composite
+def residue_rows(draw):
+    """(m, k, rows) for small prime m; half the draws restore the zero sum in
+    the last row so that both sides of the validity rule are reached."""
+    m = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * k), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows[-1] = tuple(-sum(r[j] for r in rows[:-1]) for j in range(k))
+    return m, k, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_rows())
+def test_epimorphism_constructs_iff_zero_sum_and_onto(case):
+    m, k, rows = case
+    zero_sum = all(sum(r[j] for r in rows) % m == 0 for j in range(k))
+    # onto (Z/mZ)^k iff the m^k combinations of the columns are pairwise distinct
+    combos = {
+        tuple(sum(c * r[j] for j, c in enumerate(coeffs)) % m for r in rows)
+        for coeffs in itertools.product(range(m), repeat=k)
+    }
+    valid = zero_sum and len(combos) == m**k
+    try:
+        phi = Epimorphism(m=m, k=k, rows=tuple(rows))
+    except ValueError as exc:
+        assert not valid, exc
+        assert str(exc).startswith("invalid epimorphism: (")
+    else:
+        assert valid
+        assert phi.rows == tuple(tuple(x % m for x in r) for r in rows)
 
 
 def test_composite_modulus_reported():
@@ -108,7 +160,6 @@ def test_dependent_epsilon_fails(dh):
     # lambda_1, lambda_2, lambda_3 all map to (1, 0): eps maps to (3, 0)
     rows = [(1, 0), (1, 0), (1, 0), (0, 1), (0, 4), (2, 0), (0, 0), (0, 0), (0, 0)]
     phi = Epimorphism(m=5, k=2, rows=tuple(rows))
-    assert validate_epimorphism(phi).ok
     p123 = next(
         pid for pid, p in enumerate(dh.points) if p.incident_1based() == (1, 2, 3)
     )
@@ -181,18 +232,19 @@ def test_exhaustive_kernel_pairing_annihilation_phi1():
 
 
 def test_invalid_phi_rejected_by_kernel():
-    phi = Epimorphism(m=5, k=2, rows=((0, 0),) * 4)
-    with pytest.raises(ValueError):
-        galois_kernel(phi)
+    # the rows are refused at construction, so no invalid phi reaches the kernel
+    with pytest.raises(ValueError, match="invalid epimorphism"):
+        galois_kernel(Epimorphism(m=5, k=2, rows=((0, 0),) * 4))
 
 
 def random_valid_phi(rng, n, m=5, k=2):
     while True:
         rows = [tuple(rng.randrange(m) for _ in range(k)) for _ in range(n - 1)]
         last = tuple((-sum(r[j] for r in rows)) % m for j in range(k))
-        phi = Epimorphism(m=m, k=k, rows=tuple(rows) + (last,))
-        if validate_epimorphism(phi).ok:
-            return phi
+        try:
+            return Epimorphism(m=m, k=k, rows=tuple(rows) + (last,))
+        except ValueError:
+            continue
 
 
 def test_random_phis_kernel_annihilation(dh, cq):
