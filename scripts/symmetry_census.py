@@ -13,13 +13,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from planecover.arrangement import (
-    combinatorial_automorphisms,
-    perm_cycles_str,
-    realize_symmetry,
-)
+from planecover.arrangement import perm_cycles_str, realize_symmetry
 from planecover.catalog import PHI1, PHI2, PHI3, builtin_arrangement
-from planecover.symmetry import character_preserving_symmetries
+from planecover.symmetry import automorphism_count, character_preserving_symmetries
 
 CASES = (
     ("dual_hesse", PHI1, "example1"),
@@ -31,10 +27,9 @@ CASES = (
 def main() -> None:
     for arr_name, phi, label in CASES:
         arr = builtin_arrangement(arr_name)
-        autos = combinatorial_automorphisms(arr)
         preserving = character_preserving_symmetries(arr, phi)
         print(f"== {label} ({arr_name}) ==")
-        print(f"  incidence automorphisms: {len(autos)}")
+        print(f"  incidence automorphisms: {automorphism_count(arr)}")
         print(f"  character-preserving:    {len(preserving)}")
         for perm in preserving:
             for anti in (False, True):

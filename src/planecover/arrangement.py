@@ -3,8 +3,9 @@
 Lines and points are canonical projective triples (first nonzero entry 1),
 so deduplication and fixed-point tests are exact dictionary lookups.  The
 module also enumerates incidence-preserving line permutations, optionally
-only those that preserve an epimorphism's character set, and decides
-whether a permutation is realized by a projectivity or anti-projectivity.
+only those that preserve an epimorphism's character set and a set of
+blown-up points, and decides whether a permutation is realized by a
+projectivity or anti-projectivity.
 """
 
 from __future__ import annotations
@@ -114,6 +115,11 @@ class Arrangement:
             mult, [p.incident for p in self.points], meet, profiles, same_profile,
             *_search_order(meet, mult, profiles),
         )
+
+    @cached_property
+    def _automorphism_order(self) -> int:
+        """|Aut_comb|, from one listing per arrangement (`automorphism_count`)."""
+        return len(combinatorial_automorphisms(self))
 
 
 def build_arrangement(lines: list[Line] | tuple[Line, ...], notes: tuple[str, ...] = ()) -> Arrangement:
@@ -261,12 +267,16 @@ def combinatorial_automorphisms(arr: Arrangement) -> list[Perm]:
 
 
 def incidence_automorphisms(
-    arr: Arrangement, rows: tuple[Vector, ...] | None = None, m: int = 0
+    arr: Arrangement,
+    rows: tuple[Vector, ...] | None = None,
+    m: int = 0,
+    blown: tuple[int, ...] = (),
 ) -> list[Perm]:
     """The incidence automorphisms, sorted; given the rows of an epimorphism
     phi onto (Z/m)^k, m prime, only those sigma with phi[sigma(i)] = phi[i] P
     for one matrix P, which are the permutations whose coordinate action
-    fixes the span of phi's columns.
+    fixes the span of phi's columns; given blown point ids, only those
+    mapping the blown points onto themselves.
 
     Backtracking over the static line order of `_search_order`, computed
     once per arrangement (`Arrangement._search_tables`).  A line
@@ -277,8 +287,10 @@ def incidence_automorphisms(
     every earlier line j send the point line ^ j to a point of the same
     multiplicity, consistently with the partial point map, which stays
     injective; a permutation passing these checks at every line is an
-    automorphism, and every automorphism passes them.  The first lines
-    anchor the rest on arrangements with many multiple points (three
+    automorphism, and every automorphism passes them.  A blown point counts
+    as a multiplicity of its own, so the point map sends blown points to
+    blown points and, a bijection once complete, onto them.  The first
+    lines anchor the rest on arrangements with many multiple points (three
     unanchored lines on the quadrilateral, dual Hesse, Hesse and
     Ceva(6)+3), so the search visits about |Aut| x n nodes, each scanning at
     most the lines through one point and checking one pair per earlier
@@ -299,6 +311,10 @@ def incidence_automorphisms(
     """
     n = arr.n
     mult, through, meet, profiles, same_profile, order, anchors = arr._search_tables
+    if blown:
+        # a point's multiplicity, negated if it is blown up
+        blown_set = set(blown)
+        mult = [-r if pid in blown_set else r for pid, r in enumerate(mult)]
     # combos[k]: (pivot line, coefficient) pairs giving the row of order[k]
     combos: list[tuple[tuple[int, int], ...] | None] = [None] * n
     if rows is not None:
@@ -445,13 +461,3 @@ def fixed_points_of(arr: Arrangement, matrix: Mat3, anti: bool) -> list[Incidenc
     n = transpose(adjugate(matrix))
     sigma = conj_vec if anti else (lambda v: v)
     return [p for p in arr.points if canonical(matvec(n, sigma(p.coords))) == p.coords]
-
-
-def arrangement_from_json(data: dict) -> Arrangement:
-    rows = data.get("lines") if isinstance(data, dict) else None
-    if not isinstance(rows, list):
-        raise ValueError("arrangement JSON needs a 'lines' array")
-    for idx, row in enumerate(rows):
-        if not (isinstance(row, list) and len(row) == 3 and all(isinstance(x, str) for x in row)):
-            raise ValueError(f"lines[{idx}] must be 3 coefficient strings, got {row!r}")
-    return build_arrangement([Line.parse(row) for row in rows])

@@ -3,13 +3,19 @@
 The three builtin covers pair the two builtin arrangements with fixed
 (Z/5Z)^2-valued epimorphisms; every blown-up point set defaults to all
 points of multiplicity at least 3.
+
+An arrangement is built once per process for each builtin name or tuple of
+line coefficient strings (`_arrangement`), and the one object is shared by
+every query that names it, with what it caches: the projective frame, the
+automorphism-search tables and |Aut_comb|.  It must not be mutated.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
-from .arrangement import Arrangement, arrangement_from_json, complete_quadrilateral, dual_hesse
+from .arrangement import Arrangement, Line, build_arrangement, complete_quadrilateral, dual_hesse
 from .cover import BLOW_ALL_TRIPLE, CoverModel
 from .homology import Epimorphism
 
@@ -60,14 +66,39 @@ _COVERS = {
 }
 
 
+# distinct arrangements kept built; the least recently used one goes first
+ARRANGEMENT_MEMO_SIZE = 16
+
+LineStrings = tuple[tuple[str, str, str], ...]
+
+
+@lru_cache(maxsize=ARRANGEMENT_MEMO_SIZE)
+def _arrangement(key: str | LineStrings) -> Arrangement:
+    """The arrangement of a builtin name or of validated line coefficient
+    strings.  Never keyed by a file path, whose content can change; an
+    input that raises is not remembered, so it raises again."""
+    if isinstance(key, str):
+        return _ARRANGEMENTS[key]()
+    return build_arrangement([Line.parse(row) for row in key])
+
+
 def builtin_arrangement(name: str) -> Arrangement:
-    try:
-        return _ARRANGEMENTS[name]()
-    except KeyError:
+    if name not in _ARRANGEMENTS:
         raise ValueError(
             f"unknown builtin arrangement {name!r}; "
             f"available: {sorted(_ARRANGEMENTS)}"
-        ) from None
+        )
+    return _arrangement(name)
+
+
+def _line_strings(data: dict) -> LineStrings:
+    rows = data.get("lines") if isinstance(data, dict) else None
+    if not isinstance(rows, list):
+        raise ValueError("arrangement JSON needs a 'lines' array")
+    for idx, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == 3 and all(isinstance(x, str) for x in row)):
+            raise ValueError(f"lines[{idx}] must be 3 coefficient strings, got {row!r}")
+    return tuple(tuple(row) for row in rows)
 
 
 def builtin_cover(name: str) -> CoverModel:
@@ -91,12 +122,11 @@ def read_json(path: str):
 
 
 def resolve_arrangement(ref: str | dict) -> Arrangement:
-    """Accept 'builtin:<name>', a JSON file path, or an inline JSON object."""
-    if not isinstance(ref, str):
-        return arrangement_from_json(ref)
-    if ref.startswith("builtin:"):
+    """Accept 'builtin:<name>', a JSON file path, or an inline JSON object;
+    the arrangement is shared (`_arrangement`)."""
+    if isinstance(ref, str) and ref.startswith("builtin:"):
         return builtin_arrangement(ref.split(":", 1)[1])
-    return arrangement_from_json(read_json(ref))
+    return _arrangement(_line_strings(read_json(ref) if isinstance(ref, str) else ref))
 
 
 def cover_from_json(data: dict) -> CoverModel:

@@ -15,7 +15,7 @@ import sys
 from importlib import resources
 
 from . import bounds as bounds_mod
-from .arrangement import Arrangement, combinatorial_automorphisms, perm_cycles_str
+from .arrangement import Arrangement, perm_cycles_str
 from .catalog import read_json, resolve_arrangement, resolve_cover
 from .characters import enumerate_characters, r_profile, unique_profile_elements
 from .cover import (
@@ -52,7 +52,7 @@ def arrangement_report(arr: Arrangement, ref: str, with_autos: bool) -> dict:
         "notes": list(arr.notes),
     }
     if with_autos:
-        report["automorphism_order"] = len(combinatorial_automorphisms(arr))
+        report["automorphism_order"] = automorphism_count(arr)
     return report
 
 
@@ -270,7 +270,7 @@ def current_reference_values() -> dict:
                 for i, line in enumerate(dh.lines)
                 if all(c.is_real() for c in line.coeffs)
             ],
-            "automorphism_order": len(combinatorial_automorphisms(dh)),
+            "automorphism_order": automorphism_count(dh),
         },
         "complete_quadrilateral": {
             "t": {str(r): c for r, c in sorted(cq.t.items())},
@@ -278,7 +278,7 @@ def current_reference_values() -> dict:
             "doubles": sorted(
                 list(p.incident_1based()) for p in cq.points if p.r == 2
             ),
-            "automorphism_order": len(combinatorial_automorphisms(cq)),
+            "automorphism_order": automorphism_count(cq),
         },
         "characters": {
             "A1": [list(a) for a in enumerate_characters(PHI1)],

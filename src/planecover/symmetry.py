@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .arrangement import (
     Arrangement,
     Perm,
-    combinatorial_automorphisms,
+    combinatorial_automorphisms,  # noqa: F401  (perfbench's trace test reads it here)
     compose_perms,
     fixed_points_of,
     incidence_automorphisms,
@@ -33,22 +33,26 @@ from .linalg import Mat3
 Matrix = tuple[Vector, ...]  # k x k over Z/mZ
 
 
-def character_preserving_symmetries(arr: Arrangement, phi: Epimorphism) -> list[Perm]:
+def character_preserving_symmetries(
+    arr: Arrangement, phi: Epimorphism, blown: tuple[int, ...] = ()
+) -> list[Perm]:
     """The incidence automorphisms whose coordinate action fixes the
-    character set, the span A of phi's columns, sorted.
+    character set, the span A of phi's columns, and that map the blown
+    points onto themselves, sorted.
 
     A permutation sigma fixes A iff phi[sigma(i)] = phi[i] P for one matrix
     P, a linear constraint that prunes the automorphism search itself
-    (`incidence_automorphisms`), so Aut_comb is never listed and the m^k
-    characters are never formed.
+    (`incidence_automorphisms`), as the blown points do, so Aut_comb is
+    never listed and the m^k characters are never formed.
     """
-    return incidence_automorphisms(arr, phi.rows, phi.m)
+    return incidence_automorphisms(arr, phi.rows, phi.m, blown)
 
 
 def automorphism_count(arr: Arrangement) -> int:
-    """|Aut_comb|, by listing every incidence automorphism: `symmetry search`
-    prints it, and nothing in the Klein model needs it."""
-    return len(combinatorial_automorphisms(arr))
+    """|Aut_comb|, listed once per arrangement and kept on it: `symmetry
+    search`, `arrangement info --autos` and `paper verify` print it, and
+    nothing in the Klein model needs it."""
+    return arr._automorphism_order
 
 
 def _charset_matrix(perm: Perm, phi: Epimorphism) -> Matrix:
@@ -106,12 +110,12 @@ class KleinModel:
     (index into H, deck vector), with (s, a)(t, b) = (st, a + A_s b) for the
     deck action A_s of s.  The model stores H and its deck actions only, never
     the m^k |H| elements: building it costs one search for the
-    character-preserving automorphisms, kept in `character_preserving` for
-    the reports once those that move the blow-up set are dropped, and two
-    realizability tests per permutation kept.  Every
-    question about G asked here reduces to H and linear algebra mod m on the
-    A_s: the real-structure classes cost O(|H|^2 n + k^3) per H-class of
-    anti-holomorphic involutions for odd m (`classify_real_structures`).
+    character-preserving automorphisms that keep the blow-up set, kept in
+    `character_preserving` for the reports, and two realizability tests per
+    permutation.  Every question about G asked here reduces to H and linear
+    algebra mod m on the A_s: the real-structure classes cost
+    O(|H|^2 n + k^3) per H-class of anti-holomorphic involutions for odd m
+    (`classify_real_structures`).
     """
 
     cover: CoverModel
@@ -159,12 +163,7 @@ def klein_model(cover: CoverModel) -> KleinModel:
     arr, phi = cover.arrangement, cover.phi
     arr._frame  # refuse before the search if no 4 lines are in general position
     # a symmetry moving a blown point to an unblown one is only birational
-    blown = {frozenset(arr.points[pid].incident) for pid in cover.blown_ids}
-    preserving = [
-        p
-        for p in character_preserving_symmetries(arr, phi)
-        if {frozenset(p[i] for i in s) for s in blown} == blown
-    ]
+    preserving = character_preserving_symmetries(arr, phi, cover.blown_ids)
     realized: list[RealizedSymmetry] = []
     rejected: list[tuple[Perm, bool]] = []
     for perm in preserving:

@@ -10,6 +10,8 @@ the library's sorted list from both routes.
 `annihilator_filter` is the character filter the library applied to the
 full list before its search took the epimorphism's linear constraint: it
 keeps the automorphisms that map every column of phi into the column span.
+`blow_up_filter` is the filter `klein_model` applied to the search's list
+before the search took the blown points.
 """
 
 from __future__ import annotations
@@ -120,3 +122,10 @@ def annihilator_filter(autos: list[Perm], phi: Epimorphism) -> list[Perm]:
             for col in columns
         )
     ]
+
+
+def blow_up_filter(perms: list[Perm], arr: Arrangement, blown: tuple[int, ...]) -> list[Perm]:
+    """The permutations in `perms` that map the line sets of the blown
+    points onto themselves."""
+    sets = {frozenset(arr.points[pid].incident) for pid in blown}
+    return [perm for perm in perms if {frozenset(perm[i] for i in s) for s in sets} == sets]

@@ -2,9 +2,17 @@ from __future__ import annotations
 
 import pytest
 
+from planecover import catalog
 from planecover.catalog import builtin_cover
 from planecover.arrangement import complete_quadrilateral, dual_hesse
 from planecover.symmetry import klein_model
+
+
+@pytest.fixture(autouse=True)
+def cold_arrangement_memo():
+    """Each test resolves its arrangements afresh, so the counts of builds,
+    searches and table constructions it reads are its own."""
+    catalog._arrangement.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,19 @@
 import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from autos_oracle import annihilator_filter
+from autos_oracle import annihilator_filter, blow_up_filter
 from klein_oracle import anti_involutions, brute_force_classify, elements, inverse, is_involution
 from planecover.arrangement import (
     Line,
     build_arrangement,
     combinatorial_automorphisms,
+    complete_quadrilateral,
     dual_hesse,
+    incidence_automorphisms,
     perm_cycles_str,
 )
 from planecover.bounds import hodge_from_surface, lefschetz_trace, smith_total
@@ -181,6 +185,15 @@ def test_symmetries_keep_the_blow_up_set(cq, blow, order, perms):
     assert [perm_cycles_str(p) for p in model.character_preserving] == perms
     assert model.order == order
     assert [c.perm_cycles for c in classify_real_structures(model)] == perms
+
+
+def test_search_keeps_the_blow_up_set(cq):
+    # with (1,4) the one double point blown, the search itself drops the
+    # swap (1 2)(4 5), which sends (1,4) to (2,5)
+    assert [perm_cycles_str(p) for p in character_preserving_symmetries(cq, PHI3)] == [
+        "id", "(1 2)(4 5)",
+    ]
+    assert character_preserving_symmetries(cq, PHI3, (0, 1, 2, 3, 5)) == [tuple(range(6))]
 
 
 def test_classes_partition_the_involutions(model3):
@@ -422,6 +435,36 @@ def test_annihilator_filter_on_symmetric_epimorphisms(name):
         assert assert_search_matches_filter(arr, phi) == expected
         # an invariant phi keeps its automorphism besides the identity
         assert index == 0 or len(expected) >= 2
+
+
+BLOW_UP_ARRANGEMENTS = {"quadrilateral": complete_quadrilateral, "dual_hesse": dual_hesse, "hesse": hesse}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(BLOW_UP_ARRANGEMENTS)), st.integers(0, 2**32), st.data())
+def test_search_with_blown_points_matches_the_blow_up_filter(name, seed, data):
+    """The search that takes the blown points returns the old post-filter's
+    list, with and without an epimorphism; the blown set is arbitrary or
+    closed under a random automorphism, so that more than the identity
+    survives."""
+    arr = BLOW_UP_ARRANGEMENTS[name]()
+    autos = combinatorial_automorphisms(arr)
+    rng = random.Random(seed)
+    phi = invariant_phi(autos, 5, data.draw(st.integers(1, 3), label="k"), rng)
+    blown = set(data.draw(st.sets(st.integers(0, len(arr.points) - 1)), label="blown"))
+    if data.draw(st.booleans(), label="closed"):
+        point_ids = {frozenset(p.incident): pid for pid, p in enumerate(arr.points)}
+        g = rng.choice(autos)
+        while True:
+            image = {point_ids[frozenset(g[i] for i in arr.points[pid].incident)] for pid in blown}
+            if image <= blown:
+                break
+            blown |= image
+    blown = tuple(sorted(blown))
+    assert incidence_automorphisms(arr, blown=blown) == blow_up_filter(autos, arr, blown)
+    if phi is not None:
+        preserving = character_preserving_symmetries(arr, phi)
+        assert character_preserving_symmetries(arr, phi, blown) == blow_up_filter(preserving, arr, blown)
 
 
 # -- topology cross-checks through the bounds module ---------------------------
