@@ -13,9 +13,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from planecover.arrangement import perm_cycles_str, realize_symmetry
+from planecover.arrangement import automorphism_count, perm_cycles_str, realize_symmetry
 from planecover.catalog import PHI1, PHI2, PHI3, builtin_arrangement
-from planecover.symmetry import automorphism_count, character_preserving_symmetries
+from planecover.symmetry import character_preserving_symmetries
 
 CASES = (
     ("dual_hesse", PHI1, "example1"),

@@ -122,6 +122,13 @@ class Arrangement:
         return len(combinatorial_automorphisms(self))
 
 
+def automorphism_count(arr: Arrangement) -> int:
+    """|Aut_comb|, listed once per arrangement and kept on it: `symmetry
+    search`, `arrangement info --autos` and `paper verify` print it, and
+    nothing in the Klein model needs it."""
+    return arr._automorphism_order
+
+
 def build_arrangement(lines: list[Line] | tuple[Line, ...], notes: tuple[str, ...] = ()) -> Arrangement:
     """Intersect all line pairs exactly and merge into incidence points."""
     lines = tuple(lines)

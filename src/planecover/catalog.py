@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .arrangement import Arrangement, Line, build_arrangement, complete_quadrilateral, dual_hesse
-from .cover import BLOW_ALL_TRIPLE, CoverModel
 from .homology import Epimorphism
+
+if TYPE_CHECKING:  # the cover modules load with the first cover resolved
+    from .cover import CoverModel
 
 # triple-point index sets of the nine-line arrangement, 1-based
 DUAL_HESSE_TRIPLES = (
@@ -102,6 +105,8 @@ def _line_strings(data: dict) -> LineStrings:
 
 
 def builtin_cover(name: str) -> CoverModel:
+    from .cover import BLOW_ALL_TRIPLE, CoverModel
+
     try:
         arr_name, phi = _COVERS[name]
     except KeyError:
@@ -132,6 +137,8 @@ def resolve_arrangement(ref: str | dict) -> Arrangement:
 def cover_from_json(data: dict) -> CoverModel:
     """Schema: {"arrangement": ref, "m": int, "k": int, "phi": [[..],..],
     "blow_up": "all_r_ge_3" | [point ids]}."""
+    from .cover import BLOW_ALL_TRIPLE, CoverModel
+
     try:
         arr = resolve_arrangement(data["arrangement"])
         phi = Epimorphism(

@@ -12,28 +12,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
+from typing import TYPE_CHECKING
 
-from . import bounds as bounds_mod
-from .arrangement import Arrangement, perm_cycles_str
 from .catalog import read_json, resolve_arrangement, resolve_cover
-from .characters import enumerate_characters, r_profile, unique_profile_elements
-from .cover import (
-    CoverModel,
-    generator_words,
-    invariants,
-    nonnegative_solutions,
-    three_canonical_decomposition,
-    word_str,
-)
-from .homology import _is_int
-from .symmetry import automorphism_count, classify_real_structures, klein_model
+
+if TYPE_CHECKING:
+    from .arrangement import Arrangement
+    from .bounds import Betti
+    from .cover import CoverModel
 
 
 # -- report builders (dicts with deterministic ordering) ------------------------
+#
+# Each builder imports the pipeline modules its report needs when it runs, so
+# a command loads only those (`bounds check` never loads the cover modules)
+# and reads each name from its defining module at call time.
 
 
 def arrangement_report(arr: Arrangement, ref: str, with_autos: bool) -> dict:
+    from .arrangement import automorphism_count
+
     report = {
         "arrangement": ref,
         "lines": [line.as_strings() for line in arr.lines],
@@ -80,6 +78,8 @@ def smoothness_report(cover: CoverModel, ref: str) -> dict:
 
 
 def invariants_report(cover: CoverModel, ref: str) -> dict:
+    from .cover import generator_words, invariants, three_canonical_decomposition, word_str
+
     rep = invariants(cover)
     dec = three_canonical_decomposition(cover)
     words = [
@@ -93,6 +93,8 @@ def invariants_report(cover: CoverModel, ref: str) -> dict:
 
 
 def characters_report(cover: CoverModel, ref: str) -> dict:
+    from .characters import enumerate_characters, r_profile, unique_profile_elements
+
     charset = enumerate_characters(cover.phi)
     uniques = unique_profile_elements(charset, cover.m)
     return {
@@ -107,6 +109,9 @@ def characters_report(cover: CoverModel, ref: str) -> dict:
 
 
 def symmetry_report(cover: CoverModel, ref: str) -> dict:
+    from .arrangement import automorphism_count, perm_cycles_str
+    from .symmetry import klein_model
+
     model = klein_model(cover)
     return {
         "cover": ref,
@@ -132,6 +137,8 @@ def symmetry_report(cover: CoverModel, ref: str) -> dict:
 
 
 def real_report(cover: CoverModel, ref: str) -> dict:
+    from .symmetry import classify_real_structures, klein_model
+
     model = klein_model(cover)
     classes = classify_real_structures(model)
     return {
@@ -160,6 +167,8 @@ _REQUIRED = object()
 def _hodge_int(data: dict, name: str, default: object = _REQUIRED) -> int | None:
     """An integer field of hodge JSON; a missing optional one (or null where
     the default is None) gives the default."""
+    from .cyclotomic import _is_int
+
     value = data.get(name, default)
     if value is _REQUIRED:
         raise ValueError(f"hodge JSON needs an integer {name!r}")
@@ -168,7 +177,9 @@ def _hodge_int(data: dict, name: str, default: object = _REQUIRED) -> int | None
     return value
 
 
-def _hodge_components(data: dict) -> tuple[bounds_mod.Betti, ...]:
+def _hodge_components(data: dict) -> tuple[Betti, ...]:
+    from .cyclotomic import _is_int
+
     comps = data.get("components", [])
     if not isinstance(comps, list):
         raise ValueError(f"hodge JSON field 'components' must be a list, got {comps!r}")
@@ -190,6 +201,8 @@ def bounds_report(data: dict, k3: int | None = None) -> dict:
     (and optional q), or integer h10, h20 and h11; optional integer nu,
     p_plus, p_minus and k3 (the `--k3` argument overrides it), and
     components as Betti triples."""
+    from . import bounds as bounds_mod
+
     if not isinstance(data, dict):
         raise ValueError(f"hodge JSON must be an object, got {type(data).__name__}")
     optional = {
@@ -246,6 +259,8 @@ def bounds_report(data: dict, k3: int | None = None) -> dict:
 
 
 def _load_reference() -> dict:
+    from importlib import resources
+
     with resources.files("planecover.golden").joinpath("reference.json").open(
         "r", encoding="utf-8"
     ) as fh:
@@ -254,7 +269,18 @@ def _load_reference() -> dict:
 
 def current_reference_values() -> dict:
     """Recompute everything the bundled reference file pins down."""
+    from . import bounds as bounds_mod
+    from .arrangement import automorphism_count, perm_cycles_str
     from .catalog import PHI1, PHI2, builtin_arrangement, builtin_cover
+    from .characters import enumerate_characters
+    from .cover import (
+        generator_words,
+        invariants,
+        nonnegative_solutions,
+        three_canonical_decomposition,
+        word_str,
+    )
+    from .symmetry import classify_real_structures, klein_model
 
     dh = builtin_arrangement("dual_hesse")
     cq = builtin_arrangement("complete_quadrilateral")

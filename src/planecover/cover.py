@@ -15,13 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import Arrangement, IncidencePoint
-from .homology import (
-    Epimorphism,
-    SmoothnessCertificate,
-    Vector,
-    _is_int,
-    smoothness_check,
-)
+from .cyclotomic import _is_int
+from .homology import Epimorphism, SmoothnessCertificate, Vector, smoothness_check
 from .intersection import (
     DivisorClass,
     canonical_class,

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .cyclotomic import _is_int
+
 if TYPE_CHECKING:  # arrangement imports this module's elimination
     from .arrangement import Arrangement
 
@@ -94,10 +96,6 @@ def solve_mod_p(rows: list[Vector], rhs: Vector, p: int) -> Vector | None:
 
 
 # -- epimorphisms -------------------------------------------------------------
-
-
-def _is_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -247,10 +245,6 @@ class DeckGroup:
     @property
     def order(self) -> int:
         return self.m**self.k
-
-    @property
-    def kernel_rank(self) -> int:
-        return len(self.kernel_basis)
 
 
 def galois_kernel(phi: Epimorphism) -> DeckGroup:

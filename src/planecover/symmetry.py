@@ -48,13 +48,6 @@ def character_preserving_symmetries(
     return incidence_automorphisms(arr, phi.rows, phi.m, blown)
 
 
-def automorphism_count(arr: Arrangement) -> int:
-    """|Aut_comb|, listed once per arrangement and kept on it: `symmetry
-    search`, `arrangement info --autos` and `paper verify` print it, and
-    nothing in the Klein model needs it."""
-    return arr._automorphism_order
-
-
 def _charset_matrix(perm: Perm, phi: Epimorphism) -> Matrix:
     """Matrix P on character coordinates with phi . (P c) = (phi c) o perm.
 

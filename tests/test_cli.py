@@ -373,7 +373,6 @@ def test_real_classify_never_lists_the_combinatorial_group(capsys, monkeypatch):
         for name, value in list(vars(module).items()):
             if value is search:
                 monkeypatch.setattr(module, name, no_search)
-    monkeypatch.setattr(planecover, "combinatorial_automorphisms", no_search)
     for name, order in (("example1", 25), ("example2", 50), ("example3", 100)):
         code, out = capture(capsys, ["--format", "json", "real", "classify", f"builtin:{name}"])
         assert code == 0

@@ -1,8 +1,12 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+import hypothesis.strategies as st
 
-from planecover.arrangement import Line, build_arrangement
+from planecover.arrangement import Line, build_arrangement, complete_quadrilateral, dual_hesse
 from planecover.catalog import PHI3, builtin_cover
 from planecover.cover import (
     CoverModel,
@@ -16,7 +20,7 @@ from planecover.cover import (
 )
 from planecover.cyclotomic import CycNumber
 from planecover.homology import Epimorphism
-from planecover.intersection import canonical_class
+from planecover.intersection import canonical_class, pairing
 
 
 def test_example1_invariants(cover1):
@@ -256,3 +260,89 @@ def test_kummer_invariants_match_hirzebruch_closed_forms(cq, name):
     if name == "full_kummer_5":
         assert (rep.k2, rep.euler) == (5625, 1875)
 
+
+
+def pardini_chi(cover):
+    """chi(O_X) by Pardini's eigensheaf formula (Pardini, "Abelian covers of
+    algebraic varieties", 1991), summed over the m^k characters c: f_* O_X
+    is the sum of the L_c^{-1}, where m L_c = sum of a_D D over the branch
+    curves D of the blown-up plane Y, a_D = c . phi(D) mod m in [0, m - 1],
+    and Riemann-Roch gives chi(L_c^{-1}) = 1 + (L_c^2 + L_c . K_Y)/2.  phi(D)
+    is phi of the line for a strict transform and the sum of phi over the
+    lines through p for the exceptional curve E_p.  Nothing here goes
+    through stratified_euler or adjoint_branch_class."""
+    arr, phi, m = cover.arrangement, cover.phi, cover.m
+    total = Fraction(0)
+    for c in itertools.product(range(m), repeat=phi.k):
+        a = [sum(x * y for x, y in zip(c, row)) % m for row in phi.rows]
+        # m L_c = h H + sum_p x_p E_p, since L_i' = H - (E_p for blown p on L_i)
+        h = sum(a)
+        x = [
+            sum(a[i] for i in arr.points[pid].incident) % m
+            - sum(a[i] for i in arr.points[pid].incident)
+            for pid in cover.blown_ids
+        ]
+        square = h * h - sum(v * v for v in x)  # (m L_c)^2
+        k_degree = -3 * h - sum(x)  # (m L_c) . K_Y, K_Y = -3H + sum E_p
+        total += 1 + Fraction(square + m * k_degree, 2 * m * m)
+    assert total.denominator == 1
+    return int(total)
+
+
+@pytest.mark.parametrize(
+    "name", ["example1", "example2", "example3", "quadrilateral_5_3", "quadrilateral_5_4",
+             "kummer_3_5"],
+)
+def test_chi_matches_pardinis_eigensheaf_sum(cq, name):
+    from test_symmetry import named_cover
+
+    cover = named_cover(name, cq)
+    assert pardini_chi(cover) == invariants(cover).chi
+
+
+@pytest.mark.parametrize("name, chi", [("quadrilateral_2_4", 1), ("quadrilateral_2_5", 2)])
+def test_pardini_chi_of_the_m2_covers(cq, name, chi):
+    # `invariants` refuses these covers at the per-curve genus; K^2 + e from
+    # the adjoint class and the stratified Euler characteristic agrees
+    from test_symmetry import named_cover
+
+    cover = named_cover(name, cq)
+    assert pardini_chi(cover) == chi
+    kadj = adjoint_branch_class(cq, cover.blown_ids, cover.m)
+    k2 = Fraction(cover.m) ** cover.k * pairing(kadj, kadj)
+    assert k2 + stratified_euler(cq, cover.blown_ids, cover.m, cover.k) == 12 * chi
+
+
+def random_smooth_cover(arr, m, k, rng, tries=500):
+    """A cover of arr by a random epimorphism onto (Z/m)^k that is certified
+    smooth with every point of multiplicity >= 3 blown up, or None."""
+    for _ in range(tries):
+        rows = [tuple(rng.randrange(m) for _ in range(k)) for _ in range(arr.n - 1)]
+        rows.append(tuple((-sum(r[j] for r in rows)) % m for j in range(k)))
+        try:
+            phi = Epimorphism(m=m, k=k, rows=tuple(rows))
+        except ValueError:
+            continue
+        cover = CoverModel.build(arr, phi)
+        if cover.certificate.ok:
+            return cover
+    return None
+
+
+# (arrangement, m, k) with m^k <= 125 where random rows are often smooth.
+# Odd m only: `invariants` refuses smooth m = 2 covers at the per-curve
+# genus (test_pardini_chi_of_the_m2_covers).
+RANDOM_COVER_SHAPES = [
+    (complete_quadrilateral, 3, 3), (complete_quadrilateral, 3, 4),
+    (complete_quadrilateral, 5, 2), (complete_quadrilateral, 5, 3),
+    (dual_hesse, 3, 3), (dual_hesse, 3, 4), (dual_hesse, 5, 3),
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(RANDOM_COVER_SHAPES), st.integers(0, 2**32))
+def test_chi_matches_pardini_on_random_smooth_covers(shape, seed):
+    build, m, k = shape
+    cover = random_smooth_cover(build(), m, k, random.Random(seed))
+    assume(cover is not None)
+    assert pardini_chi(cover) == invariants(cover).chi

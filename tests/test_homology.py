@@ -19,8 +19,8 @@ from planecover.homology import (
 
 
 def kernel_elements(deck):
-    """All m**kernel_rank vectors of the deck group's kernel."""
-    for coeffs in itertools.product(range(deck.m), repeat=deck.kernel_rank):
+    """All m**r vectors of the deck group's kernel, r its rank."""
+    for coeffs in itertools.product(range(deck.m), repeat=len(deck.kernel_basis)):
         yield tuple(
             sum(c * b[i] for c, b in zip(coeffs, deck.kernel_basis)) % deck.m
             for i in range(deck.n)
@@ -194,14 +194,15 @@ def test_smoothness_monotone_under_more_blowups(dh):
 def test_galois_kernel_orders():
     deck = galois_kernel(PHI1)
     assert deck.order == 25
-    assert deck.kernel_rank == 6
+    # n - 1 - k = 6 independent kernel vectors
+    assert rank_mod_p(deck.kernel_basis, deck.m) == len(deck.kernel_basis) == 6
 
 
 def test_double_cover_kernel():
     phi = Epimorphism(m=2, k=1, rows=((1,), (1,)))
     deck = galois_kernel(phi)
     assert deck.order == 2
-    assert deck.kernel_rank == 0
+    assert deck.kernel_basis == ()
     assert list(kernel_elements(deck)) == [(0, 0)]
 
 

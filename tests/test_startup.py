@@ -1,0 +1,121 @@
+"""Start-up: each command loads only the pipeline modules its report needs,
+and the package exports its names lazily.
+
+The module sets are read in a fresh interpreter per command, so they do not
+depend on what other tests imported; no timing is asserted."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import planecover
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(planecover.__file__)))
+
+# one command (or none: a bare `import planecover`), what it must load, and
+# what it must not load
+CASES = {
+    "import planecover": (None, set(), {
+        "arrangement", "bounds", "catalog", "characters", "cli", "cover", "cyclotomic",
+        "homology", "intersection", "linalg", "symmetry",
+    }),
+    "arrangement info --autos": (
+        ["arrangement", "info", "builtin:dual_hesse", "--autos"],
+        {"arrangement"},
+        {"cover", "intersection", "characters", "symmetry", "bounds"},
+    ),
+    "cover smoothness": (
+        ["cover", "smoothness", "builtin:example1"],
+        {"cover"},
+        {"characters", "symmetry", "bounds"},
+    ),
+    "cover invariants": (
+        ["cover", "invariants", "builtin:example3"],
+        {"cover", "intersection"},
+        {"characters", "symmetry", "bounds"},
+    ),
+    "characters list": (
+        ["characters", "list", "builtin:example1"],
+        {"characters"},
+        {"symmetry", "bounds"},
+    ),
+    "symmetry search": (
+        ["symmetry", "search", "builtin:example2"],
+        {"symmetry"},
+        {"characters", "bounds"},
+    ),
+    "real classify": (
+        ["real", "classify", "builtin:example3"],
+        {"symmetry"},
+        {"characters", "bounds"},
+    ),
+    "bounds check": (
+        ["bounds", "check", "HODGE"],
+        {"bounds"},
+        {"cover", "intersection", "characters", "symmetry"},
+    ),
+}
+
+PROBE = """
+import json, os, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import planecover
+    code = 0
+else:
+    from planecover import cli
+    code = cli.run([*argv, "--out", os.devnull])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("planecover."))]))
+"""
+
+
+def loaded_modules(argv):
+    path = [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    code, modules = json.loads(out.stdout)
+    return code, {m.removeprefix("planecover.") for m in modules}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_command_loads_only_its_modules(case, tmp_path):
+    argv, needed, unused = CASES[case]
+    if argv is not None and "HODGE" in argv:
+        hodge = tmp_path / "hodge.json"
+        hodge.write_text(json.dumps({"k2": 333, "euler": 111, "p_plus": 0, "p_minus": 36,
+                                     "components": [[1, 5, 1]]}))
+        argv = [str(hodge) if a == "HODGE" else a for a in argv]
+    code, modules = loaded_modules(argv)
+    assert code == 0
+    assert needed <= modules
+    assert not modules & unused, sorted(modules & unused)
+
+
+def test_every_export_is_the_defining_modules_object(monkeypatch):
+    from planecover import symmetry
+
+    for name in planecover.__all__:
+        module = importlib.import_module(f"planecover.{planecover._MODULE_OF[name]}")
+        assert getattr(planecover, name) is vars(module)[name], name
+    # read at each access, never cached in the package
+    monkeypatch.setattr(symmetry, "klein_model", "patched")
+    assert planecover.klein_model == "patched"
+
+
+def test_dir_lists_every_export():
+    assert set(planecover.__all__) <= set(dir(planecover))
+    assert "__version__" in dir(planecover)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        planecover.no_such_name
+    with pytest.raises(ImportError):
+        from planecover import no_such_name  # noqa: F401
