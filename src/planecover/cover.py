@@ -17,13 +17,7 @@ from fractions import Fraction
 from .arrangement import Arrangement, IncidencePoint
 from .cyclotomic import _is_int
 from .homology import Epimorphism, SmoothnessCertificate, Vector, smoothness_check
-from .intersection import (
-    DivisorClass,
-    canonical_class,
-    exceptional,
-    pairing,
-    strict_transform,
-)
+from .intersection import Blown, DivisorClass, exceptional, pairing, strict_transforms
 
 BLOW_ALL_TRIPLE = "all_r_ge_3"
 
@@ -77,24 +71,16 @@ class CoverModel:
 # -- canonical class -----------------------------------------------------------
 
 
-def branch_class(arr: Arrangement, blown_ids: tuple[int, ...]) -> DivisorClass:
-    """B = sum of strict transforms + sum of exceptional curves."""
-    total = canonical_class(blown_ids).scaled(0)
-    for i in range(arr.n):
-        total = total + strict_transform(arr, i, blown_ids)
-    for pid in blown_ids:
-        total = total + exceptional(pid, blown_ids)
-    return total
-
-
-def adjoint_branch_class(
-    arr: Arrangement, blown_ids: tuple[int, ...], m: int
-) -> DivisorClass:
-    """K_tilde + ((m-1)/m) B; its pullback is the cover's canonical class."""
-    ktilde = canonical_class(blown_ids)
-    if m == 1:
-        return ktilde
-    return ktilde + branch_class(arr, blown_ids).scaled(Fraction(m - 1, m))
+def adjoint_class(arr: Arrangement, blown: Blown, m: int) -> DivisorClass:
+    """m K_adj, where K_adj = K_tilde + ((m-1)/m) B pulls back to the cover's
+    canonical class.  With K_tilde = -3H + sum E_p and the branch class
+    B = nH + sum (1 - r_p) E_p it is the integral class
+    ((m-1)n - 3m) H + sum e_p E_p, e_p = m - (m-1)(r_p - 1)."""
+    return DivisorClass(
+        (m - 1) * arr.n - 3 * m,
+        {pid: m - (m - 1) * (arr.points[pid].r - 1) for pid in blown},
+        blown,
+    )
 
 
 # -- Euler characteristic --------------------------------------------------------
@@ -182,10 +168,10 @@ def _as_int(x: Fraction, what: str) -> int:
 
 
 def _curve_invariants(
-    label: str, cls: DivisorClass, kadj: DivisorClass, m: int, k: int
+    label: str, cls: DivisorClass, mkadj: DivisorClass, scale: Fraction
 ) -> CurveInvariants:
-    self_int = _as_int(Fraction(m) ** (k - 2) * pairing(cls, cls), f"{label}^2")
-    k_degree = _as_int(Fraction(m) ** (k - 1) * pairing(cls, kadj), f"({label},K)")
+    self_int = _as_int(scale * pairing(cls, cls), f"{label}^2")
+    k_degree = _as_int(scale * pairing(cls, mkadj), f"({label},K)")
     two_g = self_int + k_degree + 2
     if two_g % 2 or two_g < 0:
         raise ValueError(f"adjunction gives no valid genus for {label}")
@@ -193,29 +179,35 @@ def _curve_invariants(
 
 
 def invariants(cover: CoverModel) -> InvariantReport:
+    """K^2, e, chi and the per-curve data of a smooth cover.
+
+    K^2 and the per-curve numbers take O(n + sum of r_p) integer steps: a
+    branch curve C over a curve D of the blown plane has m C = pi^* D, so
+    C^2 = m^(k-2) D^2 and (C, K) = m^(k-1) (D, K_adj) = m^(k-2) (D, m K_adj);
+    K^2 = m^k K_adj^2 = m^(k-2) (m K_adj)^2.
+    """
     cover.require_smooth()
-    arr, blown, m, k = cover.arrangement, cover.blown_ids, cover.m, cover.k
-    kadj = adjoint_branch_class(arr, blown, m)
-    k2 = _as_int(Fraction(m) ** k * pairing(kadj, kadj), "K^2")
-    euler = stratified_euler(arr, blown, m, k)
+    arr, m, k = cover.arrangement, cover.m, cover.k
+    blown = frozenset(cover.blown_ids)
+    mkadj = adjoint_class(arr, blown, m)
+    scale = Fraction(m) ** (k - 2)
+    k2 = _as_int(scale * pairing(mkadj, mkadj), "K^2")
+    euler = stratified_euler(arr, cover.blown_ids, m, k)
     chi = (k2 + euler) // 12
     if (k2 + euler) % 12:
         raise ValueError(f"K^2 + e = {k2 + euler} violates the Noether quotient")
     lines = tuple(
-        _curve_invariants(
-            f"C{i + 1}", strict_transform(arr, i, blown), kadj, m, k
-        )
-        for i in range(arr.n)
+        _curve_invariants(f"C{i + 1}", line, mkadj, scale)
+        for i, line in enumerate(strict_transforms(arr, blown))
     )
     points = tuple(
         _curve_invariants(
             "D" + ",".join(str(x) for x in arr.points[pid].incident_1based()),
             exceptional(pid, blown),
-            kadj,
-            m,
-            k,
+            mkadj,
+            scale,
         )
-        for pid in blown
+        for pid in cover.blown_ids
     )
     return InvariantReport(
         m=m,
@@ -261,10 +253,11 @@ def _point_coeff(point: IncidencePoint, m: int, line_coeffs) -> int | Fraction:
 def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposition:
     """Express 3K of the cover as a combination of branch-curve classes.
 
-    When 3*K_tilde equals minus the sum of strict transforms the coefficients
-    are the uniform (2m-3, 3(m-1)); otherwise a near-balanced integral
-    distribution is searched and reported, or the rational symmetric solution
-    with integral=False.
+    When 3*K_tilde equals minus the sum of strict transforms, that is when
+    n = 9 and every blown point is 3-fold, the coefficients are the uniform
+    (2m-3, 3(m-1)); otherwise a near-balanced integral distribution is
+    searched and reported, or the rational symmetric solution with
+    integral=False.
     """
     cover.require_smooth()
     arr, blown, m = cover.arrangement, cover.blown_ids, cover.m
@@ -273,13 +266,10 @@ def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposit
     n = arr.n
     blown_points = [arr.points[pid] for pid in blown]
 
-    ktilde3 = canonical_class(blown).scaled(3)
-    minus_lines = canonical_class(blown).scaled(0)
-    for i in range(n):
-        minus_lines = minus_lines - strict_transform(arr, i, blown)
-    if ktilde3 == minus_lines:
+    # 3K_tilde = -9H + 3 sum E_p and -(sum of strict transforms) = -nH + sum r_p E_p
+    if n == 9 and all(p.r == 3 for p in blown_points):
         line_coeffs = tuple([2 * m - 3] * n)
-        # reduces to 3(m-1) at every 3-fold point, which the class identity forces
+        # reduces to 3(m-1) at every blown point, all of them 3-fold
         point_coeffs = tuple(_point_coeff(p, m, line_coeffs) for p in blown_points)
         return ThreeCanonicalDecomposition(
             line_coeffs,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -6,11 +7,20 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
+from lattice_oracle import (
+    adjoint_branch_class,
+    canonical_class,
+    exceptional,
+    lattice_canonical_route,
+    lattice_invariants,
+    pairing,
+    strict_transform,
+)
 from planecover.arrangement import Line, build_arrangement, complete_quadrilateral, dual_hesse
 from planecover.catalog import PHI3, builtin_cover
 from planecover.cover import (
     CoverModel,
-    adjoint_branch_class,
+    adjoint_class,
     generator_words,
     invariants,
     nonnegative_solutions,
@@ -19,8 +29,16 @@ from planecover.cover import (
     word_str,
 )
 from planecover.cyclotomic import CycNumber
-from planecover.homology import Epimorphism
-from planecover.intersection import canonical_class, pairing
+from planecover.homology import Epimorphism, SmoothnessCertificate
+from test_symmetry import (
+    CENSUS_COVERS,
+    CENSUS_GENERIC_COVERS,
+    QUAD_COVERS,
+    ceva6_plus_3,
+    hesse,
+    named_cover,
+    odd_cover,
+)
 
 
 def test_example1_invariants(cover1):
@@ -64,7 +82,12 @@ def test_euler_cross_check_verbatim_grouping(cover1, cover2):
 
 
 def cover_canonical(cover):
-    return adjoint_branch_class(cover.arrangement, cover.blown_ids, cover.m)
+    """The oracle's K_adj, which the library's integral class is m times."""
+    kadj = adjoint_branch_class(cover.arrangement, cover.blown_ids, cover.m)
+    mkadj = adjoint_class(cover.arrangement, frozenset(cover.blown_ids), cover.m)
+    assert Fraction(mkadj.h, cover.m) == kadj.h
+    assert {p: Fraction(c, cover.m) for p, c in mkadj.e.items() if c} == dict(kadj.e)
+    return kadj
 
 
 def test_cover_canonical_example1(cover1):
@@ -84,6 +107,9 @@ def test_cover_canonical_example3(cover3):
 def test_adjoint_class_trivial_degree(dh):
     blown = tuple(pid for pid, p in enumerate(dh.points) if p.r >= 3)
     assert adjoint_branch_class(dh, blown, 1) == canonical_class(blown)
+    # the integral class m K_adj reads K_tilde = -3H + sum E_p at m = 1 too
+    mkadj = adjoint_class(dh, frozenset(blown), 1)
+    assert (mkadj.h, mkadj.e) == (-3, {p: 1 for p in blown})
 
 
 def test_three_canonical_example1(cover1):
@@ -100,8 +126,6 @@ def test_three_canonical_example3(cover3):
     assert sum(dec.line_coeffs) == 27
     # consistency of the class identity behind the reported coefficients
     arr, blown, m = cover3.arrangement, cover3.blown_ids, cover3.m
-    from planecover.intersection import exceptional, strict_transform
-
     lhs = adjoint_branch_class(arr, blown, m).scaled(3)
     rhs = canonical_class(blown).scaled(0)
     for i, c in enumerate(dec.line_coeffs):
@@ -294,8 +318,6 @@ def pardini_chi(cover):
              "kummer_3_5"],
 )
 def test_chi_matches_pardinis_eigensheaf_sum(cq, name):
-    from test_symmetry import named_cover
-
     cover = named_cover(name, cq)
     assert pardini_chi(cover) == invariants(cover).chi
 
@@ -304,8 +326,6 @@ def test_chi_matches_pardinis_eigensheaf_sum(cq, name):
 def test_pardini_chi_of_the_m2_covers(cq, name, chi):
     # `invariants` refuses these covers at the per-curve genus; K^2 + e from
     # the adjoint class and the stratified Euler characteristic agrees
-    from test_symmetry import named_cover
-
     cover = named_cover(name, cq)
     assert pardini_chi(cover) == chi
     kadj = adjoint_branch_class(cq, cover.blown_ids, cover.m)
@@ -346,3 +366,154 @@ def test_chi_matches_pardini_on_random_smooth_covers(shape, seed):
     cover = random_smooth_cover(build(), m, k, random.Random(seed))
     assume(cover is not None)
     assert pardini_chi(cover) == invariants(cover).chi
+
+
+# -- the integral class m K_adj against the rational lattice --------------------
+
+def hesse_minus_axes():
+    """The 9 lines x + a y + b z, a^3 = b^3 = 1: 9 triple and 9 double points."""
+    return build_arrangement(list(hesse().lines[3:]))
+
+
+def as_if_smooth(cover):
+    """The cover with its certificate forced ok, so that the number checks
+    behind it (integrality, the Noether quotient, adjunction) are reached on
+    covers that are not smooth, k = 1 among them."""
+    return dataclasses.replace(cover, certificate=SmoothnessCertificate((), True))
+
+
+def outcome(fn, cover):
+    """fn(cover), or the text of the ValueError it raises."""
+    try:
+        return fn(cover)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_matches_lattice(cover):
+    """invariants equals the lattice route field for field, or raises the
+    same text, as built and as if smooth; the canonical route of the 3K
+    decomposition is taken iff the lattice identity holds."""
+    for c in (cover, as_if_smooth(cover)):
+        assert outcome(invariants, c) == outcome(lattice_invariants, c)
+    identity = lattice_canonical_route(cover.arrangement, cover.blown_ids)
+    assert three_canonical_decomposition(as_if_smooth(cover)).canonical_route == identity
+    if any(cover.arrangement.points[pid].r == 2 for pid in cover.blown_ids):
+        assert not identity
+
+
+def every_point_blown(cover):
+    arr = cover.arrangement
+    return CoverModel.build(arr, cover.phi, list(range(len(arr.points))))
+
+
+def oracle_cover(name, cq):
+    if name in CENSUS_GENERIC_COVERS:
+        build, rows = CENSUS_GENERIC_COVERS[name]
+        return CoverModel.build(build(), Epimorphism(m=5, k=2, rows=tuple(rows)))
+    if name == "kummer_5_5" or name in CENSUS_COVERS:
+        return odd_cover(name, cq)
+    return named_cover(name, cq)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["example1", "example2", "example3", *QUAD_COVERS, "kummer_5_5", *CENSUS_COVERS,
+     *CENSUS_GENERIC_COVERS],
+)
+def test_invariants_match_the_lattice_on_named_covers(cq, name):
+    cover = oracle_cover(name, cq)
+    assert_matches_lattice(cover)
+    # the same epimorphism with every double point blown up too (e_p = 1)
+    assert_matches_lattice(every_point_blown(cover))
+
+
+def test_m2_refusals_and_blown_double_points(cq):
+    # the m = 2 covers fail adjunction on a curve; the quadrilateral with
+    # example3's phi stays smooth with its double points blown up, and each
+    # of them (e_p = 1) lifts to (-1)-curves: D^2 = (D, K) = -m^(k-2) e_p
+    for name in ("quadrilateral_2_4", "quadrilateral_2_5"):
+        assert outcome(invariants, named_cover(name, cq)).startswith(
+            "ValueError: adjunction gives no valid genus for"
+        )
+    cover = CoverModel.build(cq, PHI3, list(range(7)))
+    rep = invariants(cover)
+    assert rep == lattice_invariants(cover)
+    assert [d.k_degree for d in rep.point_curves if d.label.count(",") == 1] == [-1, -1, -1]
+
+
+K1_COVERS = {
+    "dual_hesse_5_1": (dual_hesse, 5, [(1,)] * 8 + [(2,)]),
+    "quadrilateral_3_1": (complete_quadrilateral, 3, [(1,), (2,), (1,), (2,), (0,), (0,)]),
+    "hesse_minus_axes_7_1": (hesse_minus_axes, 7, [(j % 7,) for j in range(8)] + [(0,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(K1_COVERS))
+def test_k1_covers_match_the_lattice(name):
+    # no k = 1 cover is smooth: two line images are never independent in Z/m.
+    # As if smooth, m^(k-2) = 1/m and the integrality checks decide.
+    build, m, rows = K1_COVERS[name]
+    cover = CoverModel.build(build(), Epimorphism(m=m, k=1, rows=tuple(rows)))
+    assert outcome(invariants, cover).startswith("ValueError: cover is not certified smooth")
+    assert outcome(invariants, as_if_smooth(cover)).endswith("is not an integer")
+    assert_matches_lattice(cover)
+    assert_matches_lattice(every_point_blown(cover))
+
+
+def ceva6_first_nine():
+    """x, y, z and x - r y, y - r z, z - r x for r = 1, zeta: 9 lines with
+    one triple, three 4-fold and 15 double points."""
+    return build_arrangement(list(ceva6_plus_3().lines[:9]))
+
+
+@pytest.mark.parametrize("build", [hesse_minus_axes, ceva6_first_nine, ceva6_plus_3])
+def test_canonical_route_needs_nine_lines_and_only_triple_points(build):
+    """3K_tilde = -(sum of strict transforms) iff n = 9 and every blown point
+    is 3-fold: 9 lines take the route with only their triple points blown
+    and leave it once a double or a 4-fold point is blown too; Ceva(6)+3's
+    21 lines never take it, not even with only triple points blown."""
+    arr = build()
+    rows = [(j % 5, j // 5 % 5) for j in range(arr.n - 1)]
+    rows.append(tuple(-sum(col) % 5 for col in zip(*rows)))
+    phi = Epimorphism(m=5, k=2, rows=tuple(rows))
+    by_r = {}
+    for pid, p in enumerate(arr.points):
+        by_r.setdefault(p.r, []).append(pid)
+    triples = by_r[3]
+    higher = [by_r[r][0] for r in sorted(by_r) if r > 3]
+    routes = []
+    for blow in (triples, triples + by_r[2][:1], triples + higher, list(range(len(arr.points)))):
+        cover = CoverModel.build(arr, phi, blow)
+        assert_matches_lattice(cover)
+        routes.append(three_canonical_decomposition(as_if_smooth(cover)).canonical_route)
+    assert routes == [arr.n == 9, False, arr.n == 9 and not higher, False]
+
+
+ORACLE_ARRANGEMENTS = {
+    "quadrilateral": complete_quadrilateral,
+    "dual_hesse": dual_hesse,
+    "hesse_minus_axes": hesse_minus_axes,
+    "ceva6_first_nine": ceva6_first_nine,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(ORACLE_ARRANGEMENTS)),
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+)
+def test_invariants_match_the_lattice_on_random_covers(name, m, k, rng):
+    arr = ORACLE_ARRANGEMENTS[name]()
+    rows = [tuple(rng.randrange(m) for _ in range(k)) for _ in range(arr.n - 1)]
+    rows.append(tuple((-sum(r[j] for r in rows)) % m for j in range(k)))
+    try:
+        phi = Epimorphism(m=m, k=k, rows=tuple(rows))
+    except ValueError:
+        assume(False)
+    doubles = [pid for pid, p in enumerate(arr.points) if p.r == 2]
+    blow = [pid for pid, p in enumerate(arr.points) if p.r >= 3]
+    blow += rng.sample(doubles, rng.randint(0, len(doubles)))
+    assert_matches_lattice(CoverModel.build(arr, phi, blow))
