@@ -52,7 +52,6 @@ _EXPORTS = {
         "DeckGroup",
         "Epimorphism",
         "galois_kernel",
-        "independence",
         "smoothness_check",
     ),
     "symmetry": ("KleinModel", "classify_real_structures", "deck_action_of", "klein_model"),

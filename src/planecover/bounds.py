@@ -59,12 +59,9 @@ def hodge_from_surface(k2: int, euler: int, q: int = 0, nu: int = 0, **kw) -> Ho
     return HodgeData(h10=q, h20=pg, h11=h11, nu=nu, **kw)
 
 
-def complex_betti_total(h: HodgeData) -> int:
+def smith_total(h: HodgeData) -> int:
     """2 + 4(h10 + nu) + 2 h20 + h11: the Z/2 homology total upstairs."""
     return 2 + 4 * (h.h10 + h.nu) + 2 * h.h20 + h.h11
-
-
-smith_total = complex_betti_total
 
 
 def real_betti_total(components: tuple[Betti, ...]) -> int:
@@ -193,9 +190,7 @@ def fake_plane_involution_check() -> FakePlaneReport:
     )
 
 
-def small_component_exclusion(component: Betti, negatively_curved: bool = True) -> str:
+def small_component_exclusion(component: Betti) -> str:
     """Reject sphere, RP^2, torus, Klein bottle components (beta1 <= 2) of the
     real part of a negatively curved surface; accept beta1 >= 3."""
-    if not negatively_curved:
-        return "not applicable: requires negative curvature / ball quotient"
     return "accepted" if component[1] >= 3 else "rejected"

@@ -9,6 +9,9 @@ coordinate, and full vectors make residue profiles direct).
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import product
+
 from .arrangement import Perm, invert_perm
 from .homology import Epimorphism, Vector
 
@@ -16,24 +19,16 @@ Character = Vector
 
 
 def enumerate_characters(phi: Epimorphism) -> tuple[Character, ...]:
-    """All m^k characters c1*col1 + ... + ck*colk, sorted lexicographically."""
-    m, k, n = phi.m, phi.k, phi.n
-    cols = [phi.column(j) for j in range(k)]
-    out = set()
-    coeffs = [0] * k
-    while True:
-        vec = tuple(
-            sum(coeffs[j] * cols[j][i] for j in range(k)) % m for i in range(n)
-        )
-        out.add(vec)
-        for j in range(k):
-            coeffs[j] += 1
-            if coeffs[j] < m:
-                break
-            coeffs[j] = 0
-        else:
-            break
-    return tuple(sorted(out))
+    """All m^k characters c1*col1 + ... + ck*colk, sorted lexicographically.
+
+    phi has rank k, so distinct coefficient vectors give distinct characters.
+    """
+    m, n = phi.m, phi.n
+    cols = [phi.column(j) for j in range(phi.k)]
+    return tuple(sorted(
+        tuple(sum(c * col[i] for c, col in zip(coeffs, cols)) % m for i in range(n))
+        for coeffs in product(range(m), repeat=phi.k)
+    ))
 
 
 def r_profile(a: Character, m: int) -> Vector:
@@ -47,8 +42,6 @@ def r_profile(a: Character, m: int) -> Vector:
 def unique_profile_elements(charset: tuple[Character, ...], m: int) -> tuple[Character, ...]:
     """Characters whose residue profile occurs exactly once in the set."""
     profiles = [r_profile(a, m) for a in charset]
-    from collections import Counter
-
     freq = Counter(profiles)
     return tuple(a for a, p in zip(charset, profiles) if freq[p] == 1)
 

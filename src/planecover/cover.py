@@ -92,7 +92,13 @@ def stratified_euler(
     """e(cover) by additivity over the free part, branch curves, and crossings.
 
     Requires every unblown point to be 2-fold so that at most two branch
-    components pass through any point, all transversally.
+    components pass through any point, all transversally.  On the plane
+    blown up at b points the n + b branch curves are rational and cross at
+    c = s + d points: s is the sum of r_p over the blown points and d the
+    number of unblown double points.  The free part has e = 3 + b - 2(n + b)
+    + c and the curves less their crossings 2(n + b) - 2c; the cover has
+    m^k, m^(k-1) and m^(k-2) points over a point of each stratum
+    (Hirzebruch, "Arrangements of lines and algebraic surfaces", 1983).
     """
     blown = set(blown_ids)
     for pid, p in enumerate(arr.points):
@@ -101,29 +107,15 @@ def stratified_euler(
                 f"unblown {p.r}-fold point {p.incident_1based()}: "
                 "more than two branch components would cross"
             )
-    n = arr.n
-    n_blown = len(blown_ids)
-    crossings = sum(arr.points[pid].r for pid in blown_ids) + sum(
-        1 for pid, p in enumerate(arr.points) if pid not in blown and p.r == 2
-    )
-    e_complement = (3 + n_blown) - 2 * n - 2 * n_blown + crossings
-    line_parts = 0
-    for i in range(n):
-        on_line = [pid for pid, p in enumerate(arr.points) if i in p.incident]
-        branch_pts = sum(
-            1 for pid in on_line if pid in blown or arr.points[pid].r == 2
-        )
-        line_parts += 2 - branch_pts
-    exc_parts = sum(2 - arr.points[pid].r for pid in blown_ids)
-
-    total = (
-        Fraction(m) ** k * e_complement
-        + Fraction(m) ** (k - 1) * (line_parts + exc_parts)
-        + Fraction(m) ** (k - 2) * crossings
-    )
-    if total.denominator != 1:
+    n, b = arr.n, len(blown)
+    c = sum(arr.points[pid].r for pid in blown) + len(arr.points) - b
+    total = m * m * (3 - 2 * n - b + c) + 2 * m * (n + b - c) + c  # m^(2-k) e
+    if k >= 2:
+        return total * m ** (k - 2)
+    euler, rest = divmod(total, m ** (2 - k))
+    if rest:
         raise ValueError("stratified Euler characteristic is not integral")
-    return int(total)
+    return euler
 
 
 # -- invariant report -------------------------------------------------------------
@@ -261,8 +253,6 @@ def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposit
     """
     cover.require_smooth()
     arr, blown, m = cover.arrangement, cover.blown_ids, cover.m
-    if m < 2:
-        raise ValueError("no branch curves: the covering is trivial")
     n = arr.n
     blown_points = [arr.points[pid] for pid in blown]
 

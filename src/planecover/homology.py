@@ -10,6 +10,7 @@ supported; every bundled example has m = 5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .cyclotomic import _is_int
@@ -151,14 +152,13 @@ class Epimorphism:
         return tuple(total)
 
 
-def independence(vectors: list[Vector] | tuple[Vector, ...], r: int, m: int) -> bool:
-    """True iff the vectors generate a subgroup isomorphic to (Z/mZ)^r."""
-    if not is_prime(m):
-        raise ValueError("independence test needs a prime modulus")
-    return rank_mod_p(tuple(vectors), m) == r
-
-
 # -- smoothness ----------------------------------------------------------------
+
+
+def _independent(u: Vector, v: Vector, m: int) -> bool:
+    """u, v in (Z/mZ)^k, m prime, span (Z/mZ)^2 iff some 2x2 minor is nonzero
+    mod m; with k = 1 there is no minor and the pair is dependent."""
+    return any((u[a] * v[b] - u[b] * v[a]) % m for a, b in combinations(range(len(u)), 2))
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ def smoothness_check(
             bad = [
                 i + 1
                 for i in point.incident
-                if not independence([eps, phi.rows[i]], 2, phi.m)
+                if not _independent(eps, phi.rows[i], phi.m)
             ]
             ok = not bad
             detail = (
@@ -210,7 +210,7 @@ def smoothness_check(
             checks.append(PointCheck(pid, inc1, "blown", ok, detail))
         elif point.r == 2:
             i1, i2 = point.incident
-            ok = independence([phi.rows[i1], phi.rows[i2]], 2, phi.m)
+            ok = _independent(phi.rows[i1], phi.rows[i2], phi.m)
             detail = f"({phi.rows[i1]}, {phi.rows[i2]}) " + (
                 "independent" if ok else "dependent"
             )

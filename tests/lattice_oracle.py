@@ -21,7 +21,6 @@ from planecover.cover import (
     CurveInvariants,
     InvariantReport,
     _as_int,
-    stratified_euler,
 )
 
 Context = tuple[int, ...]  # sorted blown point ids
@@ -109,6 +108,45 @@ def adjoint_branch_class(arr: Arrangement, blown_ids: Context, m: int) -> Diviso
     return ktilde + branch_class(arr, blown_ids).scaled(Fraction(m - 1, m))
 
 
+def scanned_euler(arr: Arrangement, blown_ids: Context, m: int, k: int) -> int:
+    """e(cover) by additivity over the free part, branch curves, and
+    crossings, with each line's branch points found by scanning every point.
+
+    Requires every unblown point to be 2-fold so that at most two branch
+    components pass through any point, all transversally.
+    """
+    blown = set(blown_ids)
+    for pid, p in enumerate(arr.points):
+        if pid not in blown and p.r != 2:
+            raise ValueError(
+                f"unblown {p.r}-fold point {p.incident_1based()}: "
+                "more than two branch components would cross"
+            )
+    n = arr.n
+    n_blown = len(blown_ids)
+    crossings = sum(arr.points[pid].r for pid in blown_ids) + sum(
+        1 for pid, p in enumerate(arr.points) if pid not in blown and p.r == 2
+    )
+    e_complement = (3 + n_blown) - 2 * n - 2 * n_blown + crossings
+    line_parts = 0
+    for i in range(n):
+        on_line = [pid for pid, p in enumerate(arr.points) if i in p.incident]
+        branch_pts = sum(
+            1 for pid in on_line if pid in blown or arr.points[pid].r == 2
+        )
+        line_parts += 2 - branch_pts
+    exc_parts = sum(2 - arr.points[pid].r for pid in blown_ids)
+
+    total = (
+        Fraction(m) ** k * e_complement
+        + Fraction(m) ** (k - 1) * (line_parts + exc_parts)
+        + Fraction(m) ** (k - 2) * crossings
+    )
+    if total.denominator != 1:
+        raise ValueError("stratified Euler characteristic is not integral")
+    return int(total)
+
+
 def _curve_invariants(
     label: str, cls: DivisorClass, kadj: DivisorClass, m: int, k: int
 ) -> CurveInvariants:
@@ -126,7 +164,7 @@ def lattice_invariants(cover: CoverModel) -> InvariantReport:
     arr, blown, m, k = cover.arrangement, cover.blown_ids, cover.m, cover.k
     kadj = adjoint_branch_class(arr, blown, m)
     k2 = _as_int(Fraction(m) ** k * pairing(kadj, kadj), "K^2")
-    euler = stratified_euler(arr, blown, m, k)
+    euler = scanned_euler(arr, blown, m, k)
     chi = (k2 + euler) // 12
     if (k2 + euler) % 12:
         raise ValueError(f"K^2 + e = {k2 + euler} violates the Noether quotient")

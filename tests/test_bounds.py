@@ -5,7 +5,6 @@ import pytest
 
 from planecover.bounds import (
     HodgeData,
-    complex_betti_total,
     component_count_bound,
     fake_plane_involution_check,
     hodge_from_surface,
@@ -139,7 +138,6 @@ def test_small_component_exclusion():
     assert small_component_exclusion((1, 1, 1)) == "rejected"  # RP^2
     assert small_component_exclusion((1, 2, 1)) == "rejected"  # torus / Klein bottle
     assert small_component_exclusion((1, 3, 1)) == "accepted"  # N_3
-    assert "not applicable" in small_component_exclusion((1, 0, 1), negatively_curved=False)
 
 
 def test_hodge_from_surface_example3():
@@ -162,8 +160,3 @@ def test_hodge_data_validation():
         HodgeData(h10=-1, h20=0, h11=1)
     with pytest.raises(ValueError, match="needs"):
         HodgeData(h10=0, h20=1, h11=3).require_split()
-
-
-def test_complex_betti_total_alias():
-    h = HodgeData(h10=0, h20=36, h11=37)
-    assert complex_betti_total(h) == smith_total(h) == 111

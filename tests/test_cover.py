@@ -14,6 +14,7 @@ from lattice_oracle import (
     lattice_canonical_route,
     lattice_invariants,
     pairing,
+    scanned_euler,
     strict_transform,
 )
 from planecover.arrangement import Line, build_arrangement, complete_quadrilateral, dual_hesse
@@ -33,6 +34,7 @@ from planecover.homology import Epimorphism, SmoothnessCertificate
 from test_symmetry import (
     CENSUS_COVERS,
     CENSUS_GENERIC_COVERS,
+    PAPER_AND_CENSUS_ARRANGEMENTS,
     QUAD_COVERS,
     ceva6_plus_3,
     hesse,
@@ -194,6 +196,26 @@ def test_scaling_sanity_trivial_cover(cq):
         ]
     )
     assert stratified_euler(two_lines, (), 1, 0) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(PAPER_AND_CENSUS_ARRANGEMENTS)),
+    st.sampled_from([(1, 0), (1, 3), *((m, k) for m in (2, 3, 5, 7) for k in range(1, 5))]),
+    st.randoms(use_true_random=False),
+)
+def test_closed_form_euler_matches_the_strata_scan(name, mk, rng):
+    """Equal values or equal error texts: refusals of unblown r >= 3 points,
+    non-integral e at k = 1, and the blown plane itself at (m, k) = (1, 0)."""
+    arr = PAPER_AND_CENSUS_ARRANGEMENTS[name]()
+    points = range(len(arr.points))
+    if rng.random() < 0.5:
+        blown = tuple(pid for pid in points if arr.points[pid].r >= 3)
+        blown += tuple(pid for pid in points if arr.points[pid].r == 2 and rng.random() < 0.3)
+        blown = tuple(sorted(blown))
+    else:
+        blown = tuple(sorted(rng.sample(points, rng.randint(0, len(points)))))
+    assert outcome(stratified_euler, arr, blown, *mk) == outcome(scanned_euler, arr, blown, *mk)
 
 
 def test_diophantine_filter_obstruction():
@@ -382,10 +404,10 @@ def as_if_smooth(cover):
     return dataclasses.replace(cover, certificate=SmoothnessCertificate((), True))
 
 
-def outcome(fn, cover):
-    """fn(cover), or the text of the ValueError it raises."""
+def outcome(fn, *args):
+    """fn(*args), or the text of the ValueError it raises."""
     try:
-        return fn(cover)
+        return fn(*args)
     except ValueError as exc:
         return f"ValueError: {exc}"
 

@@ -3,19 +3,23 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
+from planecover.arrangement import Line, build_arrangement
 from planecover.catalog import PHI1, PHI2, PHI3
 from planecover.characters import enumerate_characters
+from planecover.cyclotomic import CycNumber
 from planecover.homology import (
     Epimorphism,
+    PointCheck,
+    SmoothnessCertificate,
     galois_kernel,
-    independence,
     is_prime,
     rank_mod_p,
     smoothness_check,
 )
+from test_symmetry import PAPER_AND_CENSUS_ARRANGEMENTS
 
 
 def kernel_elements(deck):
@@ -126,15 +130,74 @@ def test_phi_of_eps_is_row_sum(dh):
         assert PHI1.of_loops(p.incident) == total
 
 
+def double_point_check(u, v, m=5):
+    """The check at the double point of lines 1 and 2 of four lines in
+    general position, with phi(lambda_1) = u and phi(lambda_2) = v."""
+    one, zero = CycNumber(1), CycNumber(0)
+    four_lines = build_arrangement([
+        Line.make(one, zero, zero), Line.make(zero, one, zero), Line.make(zero, zero, one),
+        Line.make(one, one, one),
+    ])
+    rows = [u, v, (1, 0)]
+    rows.append(tuple(-sum(col) % m for col in zip(*rows)))
+    cert = smoothness_check(four_lines, Epimorphism(m=m, k=2, rows=tuple(rows)), ())
+    return next(c for c in cert.checks if c.incident_1based == (1, 2))
+
+
 def test_independence_examples():
-    assert independence([(1, 0), (0, 1)], 2, 5)
-    assert not independence([(1, 2), (2, 4)], 2, 5)
-    assert independence([(4, 1), (1, 0)], 2, 5)  # det = -1 mod 5
+    assert double_point_check((1, 0), (0, 1)).detail == "((1, 0), (0, 1)) independent"
+    check = double_point_check((1, 2), (2, 4))
+    assert (check.kind, check.ok, check.detail) == ("double", False, "((1, 2), (2, 4)) dependent")
+    assert double_point_check((4, 1), (1, 0)).ok  # det = -1 mod 5
 
 
-def test_independence_rejects_composite_modulus():
-    with pytest.raises(ValueError):
-        independence([(1, 0), (0, 1)], 2, 4)
+def eliminated_certificate(arr, phi, blown_ids):
+    """`smoothness_check` with each pair decided by elimination: u and v are
+    independent iff rank_mod_p([u, v], m) == 2."""
+    blown = set(blown_ids)
+    checks = []
+    for pid, point in enumerate(arr.points):
+        inc1 = point.incident_1based()
+        if pid in blown:
+            eps = phi.of_loops(point.incident)
+            bad = [i + 1 for i in point.incident if rank_mod_p([eps, phi.rows[i]], phi.m) != 2]
+            detail = (
+                f"phi(eps)={eps} dependent with line(s) {bad}"
+                if bad
+                else f"phi(eps)={eps} independent with each incident line image"
+            )
+            checks.append(PointCheck(pid, inc1, "blown", not bad, detail))
+        elif point.r == 2:
+            u, v = (phi.rows[i] for i in point.incident)
+            ok = rank_mod_p([u, v], phi.m) == 2
+            detail = f"({u}, {v}) " + ("independent" if ok else "dependent")
+            checks.append(PointCheck(pid, inc1, "double", ok, detail))
+        else:
+            detail = f"{point.r}-fold point left unblown"
+            checks.append(PointCheck(pid, inc1, "unresolved", False, detail))
+    return SmoothnessCertificate(tuple(checks), all(c.ok for c in checks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(PAPER_AND_CENSUS_ARRANGEMENTS)),
+    st.sampled_from([2, 3, 5, 7, 2**31 - 1]),
+    st.integers(1, 4),
+    st.randoms(use_true_random=False),
+)
+def test_minor_certificate_matches_elimination(name, m, k, rng):
+    arr = PAPER_AND_CENSUS_ARRANGEMENTS[name]()
+    rows = [tuple(rng.randrange(m) for _ in range(k)) for _ in range(arr.n - 1)]
+    rows.append(tuple((-sum(r[j] for r in rows)) % m for j in range(k)))
+    try:
+        phi = Epimorphism(m=m, k=k, rows=tuple(rows))
+    except ValueError:
+        assume(False)
+    if rng.random() < 0.5:
+        blown = tuple(pid for pid, p in enumerate(arr.points) if p.r >= 3)
+    else:
+        blown = tuple(sorted(rng.sample(range(len(arr.points)), rng.randint(0, len(arr.points)))))
+    assert smoothness_check(arr, phi, blown) == eliminated_certificate(arr, phi, blown)
 
 
 def blown_ids(arr):

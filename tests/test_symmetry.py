@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -362,6 +363,15 @@ def ceva6_plus_3():
         for r in (ZETA**j for j in range(6))
         for line in (Line.make(ONE, -r, ZERO), Line.make(ZERO, ONE, -r), Line.make(-r, ZERO, ONE))
     ])
+
+
+# the arrangements of the paper and of the census, each built once
+PAPER_AND_CENSUS_ARRANGEMENTS = {
+    "quadrilateral": functools.cache(complete_quadrilateral),
+    "dual_hesse": functools.cache(dual_hesse),
+    "hesse": functools.cache(hesse),
+    "ceva6_plus_3": functools.cache(ceva6_plus_3),
+}
 
 
 def invariant_phi(autos, m, k, rng, tries=1000):
