@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .cyclotomic import ONE, ZERO, ZETA, CycNumber, parse_cyc
 from .homology import Vector, row_reduce
@@ -37,8 +37,7 @@ from .linalg import (
 Perm = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     """A projective line c0*x1 + c1*x2 + c2*x3 = 0 in canonical form."""
 
     coeffs: Vec3
@@ -63,8 +62,7 @@ class Line:
         return [str(c) for c in self.coeffs]
 
 
-@dataclass(frozen=True)
-class IncidencePoint:
+class IncidencePoint(NamedTuple):
     """Intersection point with the sorted indices of the lines through it."""
 
     coords: Vec3
@@ -78,16 +76,25 @@ class IncidencePoint:
         return tuple(i + 1 for i in self.incident)
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class _ArrangementFields(NamedTuple):
     lines: tuple[Line, ...]
     points: tuple[IncidencePoint, ...]
-    t: dict[int, int] = field(compare=False)
     notes: tuple[str, ...] = ()
+
+
+class Arrangement(_ArrangementFields):
+    """Lines and their incidence points, equal and hashed by both and the
+    notes.  The subclass has no `__slots__`, so an instance keeps a
+    `__dict__` for the tables derived from it on first use."""
 
     @property
     def n(self) -> int:
         return len(self.lines)
+
+    @cached_property
+    def t(self) -> dict[int, int]:
+        """t_r, the number of r-fold points, by increasing r."""
+        return dict(sorted(Counter(p.r for p in self.points).items()))
 
     def triples_1based(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
@@ -151,13 +158,11 @@ def build_arrangement(lines: list[Line] | tuple[Line, ...], notes: tuple[str, ..
             by_coords.items(), key=lambda kv: tuple(sorted(kv[1]))
         )
     )
-    t = dict(sorted(Counter(p.r for p in points).items()))
-
     n = len(lines)
-    pair_total = sum(cnt * r * (r - 1) // 2 for r, cnt in t.items())
+    pair_total = sum(p.r * (p.r - 1) // 2 for p in points)
     if pair_total != n * (n - 1) // 2:
         raise AssertionError("incidence bookkeeping lost a line pair")
-    return Arrangement(lines=lines, points=points, t=t, notes=notes)
+    return Arrangement(lines=lines, points=points, notes=notes)
 
 
 # -- builtin arrangements ----------------------------------------------------

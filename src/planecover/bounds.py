@@ -8,34 +8,38 @@ p_plus + p_minus = h11 - 1.  Real components enter as Z/2-Betti triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 Betti = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class HodgeData:
+class _HodgeFields(NamedTuple):
     h10: int
     h20: int
     h11: int
     nu: int = 0
     p_plus: int | None = None
     p_minus: int | None = None
-    components: tuple[Betti, ...] = field(default_factory=tuple)
+    components: tuple[Betti, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class HodgeData(_HodgeFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> HodgeData:
+        h = super().__new__(cls, *args, **kwargs)
         for name in ("h10", "h20", "h11", "nu"):
-            if getattr(self, name) < 0:
+            if getattr(h, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if (self.p_plus is None) != (self.p_minus is None):
+        if (h.p_plus is None) != (h.p_minus is None):
             raise ValueError("p_plus and p_minus must be given together")
-        if self.p_plus is not None:
-            if self.p_plus < 0 or self.p_minus < 0:
+        if h.p_plus is not None:
+            if h.p_plus < 0 or h.p_minus < 0:
                 raise ValueError("p_plus and p_minus must be non-negative")
-            if self.p_plus + self.p_minus != self.h11 - 1:
+            if h.p_plus + h.p_minus != h.h11 - 1:
                 raise ValueError("p_plus + p_minus must equal h11 - 1")
-        object.__setattr__(self, "components", tuple(tuple(c) for c in self.components))
+        return h._replace(components=tuple(tuple(c) for c in h.components))
 
     def require_split(self) -> tuple[int, int]:
         if self.p_plus is None or self.p_minus is None:
@@ -102,8 +106,7 @@ def prop_h20_lower_bound(h: HodgeData) -> int:
     return 2 * h.nu + 5 * p_plus + 4
 
 
-@dataclass(frozen=True)
-class ComponentBoundVerdict:
+class ComponentBoundVerdict(NamedTuple):
     lhs: int
     rhs: int
     satisfied: bool
@@ -140,8 +143,7 @@ def component_count_bound(h: HodgeData, k3: int) -> ComponentBoundVerdict:
 # -- the fixed fake-plane scenario ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class FakePlaneReport:
+class FakePlaneReport(NamedTuple):
     curve_case_equation: str
     curve_case_contradiction: bool
     lefschetz_fixed_points: int

@@ -11,8 +11,8 @@ m^(k-1)-fold branch curves, and the m^(k-2)-fold crossing points.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arrangement import Arrangement, IncidencePoint
 from .cyclotomic import _is_int
@@ -22,8 +22,7 @@ from .intersection import Blown, DivisorClass, exceptional, pairing, strict_tran
 BLOW_ALL_TRIPLE = "all_r_ge_3"
 
 
-@dataclass(frozen=True)
-class CoverModel:
+class CoverModel(NamedTuple):
     arrangement: Arrangement
     phi: Epimorphism
     blown_ids: tuple[int, ...]
@@ -121,16 +120,14 @@ def stratified_euler(
 # -- invariant report -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
+class CurveInvariants(NamedTuple):
     label: str
     self_int: int
     k_degree: int
     genus: int
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     m: int
     k: int
     k2: int
@@ -148,8 +145,8 @@ class InvariantReport:
             "euler": self.euler,
             "chi": self.chi,
             "my_defect": self.my_defect,
-            "line_curves": [vars(c) for c in self.line_curves],
-            "point_curves": [vars(c) for c in self.point_curves],
+            "line_curves": [c._asdict() for c in self.line_curves],
+            "point_curves": [c._asdict() for c in self.point_curves],
         }
 
 
@@ -216,8 +213,7 @@ def invariants(cover: CoverModel) -> InvariantReport:
 # -- tri-canonical decomposition ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThreeCanonicalDecomposition:
+class ThreeCanonicalDecomposition(NamedTuple):
     line_coeffs: tuple
     point_coeffs: tuple
     integral: bool

@@ -9,9 +9,8 @@ supported; every bundled example has m = 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclotomic import _is_int
 
@@ -99,43 +98,46 @@ def solve_mod_p(rows: list[Vector], rhs: Vector, p: int) -> Vector | None:
 # -- epimorphisms -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Epimorphism:
-    """phi: H_1 -> (Z/mZ)^k given by rows[i] = phi(lambda_i).
-
-    Construction refuses rows that are not an epimorphism: they must sum to
-    zero (the relation of H_1) and have rank k mod m, so every instance is
-    valid and no caller checks it again.
-    """
-
+class _EpimorphismFields(NamedTuple):
     m: int
     k: int
     rows: tuple[Vector, ...]
 
-    def __post_init__(self) -> None:
-        for name, value in (("m", self.m), ("k", self.k)):
+
+class Epimorphism(_EpimorphismFields):
+    """phi: H_1 -> (Z/mZ)^k given by rows[i] = phi(lambda_i).
+
+    Construction refuses rows that are not an epimorphism: they must sum to
+    zero (the relation of H_1) and have rank k mod m, so every instance made
+    by calling the class is valid and no caller checks it again.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Epimorphism:
+        phi = super().__new__(cls, *args, **kwargs)
+        for name, value in (("m", phi.m), ("k", phi.k)):
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not is_prime(self.m):
-            raise ValueError(f"modulus {self.m} is not prime")
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        bad = next((x for r in self.rows for x in r if not _is_int(x)), None)
+        if not is_prime(phi.m):
+            raise ValueError(f"modulus {phi.m} is not prime")
+        if phi.k < 1:
+            raise ValueError(f"k must be at least 1, got {phi.k}")
+        bad = next((x for r in phi.rows for x in r if not _is_int(x)), None)
         if bad is not None:
             raise ValueError(f"phi entries must be integers, got {bad!r}")
-        if any(len(r) != self.k for r in self.rows):
+        if any(len(r) != phi.k for r in phi.rows):
             raise ValueError("row length does not match k")
-        object.__setattr__(
-            self, "rows", tuple(tuple(x % self.m for x in r) for r in self.rows)
-        )
+        phi = phi._replace(rows=tuple(tuple(x % phi.m for x in r) for r in phi.rows))
         errors = []
-        sums = tuple(sum(r[j] for r in self.rows) % self.m for j in range(self.k))
+        sums = tuple(sum(r[j] for r in phi.rows) % phi.m for j in range(phi.k))
         if any(sums):
-            errors.append(f"row sums {sums} are not 0 mod {self.m}")
-        if rank_mod_p(self.rows, self.m) != self.k:
+            errors.append(f"row sums {sums} are not 0 mod {phi.m}")
+        if rank_mod_p(phi.rows, phi.m) != phi.k:
             errors.append("rows do not generate (Z/mZ)^k")
         if errors:
             raise ValueError(f"invalid epimorphism: {tuple(errors)}")
+        return phi
 
     @property
     def n(self) -> int:
@@ -161,8 +163,7 @@ def _independent(u: Vector, v: Vector, m: int) -> bool:
     return any((u[a] * v[b] - u[b] * v[a]) % m for a, b in combinations(range(len(u)), 2))
 
 
-@dataclass(frozen=True)
-class PointCheck:
+class PointCheck(NamedTuple):
     point_id: int
     incident_1based: tuple[int, ...]
     kind: str  # "blown" | "double" | "unresolved"
@@ -170,8 +171,7 @@ class PointCheck:
     detail: str
 
 
-@dataclass(frozen=True)
-class SmoothnessCertificate:
+class SmoothnessCertificate(NamedTuple):
     checks: tuple[PointCheck, ...]
     ok: bool
 
@@ -231,8 +231,7 @@ def smoothness_check(
 # -- covering kernel -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeckGroup:
+class DeckGroup(NamedTuple):
     """The deck group (Z/mZ)^k together with the kernel of the quotient map
     from the full (Z/mZ)^(n-1) cover, presented by a basis of zero-sum
     n-vectors gamma with sum over i<n of rows[i][j]*gamma_i = 0 for all j."""
@@ -240,7 +239,7 @@ class DeckGroup:
     m: int
     k: int
     n: int
-    kernel_basis: tuple[Vector, ...] = field(repr=False)
+    kernel_basis: tuple[Vector, ...]
 
     @property
     def order(self) -> int:

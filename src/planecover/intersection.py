@@ -9,25 +9,30 @@ exceptional curves, and m times the adjoint class (`cover.adjoint_class`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arrangement import Arrangement
 
 Blown = frozenset[int]  # the blown point ids
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class _DivisorClassFields(NamedTuple):
     h: int
     e: dict[int, int]  # blown point id -> coefficient of E_p
     blown: Blown
 
-    def __post_init__(self) -> None:
-        if not self.e.keys() <= self.blown:
+
+class DivisorClass(_DivisorClassFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> DivisorClass:
+        d = super().__new__(cls, *args, **kwargs)
+        if not d.e.keys() <= d.blown:
             raise ValueError(
                 f"exceptional coefficients outside the blow-up set: "
-                f"{sorted(self.e.keys() - self.blown)}"
+                f"{sorted(d.e.keys() - d.blown)}"
             )
+        return d
 
 
 def pairing(d1: DivisorClass, d2: DivisorClass) -> int:

@@ -13,7 +13,7 @@ orders, with no extra root-of-unity twist.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arrangement import (
     Arrangement,
@@ -82,8 +82,7 @@ def _mat_apply(mat: Matrix, v: Vector, m: int) -> Vector:
     return tuple(sum(mat[i][j] * v[j] for j in range(len(v))) % m for i in range(len(mat)))
 
 
-@dataclass(frozen=True)
-class RealizedSymmetry:
+class RealizedSymmetry(NamedTuple):
     """A line permutation with its anti-holomorphic flag, a 3x3 matrix M with
     M . sigma(line_i) ~ line_perm(i) (sigma = coefficient conjugation iff
     anti), and the deck-group automorphism it induces."""
@@ -94,8 +93,7 @@ class RealizedSymmetry:
     deck_aut: Matrix
 
 
-@dataclass(frozen=True)
-class KleinModel:
+class KleinModel(NamedTuple):
     """The group G = (Z/m)^k x| H of the cover's holomorphic and
     anti-holomorphic automorphisms that lift realized line symmetries.
 
@@ -180,8 +178,7 @@ def klein_model(cover: CoverModel) -> KleinModel:
 # -- real structures -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RealStructureClass:
+class RealStructureClass(NamedTuple):
     representative: tuple[int, Vector]
     size: int
     perm_cycles: str

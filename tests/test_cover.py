@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -401,7 +400,7 @@ def as_if_smooth(cover):
     """The cover with its certificate forced ok, so that the number checks
     behind it (integrality, the Noether quotient, adjunction) are reached on
     covers that are not smooth, k = 1 among them."""
-    return dataclasses.replace(cover, certificate=SmoothnessCertificate((), True))
+    return cover._replace(certificate=SmoothnessCertificate((), True))
 
 
 def outcome(fn, *args):

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 from fractions import Fraction
 from math import gcd
@@ -252,6 +251,9 @@ def test_arrangement_dataclass_copies():
     from planecover.arrangement import dual_hesse
 
     dh = dual_hesse()
-    fields = dataclasses.asdict(dh)
-    assert [tuple(row["coeffs"]) for row in fields["lines"]] == [line.coeffs for line in dh.lines]
-    assert pickle.loads(pickle.dumps(dh)) == dh
+    fields = dh._asdict()
+    assert list(fields) == ["lines", "points", "notes"]
+    assert [line._asdict()["coeffs"] for line in fields["lines"]] == [line.coeffs for line in dh.lines]
+    # the copies go through CycNumber.__reduce__
+    for copied in (copy.deepcopy(dh), pickle.loads(pickle.dumps(dh))):
+        assert type(copied) is type(dh) and copied == dh

@@ -1,9 +1,11 @@
 """Start-up: each command loads only the pipeline modules its report needs,
-and the package exports its names lazily.
+the package exports its names lazily, and no command loads `dataclasses` or
+`inspect` (the records are NamedTuples, so no code is generated at import).
 
 The module sets are read in a fresh interpreter per command, so they do not
 depend on what other tests imported; no timing is asserted."""
 
+import functools
 import importlib
 import json
 import os
@@ -69,19 +71,34 @@ if argv is None:
 else:
     from planecover import cli
     code = cli.run([*argv, "--out", os.devnull])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("planecover."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("planecover.") or m in HEAVY)]))
 """
 
+# standard-library modules that cost milliseconds to import and that no
+# command needs: `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`
+HEAVY = ("dataclasses", "inspect")
 
-def loaded_modules(argv):
+
+def fresh_modules(code, *args):
+    """The module names a fresh interpreter holds after running `code`."""
     path = [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     out = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        [sys.executable, "-c", f"HEAVY = {HEAVY!r}\n{code}", *args],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    code, modules = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def loaded_modules(argv):
+    code, modules = fresh_modules(PROBE, json.dumps(argv))
     return code, {m.removeprefix("planecover.") for m in modules}
+
+
+@functools.cache
+def bare_interpreter_modules():
+    """What `python -c pass` loads of HEAVY on this Python and site setup."""
+    return set(fresh_modules("import json, sys; print(json.dumps([m for m in HEAVY if m in sys.modules]))"))
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -96,6 +113,9 @@ def test_command_loads_only_its_modules(case, tmp_path):
     assert code == 0
     assert needed <= modules
     assert not modules & unused, sorted(modules & unused)
+    assert "dataclasses" not in modules
+    # some site set-ups import `inspect` before any planecover code runs
+    assert "inspect" not in modules or "inspect" in bare_interpreter_modules()
 
 
 def test_every_export_is_the_defining_modules_object(monkeypatch):
