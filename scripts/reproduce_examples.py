@@ -52,7 +52,7 @@ def main() -> None:
         if classes:
             betti = classes[0].real_part_betti
             print(
-                f"  maximal: {is_maximal(h, (betti,))} "
+                f"  maximal: {is_maximal(h._replace(components=(betti,)))} "
                 f"(real total {sum(betti)} vs {smith_total(h)})"
             )
         print()

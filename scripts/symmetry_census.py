@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from planecover.arrangement import automorphism_count, perm_cycles_str, realize_symmetry
+from planecover.arrangement import perm_cycles_str, realize_symmetry
 from planecover.catalog import PHI1, PHI2, PHI3, builtin_arrangement
 from planecover.symmetry import character_preserving_symmetries
 
@@ -29,7 +29,7 @@ def main() -> None:
         arr = builtin_arrangement(arr_name)
         preserving = character_preserving_symmetries(arr, phi)
         print(f"== {label} ({arr_name}) ==")
-        print(f"  incidence automorphisms: {automorphism_count(arr)}")
+        print(f"  incidence automorphisms: {arr.automorphism_order}")
         print(f"  character-preserving:    {len(preserving)}")
         for perm in preserving:
             for anti in (False, True):

@@ -48,12 +48,7 @@ _EXPORTS = {
         "three_canonical_decomposition",
     ),
     "cyclotomic": ("ZETA", "CycNumber", "parse_cyc"),
-    "homology": (
-        "DeckGroup",
-        "Epimorphism",
-        "galois_kernel",
-        "smoothness_check",
-    ),
+    "homology": ("Epimorphism", "galois_kernel", "smoothness_check"),
     "symmetry": ("KleinModel", "classify_real_structures", "deck_action_of", "klein_model"),
 }
 

@@ -51,13 +51,6 @@ class Line(NamedTuple):
         c0, c1, c2 = (parse_cyc(s) for s in strings)
         return cls.make(c0, c1, c2)
 
-    def contains(self, point: Vec3) -> bool:
-        return not (
-            self.coeffs[0] * point[0]
-            + self.coeffs[1] * point[1]
-            + self.coeffs[2] * point[2]
-        )
-
     def as_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
@@ -124,16 +117,11 @@ class Arrangement(_ArrangementFields):
         )
 
     @cached_property
-    def _automorphism_order(self) -> int:
-        """|Aut_comb|, from one listing per arrangement (`automorphism_count`)."""
+    def automorphism_order(self) -> int:
+        """|Aut_comb|, listed once per arrangement and kept on it: `symmetry
+        search`, `arrangement info --autos` and `paper verify` print it, and
+        nothing in the Klein model needs it."""
         return len(combinatorial_automorphisms(self))
-
-
-def automorphism_count(arr: Arrangement) -> int:
-    """|Aut_comb|, listed once per arrangement and kept on it: `symmetry
-    search`, `arrangement info --autos` and `paper verify` print it, and
-    nothing in the Klein model needs it."""
-    return arr._automorphism_order
 
 
 def build_arrangement(lines: list[Line] | tuple[Line, ...], notes: tuple[str, ...] = ()) -> Arrangement:

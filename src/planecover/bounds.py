@@ -72,20 +72,18 @@ def real_betti_total(components: tuple[Betti, ...]) -> int:
     return sum(sum(c) for c in components)
 
 
-def is_maximal(h: HodgeData, components: tuple[Betti, ...] | None = None) -> bool:
+def is_maximal(h: HodgeData) -> bool:
     """Smith bound attained: total real Betti equals the complex total."""
-    comps = h.components if components is None else components
-    real = real_betti_total(comps)
+    real = real_betti_total(h.components)
     total = smith_total(h)
     if real > total:
         raise ValueError(f"Smith bound violated: {real} > {total}")
     return real == total
 
 
-def lefschetz_trace(h: HodgeData, components: tuple[Betti, ...] | None = None) -> int:
+def lefschetz_trace(h: HodgeData) -> int:
     """Solve b0 - b1 + b2 = 1 + tr on the primitive (1,1)-part for tr."""
-    comps = h.components if components is None else components
-    trace = sum(c[0] - c[1] + c[2] for c in comps) - 1
+    trace = sum(c[0] - c[1] + c[2] for c in h.components) - 1
     if abs(trace) > h.h11 - 1:
         raise ValueError(
             f"trace {trace} exceeds the primitive (1,1) dimension {h.h11 - 1}"

@@ -150,9 +150,8 @@ def cover_from_json(data: dict) -> CoverModel:
     return CoverModel.build(arr, phi, blow)
 
 
-def resolve_cover(ref: str | dict) -> CoverModel:
-    if isinstance(ref, dict):
-        return cover_from_json(ref)
+def resolve_cover(ref: str) -> CoverModel:
+    """Accept 'builtin:<name>' or a cover JSON file path."""
     if ref.startswith("builtin:"):
         return builtin_cover(ref.split(":", 1)[1])
     return cover_from_json(read_json(ref))

@@ -46,11 +46,8 @@ def unique_profile_elements(charset: tuple[Character, ...], m: int) -> tuple[Cha
     return tuple(a for a, p in zip(charset, profiles) if freq[p] == 1)
 
 
-def act_on_character(perm: Perm, a: Character) -> Character:
-    """Left action moving the value at coordinate i to coordinate perm(i)."""
-    inv = invert_perm(perm)
-    return tuple(a[inv[i]] for i in range(len(a)))
-
-
 def preserves_charset(perm: Perm, charset: frozenset[Character]) -> bool:
-    return all(act_on_character(perm, a) in charset for a in charset)
+    """Whether the left action moving the value at coordinate i to
+    coordinate perm(i) maps the character set onto itself."""
+    inv = invert_perm(perm)
+    return all(tuple(a[j] for j in inv) in charset for a in charset)

@@ -30,8 +30,6 @@ if TYPE_CHECKING:
 
 
 def arrangement_report(arr: Arrangement, ref: str, with_autos: bool) -> dict:
-    from .arrangement import automorphism_count
-
     report = {
         "arrangement": ref,
         "lines": [line.as_strings() for line in arr.lines],
@@ -50,7 +48,7 @@ def arrangement_report(arr: Arrangement, ref: str, with_autos: bool) -> dict:
         "notes": list(arr.notes),
     }
     if with_autos:
-        report["automorphism_order"] = automorphism_count(arr)
+        report["automorphism_order"] = arr.automorphism_order
     return report
 
 
@@ -109,13 +107,13 @@ def characters_report(cover: CoverModel, ref: str) -> dict:
 
 
 def symmetry_report(cover: CoverModel, ref: str) -> dict:
-    from .arrangement import automorphism_count, perm_cycles_str
+    from .arrangement import perm_cycles_str
     from .symmetry import klein_model
 
     model = klein_model(cover)
     return {
         "cover": ref,
-        "combinatorial_automorphisms": automorphism_count(cover.arrangement),
+        "combinatorial_automorphisms": cover.arrangement.automorphism_order,
         "character_preserving": [perm_cycles_str(p) for p in model.character_preserving],
         "realized": [
             {
@@ -270,7 +268,7 @@ def _load_reference() -> dict:
 def current_reference_values() -> dict:
     """Recompute everything the bundled reference file pins down."""
     from . import bounds as bounds_mod
-    from .arrangement import automorphism_count, perm_cycles_str
+    from .arrangement import perm_cycles_str
     from .catalog import PHI1, PHI2, builtin_arrangement, builtin_cover
     from .characters import enumerate_characters
     from .cover import (
@@ -296,7 +294,7 @@ def current_reference_values() -> dict:
                 for i, line in enumerate(dh.lines)
                 if all(c.is_real() for c in line.coeffs)
             ],
-            "automorphism_order": automorphism_count(dh),
+            "automorphism_order": dh.automorphism_order,
         },
         "complete_quadrilateral": {
             "t": {str(r): c for r, c in sorted(cq.t.items())},
@@ -304,7 +302,7 @@ def current_reference_values() -> dict:
             "doubles": sorted(
                 list(p.incident_1based()) for p in cq.points if p.r == 2
             ),
-            "automorphism_order": automorphism_count(cq),
+            "automorphism_order": cq.automorphism_order,
         },
         "characters": {
             "A1": [list(a) for a in enumerate_characters(PHI1)],
@@ -352,6 +350,7 @@ def current_reference_values() -> dict:
             ],
         }
     h = bounds_mod.hodge_from_surface(333, 111, q=0, nu=0)
+    example2_real = h._replace(components=((1, 5, 1),))
     fp = bounds_mod.fake_plane_involution_check()
     h_split = bounds_mod.HodgeData(
         h10=0, h20=36, h11=37, nu=0, p_plus=0, p_minus=36
@@ -360,8 +359,8 @@ def current_reference_values() -> dict:
         "nine_line_smith_total": bounds_mod.smith_total(h),
         "nine_line_hodge": [h.h10, h.h20, h.h11],
         "example2_real_total": 7,
-        "example2_maximal": bounds_mod.is_maximal(h, ((1, 5, 1),)),
-        "example2_lefschetz_trace": bounds_mod.lefschetz_trace(h, ((1, 5, 1),)),
+        "example2_maximal": bounds_mod.is_maximal(example2_real),
+        "example2_lefschetz_trace": bounds_mod.lefschetz_trace(example2_real),
         "filter_7_12_27": [list(s) for s in nonnegative_solutions((7, 12), 27)],
         "filter_7_12_9": [list(s) for s in nonnegative_solutions((7, 12), 9)],
         "fake_plane": fp.to_dict(),
@@ -461,7 +460,6 @@ def _arg(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
     return names, kwargs
 
 
-_REF = _arg("ref")
 _COVER_REF = _arg("ref", help="builtin:example1|example2|example3 or a JSON file")
 
 # (group, action) -> (group help, action help, arguments, handler); a handler
@@ -492,19 +490,19 @@ COMMANDS = {
     ("characters", "list"): (
         "character set reports",
         "enumerate the character set",
-        (_REF,),
+        (_COVER_REF,),
         lambda a: (characters_report(resolve_cover(a.ref), a.ref), 0),
     ),
     ("symmetry", "search"): (
         "symmetry search",
         "realizable character-preserving symmetries",
-        (_REF,),
+        (_COVER_REF,),
         lambda a: (symmetry_report(resolve_cover(a.ref), a.ref), 0),
     ),
     ("real", "classify"): (
         "real structure classification",
         "conjugacy classes of real structures",
-        (_REF,),
+        (_COVER_REF,),
         lambda a: (real_report(resolve_cover(a.ref), a.ref), 0),
     ),
     ("bounds", "check"): (

@@ -241,45 +241,41 @@ def _point_coeff(point: IncidencePoint, m: int, line_coeffs) -> int | Fraction:
 def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposition:
     """Express 3K of the cover as a combination of branch-curve classes.
 
-    When 3*K_tilde equals minus the sum of strict transforms, that is when
-    n = 9 and every blown point is 3-fold, the coefficients are the uniform
-    (2m-3, 3(m-1)); otherwise a near-balanced integral distribution is
-    searched and reported, or the rational symmetric solution with
-    integral=False.
+    The line coefficients are spread as evenly as an integral distribution
+    allows, trying the lines that get one more in lexicographic order, and
+    the first distribution with every coefficient positive is reported;
+    otherwise the rational symmetric solution, with integral=False.  When
+    3*K_tilde equals minus the sum of strict transforms, that is when n = 9
+    and every blown point is 3-fold (`canonical_route`), the distribution
+    is the uniform (2m-3, 3(m-1)).
     """
     cover.require_smooth()
     arr, blown, m = cover.arrangement, cover.blown_ids, cover.m
     n = arr.n
     blown_points = [arr.points[pid] for pid in blown]
-
     # 3K_tilde = -9H + 3 sum E_p and -(sum of strict transforms) = -nH + sum r_p E_p
-    if n == 9 and all(p.r == 3 for p in blown_points):
-        line_coeffs = tuple([2 * m - 3] * n)
-        # reduces to 3(m-1) at every blown point, all of them 3-fold
-        point_coeffs = tuple(_point_coeff(p, m, line_coeffs) for p in blown_points)
-        return ThreeCanonicalDecomposition(
-            line_coeffs,
-            point_coeffs,
-            integral=True,
-            all_positive=all(c > 0 for c in line_coeffs + point_coeffs),
-            canonical_route=True,
-            note="3K_tilde = -(sum of strict transforms); uniform coefficients",
-        )
+    canonical_route = n == 9 and all(p.r == 3 for p in blown_points)
 
     total = 3 * (n * (m - 1) - 3 * m)  # sum of line coefficients
     base, rem = divmod(total, n)
-    for extra in itertools.combinations(range(n), rem):
-        c = [base + (1 if i in extra else 0) for i in range(n)]
-        d = [_point_coeff(p, m, c) for p in blown_points]
-        if all(x > 0 for x in c) and all(x > 0 for x in d):
-            return ThreeCanonicalDecomposition(
-                tuple(c),
-                tuple(d),
-                integral=True,
-                all_positive=True,
-                canonical_route=False,
-                note="near-balanced integral distribution (not unique)",
-            )
+    # rem < n lines get one more, so some line keeps `base`, and a blown point
+    # gains at most min(r_p, rem) over its coefficient with every line at `base`
+    floor = [base] * n
+    if base > 0 and all(_point_coeff(p, m, floor) + min(p.r, rem) > 0 for p in blown_points):
+        for extra in itertools.combinations(range(n), rem):
+            c = [base + (1 if i in extra else 0) for i in range(n)]
+            d = [_point_coeff(p, m, c) for p in blown_points]
+            if all(x > 0 for x in d):
+                return ThreeCanonicalDecomposition(
+                    tuple(c),
+                    tuple(d),
+                    integral=True,
+                    all_positive=True,
+                    canonical_route=canonical_route,
+                    note="3K_tilde = -(sum of strict transforms); uniform coefficients"
+                    if canonical_route
+                    else "near-balanced integral distribution (not unique)",
+                )
 
     c_rat = [Fraction(total, n)] * n
     d_rat = [_point_coeff(p, m, c_rat) for p in blown_points]

@@ -101,28 +101,11 @@ class CycNumber:
     def __rtruediv__(self, other: CycNumber | _RationalLike) -> CycNumber:
         return CycNumber(other) / self
 
-    def __pow__(self, exponent: int) -> CycNumber:
-        if exponent < 0:
-            return (ONE / self) ** (-exponent)
-        result = ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- field automorphism and predicates ---------------------------------
 
     def conjugate(self) -> CycNumber:
         """Complex conjugation: a + b*zeta maps to (a+b) - b*zeta."""
         return _reduced(self.p + self.q, -self.q, self.d)
-
-    def norm(self) -> Fraction:
-        """x * conj(x) = a^2 + a*b + b^2, a rational."""
-        return Fraction(self.p * self.p + self.p * self.q + self.q * self.q, self.d * self.d)
 
     def is_real(self) -> bool:
         return self.q == 0

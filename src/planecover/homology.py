@@ -231,26 +231,12 @@ def smoothness_check(
 # -- covering kernel -----------------------------------------------------------
 
 
-class DeckGroup(NamedTuple):
-    """The deck group (Z/mZ)^k together with the kernel of the quotient map
-    from the full (Z/mZ)^(n-1) cover, presented by a basis of zero-sum
-    n-vectors gamma with sum over i<n of rows[i][j]*gamma_i = 0 for all j."""
-
-    m: int
-    k: int
-    n: int
-    kernel_basis: tuple[Vector, ...]
-
-    @property
-    def order(self) -> int:
-        return self.m**self.k
-
-
-def galois_kernel(phi: Epimorphism) -> DeckGroup:
+def galois_kernel(phi: Epimorphism) -> tuple[Vector, ...]:
+    """A basis of the kernel of the quotient map from the full (Z/mZ)^(n-1)
+    cover onto the deck group (Z/mZ)^k: zero-sum n-vectors gamma with
+    sum over i<n of rows[i][j]*gamma_i = 0 for all j."""
     n, m, k = phi.n, phi.m, phi.k
     equations = [tuple(phi.rows[i][j] for i in range(n - 1)) for j in range(k)]
-    short_basis = nullspace_mod_p(equations, m, n - 1)
-    basis = tuple(
-        tuple(v) + ((-sum(v)) % m,) for v in short_basis
+    return tuple(
+        tuple(v) + ((-sum(v)) % m,) for v in nullspace_mod_p(equations, m, n - 1)
     )
-    return DeckGroup(m=m, k=k, n=n, kernel_basis=basis)

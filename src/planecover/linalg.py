@@ -6,7 +6,7 @@ projective objects can be deduplicated with dict keys.
 
 from __future__ import annotations
 
-from .cyclotomic import ONE, ZERO, CycNumber
+from .cyclotomic import ONE, CycNumber
 
 Vec3 = tuple[CycNumber, CycNumber, CycNumber]
 Mat3 = tuple[Vec3, Vec3, Vec3]
@@ -84,10 +84,6 @@ def inverse(m: Mat3) -> Mat3:
         raise ValueError("singular matrix")
     inv = ONE / d
     return tuple(scale(row, inv) for row in adjugate(m))  # type: ignore[return-value]
-
-
-def identity() -> Mat3:
-    return ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
 
 
 def normalize_matrix(m: Mat3) -> Mat3:

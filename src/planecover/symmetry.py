@@ -130,19 +130,16 @@ class KleinModel(NamedTuple):
     def has_anti(self) -> bool:
         return any(r.anti for r in self.realized)
 
-    def index_of(self, perm: Perm, anti: bool) -> int:
-        for idx, r in enumerate(self.realized):
-            if r.perm == perm and r.anti == anti:
-                return idx
-        raise KeyError(f"({perm_cycles_str(perm)}, anti={anti}) is not realized")
-
     def multiply(self, x: tuple[int, Vector], y: tuple[int, Vector]) -> tuple[int, Vector]:
         i1, d1 = x
         i2, d2 = y
         r1, r2 = self.realized[i1], self.realized[i2]
         perm = compose_perms(r1.perm, r2.perm)
         anti = r1.anti != r2.anti
-        idx = self.index_of(perm, anti)
+        # H is a group, so the product is realized
+        idx = next(
+            i for i, r in enumerate(self.realized) if r.perm == perm and r.anti == anti
+        )
         moved = _mat_apply(r1.deck_aut, d2, self.m)
         delta = tuple((a + b) % self.m for a, b in zip(d1, moved))
         return (idx, delta)

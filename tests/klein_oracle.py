@@ -22,10 +22,15 @@ def elements(model: KleinModel):
             yield (idx, delta)
 
 
+def index_of(model: KleinModel, perm: tuple[int, ...], anti: bool) -> int:
+    """The index in H of the realized symmetry (perm, anti)."""
+    return {(r.perm, r.anti): i for i, r in enumerate(model.realized)}[perm, anti]
+
+
 def inverse(model: KleinModel, x: Element) -> Element:
     i, d = x
     r = model.realized[i]
-    idx = model.index_of(invert_perm(r.perm), r.anti)
+    idx = index_of(model, invert_perm(r.perm), r.anti)
     moved = _mat_apply(model.realized[idx].deck_aut, d, model.m)
     return (idx, tuple((-v) % model.m for v in moved))
 

@@ -15,6 +15,7 @@ from planecover.arrangement import (
     Perm,
     _general_position_quadruple,
 )
+from planecover.cyclotomic import ONE, ZERO
 from planecover.linalg import (
     Mat3,
     Vec3,
@@ -29,6 +30,8 @@ from planecover.linalg import (
     scale,
     transpose,
 )
+
+IDENTITY3: Mat3 = ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
 
 
 def solve3(m: Mat3, rhs: Vec3) -> Vec3:

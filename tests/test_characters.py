@@ -7,7 +7,6 @@ import pytest
 
 from planecover.catalog import PHI1, PHI2, PHI3
 from planecover.characters import (
-    act_on_character,
     enumerate_characters,
     preserves_charset,
     r_profile,
@@ -17,6 +16,14 @@ from planecover.homology import Epimorphism
 
 ALPHA = (1, 1, 1, 3, 3, 0, 0, 0, 1)
 BETA = (1, 0, 1, 3, 0, 1, 1, 2, 1)
+
+
+def act_on_character(perm, a):
+    """Left action moving the value at coordinate i to coordinate perm(i)."""
+    moved = [0] * len(a)
+    for i, x in enumerate(a):
+        moved[perm[i]] = x
+    return tuple(moved)
 
 
 def character_action(perm, charset):

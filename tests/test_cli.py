@@ -463,6 +463,8 @@ def test_every_command_has_help(capsys, command):
     code, out = capture(capsys, [*command, "--help"])
     assert code == 0
     assert out.startswith(f"usage: planecover {' '.join(command)} [-h]")
+    for names, kwargs in cli.COMMANDS[command][2]:
+        assert kwargs.get("help"), names
 
 
 def test_top_level_help_names_every_group(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +17,7 @@ from lattice_oracle import (
     scanned_euler,
     strict_transform,
 )
+from planecover import cover as cover_module
 from planecover.arrangement import Line, build_arrangement, complete_quadrilateral, dual_hesse
 from planecover.catalog import PHI3, builtin_cover
 from planecover.cover import (
@@ -507,8 +509,37 @@ def test_canonical_route_needs_nine_lines_and_only_triple_points(build):
     for blow in (triples, triples + by_r[2][:1], triples + higher, list(range(len(arr.points)))):
         cover = CoverModel.build(arr, phi, blow)
         assert_matches_lattice(cover)
-        routes.append(three_canonical_decomposition(as_if_smooth(cover)).canonical_route)
+        dec = three_canonical_decomposition(as_if_smooth(cover))
+        routes.append(dec.canonical_route)
+        if dec.canonical_route:
+            # the uniform coefficients of 3K_tilde = -(sum of strict transforms)
+            assert dec.line_coeffs == (2 * 5 - 3,) * 9
+            assert dec.point_coeffs == (3 * (5 - 1),) * len(blow)
+            assert dec.note == "3K_tilde = -(sum of strict transforms); uniform coefficients"
     assert routes == [arr.n == 9, False, arr.n == 9 and not higher, False]
+
+
+def test_three_canonical_skips_the_search_when_no_distribution_can_work(monkeypatch):
+    # 25 lines through [0:0:1] and z = 0, m = 5, the 25-fold point blown:
+    # base = 10, rem = 7, and the blown point's coefficient is at most
+    # 15 - 3*4*24 + 25*10 + 7 = -16 over all C(26, 7) subsets
+    lines = [Line.make(CycNumber(1), CycNumber(t), CycNumber(0)) for t in range(25)]
+    arr = build_arrangement(lines + [Line.make(CycNumber(0), CycNumber(0), CycNumber(1))])
+    assert arr.t == {2: 25, 25: 1}
+    phi = Epimorphism(m=5, k=2, rows=((0, 1),) * 24 + ((4, 1), (1, 0)))
+    pencil = next(pid for pid, p in enumerate(arr.points) if p.r == 25)
+    cover = CoverModel.build(arr, phi, [pencil])
+    assert cover.certificate.ok
+
+    def no_search(*args):
+        raise AssertionError("line subsets searched")
+
+    monkeypatch.setattr(cover_module, "itertools", SimpleNamespace(combinations=no_search))
+    dec = three_canonical_decomposition(cover)
+    assert dec.line_coeffs == (Fraction(267, 26),) * 26
+    assert dec.point_coeffs == (Fraction(-423, 26),)
+    assert not (dec.integral or dec.all_positive or dec.canonical_route)
+    assert dec.note == "no positive integral distribution found; symmetric rational solution"
 
 
 ORACLE_ARRANGEMENTS = {

@@ -103,7 +103,7 @@ def test_shared_arrangement_equals_a_fresh_build_after_every_command(tmp_path):
         assert (shared.t, shared.notes) == (arr.t, arr.notes)
         assert shared._search_tables == arr._search_tables
         assert shared._frame == arr._frame
-        assert shared._automorphism_order == arr._automorphism_order
+        assert shared.automorphism_order == arr.automorphism_order
 
 
 def test_a_rewritten_file_resolves_to_its_new_lines(tmp_path):

@@ -26,11 +26,9 @@ from planecover.cover import (
     three_canonical_decomposition,
 )
 from planecover.homology import (
-    DeckGroup,
     Epimorphism,
     PointCheck,
     SmoothnessCertificate,
-    galois_kernel,
 )
 from planecover.intersection import DivisorClass
 from planecover.symmetry import (
@@ -64,7 +62,6 @@ def samples():
         Epimorphism: cover.phi,
         PointCheck: cover.certificate.checks[0],
         SmoothnessCertificate: cover.certificate,
-        DeckGroup: galois_kernel(cover.phi),
         DivisorClass: adjoint_class(arr, frozenset(cover.blown_ids), cover.m),
         RealizedSymmetry: model.realized[-1],
         KleinModel: model,

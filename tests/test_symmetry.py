@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 
 from autos_oracle import annihilator_filter, blow_up_filter
-from klein_oracle import anti_involutions, brute_force_classify, elements, inverse, is_involution
+from klein_oracle import (
+    anti_involutions,
+    brute_force_classify,
+    elements,
+    index_of,
+    inverse,
+    is_involution,
+)
+from realize_oracle import IDENTITY3
 from planecover.arrangement import (
     Line,
     build_arrangement,
@@ -89,10 +97,8 @@ def test_klein_model_example2(model2):
     realized = {(r.perm, r.anti) for r in model2.realized}
     assert realized == {(IDENTITY9, False), (CONJ_PERM, True)}
     # the anti generator is plain coefficient conjugation
-    from planecover.linalg import identity
-
     anti = next(r for r in model2.realized if r.anti)
-    assert anti.matrix == identity()
+    assert anti.matrix == IDENTITY3
     assert anti.deck_aut == ((4, 0), (0, 4))
 
 
@@ -120,7 +126,7 @@ def test_deck_action_homomorphism_on_models(model2, model3):
 
             perm = compose_perms(r1.perm, r2.perm)
             anti = r1.anti != r2.anti
-            idx = model.index_of(perm, anti)
+            idx = index_of(model, perm, anti)
             composed = model.realized[idx].deck_aut
             m = model.m
             k = model.k
@@ -332,7 +338,7 @@ def test_klein_model_group_law(name, cq):
     model = klein_model(named_cover(name, cq))
     group = list(elements(model))
     members = set(group)
-    one = (model.index_of(tuple(range(model.cover.arrangement.n)), False), (0,) * model.k)
+    one = (index_of(model, tuple(range(model.cover.arrangement.n)), False), (0,) * model.k)
     for x in group:
         assert model.multiply(one, x) == x == model.multiply(x, one)
         x_inv = inverse(model, x)
@@ -348,9 +354,17 @@ def test_klein_model_group_law(name, cq):
 # -- the annihilator filter against the enumerated character set -------------
 
 
+def sixth_roots():
+    """1, zeta, ..., zeta^5, by repeated products."""
+    roots = [ONE]
+    for _ in range(5):
+        roots.append(roots[-1] * ZETA)
+    return roots
+
+
 def hesse():
     """The 12 lines through the 9 flexes of x^3 + y^3 + z^3 (t2 = 12, t4 = 9)."""
-    cube = [ZETA ** (2 * j) for j in range(3)]
+    cube = sixth_roots()[::2]
     axes = [Line.make(ONE, ZERO, ZERO), Line.make(ZERO, ONE, ZERO), Line.make(ZERO, ZERO, ONE)]
     return build_arrangement(axes + [Line.make(ONE, a, b) for a in cube for b in cube])
 
@@ -360,7 +374,7 @@ def ceva6_plus_3():
     axes = [Line.make(ONE, ZERO, ZERO), Line.make(ZERO, ONE, ZERO), Line.make(ZERO, ZERO, ONE)]
     return build_arrangement(axes + [
         line
-        for r in (ZETA**j for j in range(6))
+        for r in sixth_roots()
         for line in (Line.make(ONE, -r, ZERO), Line.make(ZERO, ONE, -r), Line.make(-r, ZERO, ONE))
     ])
 
@@ -560,4 +574,4 @@ def test_topology_cross_checks(name, cq):
         assert euler_r == betti_r[0] - betti_r[1] + betti_r[2]
         assert (euler_r - rep.euler) % 2 == 0
         assert sum(betti_r) <= smith_total(h)
-        assert lefschetz_trace(h, (betti_r,)) == cls.real_part_euler - 1
+        assert lefschetz_trace(h._replace(components=(betti_r,))) == cls.real_part_euler - 1
