@@ -1,4 +1,8 @@
-"""Run the three bundled cover pipelines end to end and print the reports.
+"""Print the CLI's reports for the paper's three covers, then `paper verify`.
+
+Each bundled cover goes through `cover invariants`, `symmetry search` and
+`real classify`; the reports are the CLI's own text, printed in that order.
+The exit code is the first nonzero one, so a `paper verify` mismatch fails.
 
 Usage: python scripts/reproduce_examples.py
 """
@@ -10,53 +14,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from planecover.bounds import hodge_from_surface, is_maximal, smith_total
-from planecover.catalog import builtin_cover
-from planecover.cover import (
-    generator_words,
-    invariants,
-    three_canonical_decomposition,
-    word_str,
-)
-from planecover.symmetry import classify_real_structures, klein_model
+from planecover.cli import run
 
-
-def main() -> None:
-    for name in ("example1", "example2", "example3"):
-        cover = builtin_cover(name)
-        rep = invariants(cover)
-        model = klein_model(cover)
-        classes = classify_real_structures(model)
-        dec = three_canonical_decomposition(cover)
-        print(f"== {name} ==")
-        print(f"  smooth: {cover.certificate.ok}")
-        print(f"  K^2 = {rep.k2}, e = {rep.euler}, chi = {rep.chi}, K^2 - 3e = {rep.my_defect}")
-        print(f"  line curves: self = {rep.line_curves[0].self_int}, "
-              f"K-degree = {rep.line_curves[0].k_degree}, genus = {rep.line_curves[0].genus}")
-        print(f"  point curves: self = {rep.point_curves[0].self_int}, "
-              f"K-degree = {rep.point_curves[0].k_degree}, genus = {rep.point_curves[0].genus}")
-        print(f"  3K coefficients: lines {dec.line_coeffs}, points {dec.point_coeffs}")
-        for j, w in enumerate(generator_words(cover.phi)):
-            print(f"  {word_str(w, j, cover.m)}")
-        print(f"  Klein group order: {model.order} (anti elements: {model.has_anti})")
-        for cls in classes:
-            print(
-                f"  real class {cls.perm_cycles}: size {cls.size}, "
-                f"fixed lines {cls.fixed_lines}, real blown centers {cls.n_real_blown}, "
-                f"real part betti {cls.real_part_betti}"
-            )
-        if not classes:
-            print("  no real structures (and no anti-holomorphic diffeomorphisms)")
-        h = hodge_from_surface(rep.k2, rep.euler, q=0, nu=0)
-        print(f"  Smith total upstairs: {smith_total(h)}")
-        if classes:
-            betti = classes[0].real_part_betti
-            print(
-                f"  maximal: {is_maximal(h._replace(components=(betti,)))} "
-                f"(real total {sum(betti)} vs {smith_total(h)})"
-            )
-        print()
-
+COMMANDS = ("cover invariants", "symmetry search", "real classify")
+INVOCATIONS = [
+    [*command.split(), f"builtin:example{i}"] for i in (1, 2, 3) for command in COMMANDS
+] + [["paper", "verify"]]
 
 if __name__ == "__main__":
-    main()
+    codes = [run(argv) for argv in INVOCATIONS]
+    sys.exit(next((code for code in codes if code), 0))

@@ -22,12 +22,6 @@ from .homology import Epimorphism
 if TYPE_CHECKING:  # the cover modules load with the first cover resolved
     from .cover import CoverModel
 
-# triple-point index sets of the nine-line arrangement, 1-based
-DUAL_HESSE_TRIPLES = (
-    (1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 4, 7), (2, 5, 8), (3, 6, 9),
-    (1, 5, 9), (3, 5, 7), (1, 6, 8), (3, 4, 8), (2, 4, 9), (2, 6, 7),
-)
-
 PHI1 = Epimorphism(
     m=5,
     k=2,

@@ -564,7 +564,7 @@ def run(argv: list[str]) -> int:
     try:
         report, code = handler(args)
         _emit(report, f"{args.group} {args.action}", args.format, args.out)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return code

@@ -20,7 +20,7 @@ from planecover.bounds import (
     prop_h20_lower_bound,
     smith_total,
 )
-from planecover.catalog import DUAL_HESSE_TRIPLES, PHI1, PHI2
+from planecover.catalog import PHI1, PHI2
 from planecover.characters import enumerate_characters, r_profile, unique_profile_elements
 from planecover.cover import invariants, nonnegative_solutions
 from planecover.cyclotomic import CycNumber
@@ -32,6 +32,7 @@ from planecover.symmetry import (
 
 from autos_oracle import points_on_line
 from realize_oracle import IDENTITY3
+from test_arrangement import DUAL_HESSE_TRIPLES
 from test_homology import loop_pairing, random_valid_phi
 
 

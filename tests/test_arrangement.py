@@ -18,7 +18,6 @@ from planecover.arrangement import (
     perm_cycles_str,
     realize_symmetry,
 )
-from planecover.catalog import DUAL_HESSE_TRIPLES
 from planecover.cyclotomic import ONE, ZERO, ZETA, CycNumber
 from planecover.linalg import conj_vec, dot, matmul, normalize_matrix
 from planecover.symmetry import character_preserving_symmetries
@@ -27,6 +26,12 @@ from test_homology import random_valid_phi
 from test_symmetry import ceva6_plus_3, invariant_phi
 
 CONJ_PERM = (0, 2, 1, 5, 4, 3, 7, 6, 8)  # (2 3)(4 6)(7 8), 0-based
+
+# triple-point index sets of the nine-line arrangement, 1-based
+DUAL_HESSE_TRIPLES = (
+    (1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 4, 7), (2, 5, 8), (3, 6, 9),
+    (1, 5, 9), (3, 5, 7), (1, 6, 8), (3, 4, 8), (2, 4, 9), (2, 6, 7),
+)
 
 
 def line_of_ints(a, b, c):

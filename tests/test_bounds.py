@@ -1,7 +1,9 @@
 import itertools
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from planecover.bounds import (
     HodgeData,
@@ -24,6 +26,34 @@ def test_smith_total_nine_line_covers():
     assert smith_total(h) == 111
     # b2 = 2*36 + 37 = 109, and the total equals e(X) for these surfaces
     assert 2 + 2 * h.h20 + h.h11 - 2 == 109
+
+
+counts = st.integers(0, 60)
+
+
+@given(counts, counts, counts, st.integers(0, 8))
+def test_smith_total_is_euler_plus_8q_plus_4nu(h10, h20, h11, nu):
+    # b1 = b3 = 2 h10 and b2 = 2 h20 + h11, so e = 2 - 4 h10 + 2 h20 + h11,
+    # the Betti total is e + 8 h10, and the 2-torsion of H_1 adds nu to each
+    # of H_1, H_2 (twice) and H_3 with Z/2 coefficients
+    e = 2 - 4 * h10 + 2 * h20 + h11
+    assert smith_total(HodgeData(h10, h20, h11, nu)) == e + 8 * h10 + 4 * nu
+
+
+@given(counts, counts, counts, st.integers(0, 8))
+def test_smith_total_through_hodge_from_surface(q, pg, h11, nu):
+    e = 2 - 4 * q + 2 * pg + h11
+    k2 = 12 * (1 - q + pg) - e
+    h = hodge_from_surface(k2, e, q, nu)
+    assert (h.h10, h.h20, h.h11, h.nu) == (q, pg, h11, nu)
+    assert smith_total(h) == e + 8 * q + 4 * nu
+
+
+def test_smith_total_example2_hodge_triple():
+    # (h10, h20, h11) = (2, 38, 41), the q = 2 figures for example2: e + 8q
+    h = hodge_from_surface(333, 111, q=2)
+    assert (h.h10, h.h20, h.h11) == (2, 38, 41)
+    assert smith_total(h) == 111 + 8 * 2 == 127
 
 
 def test_smith_total_projective_plane():

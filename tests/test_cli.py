@@ -1,5 +1,8 @@
 import argparse
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -507,3 +510,19 @@ def test_symmetry_search_builds_the_incidence_tables_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["combinatorial_automorphisms"] == 432
     assert calls == ["_incidence", "_search_order"]
+
+
+def test_reproduce_examples_prints_only_the_cli_reports(capsys):
+    # the script adds nothing of its own: its stdout is the concatenated
+    # reports of the same ten invocations through cli.run
+    commands = (("cover", "invariants"), ("symmetry", "search"), ("real", "classify"))
+    expected = []
+    for name in ("example1", "example2", "example3"):
+        for group, action in commands:
+            expected.append(capture(capsys, [group, action, f"builtin:{name}"]))
+    expected.append(capture(capsys, ["paper", "verify"]))
+    assert [code for code, _ in expected] == [0] * 10
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_examples.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(out for _, out in expected).encode()
