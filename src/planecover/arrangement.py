@@ -117,6 +117,19 @@ class Arrangement(_ArrangementFields):
         )
 
     @cached_property
+    def _realizations(self) -> dict[tuple[Perm, bool], Mat3 | None]:
+        """`realize_symmetry`'s answers by (perm, anti), filled as they are
+        asked for: the commands ask only about incidence automorphisms, so
+        at most 2 |Aut_comb| entries, and each is solved once however many
+        covers of the arrangement ask."""
+        return {}
+
+    @cached_property
+    def _fixed_points(self) -> dict[tuple[Mat3, bool], tuple[IncidencePoint, ...]]:
+        """`fixed_points_of`'s answers by (matrix, anti), filled as asked."""
+        return {}
+
+    @cached_property
     def automorphism_order(self) -> int:
         """|Aut_comb|, listed once per arrangement and kept on it: `symmetry
         search`, `arrangement info --autos` and `paper verify` print it, and
@@ -438,13 +451,25 @@ def _scaled_frame(vs: list[Vec3]) -> Mat3:
 def realize_symmetry(arr: Arrangement, perm: Perm, anti: bool) -> Mat3 | None:
     """Return a matrix realizing (perm, anti) on line coefficients, or None.
 
-    M = W adj(V), for the scaled frames V and W of a quadruple of lines in
-    general position and of its images, is verified exactly on every line (a
-    degenerate image quadruple fails it); absence of a matrix is a definite
-    answer, not a failure.
+    The answer depends on the arrangement and (perm, anti) only, so it is
+    solved once (`_realize`) and kept on the arrangement
+    (`Arrangement._realizations`); only permutations enter the memo, so a
+    non-permutation raises ValueError every time.
     """
-    if sorted(perm) != list(range(arr.n)):
-        raise ValueError("perm is not a permutation of the lines")
+    perm = tuple(perm)
+    memo = arr._realizations
+    if (perm, anti) not in memo:
+        if sorted(perm) != list(range(arr.n)):
+            raise ValueError("perm is not a permutation of the lines")
+        memo[perm, anti] = _realize(arr, perm, anti)
+    return memo[perm, anti]
+
+
+def _realize(arr: Arrangement, perm: Perm, anti: bool) -> Mat3 | None:
+    """M = W adj(V), for the scaled frames V and W of a quadruple of lines in
+    general position and of its images, verified exactly on every line (a
+    degenerate image quadruple fails it); absence of a matrix is a definite
+    answer, not a failure."""
     quad, source_adjugates = arr._frame
     m = matmul(_scaled_frame([arr.lines[perm[i]].coeffs for i in quad]), source_adjugates[anti])
     sigma = conj_vec if anti else (lambda v: v)
@@ -455,9 +480,18 @@ def realize_symmetry(arr: Arrangement, perm: Perm, anti: bool) -> Mat3 | None:
     return normalize_matrix(m)
 
 
-def fixed_points_of(arr: Arrangement, matrix: Mat3, anti: bool) -> list[IncidencePoint]:
+def fixed_points_of(arr: Arrangement, matrix: Mat3, anti: bool) -> tuple[IncidencePoint, ...]:
     """Incidence points fixed by the (anti-)projectivity realized by `matrix`,
-    which maps a point x to (M^T)^(-1) sigma(x), a multiple of adj(M)^T sigma(x)."""
-    n = transpose(adjugate(matrix))
-    sigma = conj_vec if anti else (lambda v: v)
-    return [p for p in arr.points if canonical(matvec(n, sigma(p.coords))) == p.coords]
+    which maps a point x to (M^T)^(-1) sigma(x), a multiple of adj(M)^T sigma(x).
+
+    Kept on the arrangement by (matrix, anti) (`Arrangement._fixed_points`),
+    as a tuple, so that no caller can change what the next one reads.
+    """
+    memo = arr._fixed_points
+    if (matrix, anti) not in memo:
+        n = transpose(adjugate(matrix))
+        sigma = conj_vec if anti else (lambda v: v)
+        memo[matrix, anti] = tuple(
+            p for p in arr.points if canonical(matvec(n, sigma(p.coords))) == p.coords
+        )
+    return memo[matrix, anti]

@@ -10,7 +10,7 @@ m^(k-1)-fold branch curves, and the m^(k-2)-fold crossing points.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -238,13 +238,43 @@ def _point_coeff(point: IncidencePoint, m: int, line_coeffs) -> int | Fraction:
     return 3 * m - 3 * (m - 1) * (point.r - 1) + sum(line_coeffs[i] for i in point.incident)
 
 
+def _extra_lines(
+    start: int,
+    slots: int,
+    needs: list[int],
+    incident: list[tuple[int, ...]],
+    on_line: list[list[int]],
+) -> tuple[int, ...] | None:
+    """The lexicographically first `slots` lines from `start` on that include
+    at least needs[b] of the lines incident[b] through each blown point b, or
+    None.  Depth-first in the order of `itertools.combinations`, dropping a
+    prefix as soon as some point needs more lines than the slots left or
+    than its lines from `start` on; `needs` is restored on return."""
+    for need, lines in zip(needs, incident):
+        if need > min(slots, len(lines) - bisect_left(lines, start)):
+            return None
+    if slots == 0:
+        return ()
+    for i in range(start, len(on_line) - slots + 1):
+        for b in on_line[i]:
+            needs[b] -= 1
+        rest = _extra_lines(i + 1, slots - 1, needs, incident, on_line)
+        for b in on_line[i]:
+            needs[b] += 1
+        if rest is not None:
+            return (i, *rest)
+    return None
+
+
 def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposition:
     """Express 3K of the cover as a combination of branch-curve classes.
 
     The line coefficients are spread as evenly as an integral distribution
     allows, trying the lines that get one more in lexicographic order, and
     the first distribution with every coefficient positive is reported;
-    otherwise the rational symmetric solution, with integral=False.  When
+    otherwise the rational symmetric solution, with integral=False.  The
+    search (`_extra_lines`) drops every prefix that leaves some blown point
+    nonpositive, so it never lists the C(n, rem) subsets one by one.  When
     3*K_tilde equals minus the sum of strict transforms, that is when n = 9
     and every blown point is 3-fold (`canonical_route`), the distribution
     is the uniform (2m-3, 3(m-1)).
@@ -258,24 +288,27 @@ def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposit
 
     total = 3 * (n * (m - 1) - 3 * m)  # sum of line coefficients
     base, rem = divmod(total, n)
-    # rem < n lines get one more, so some line keeps `base`, and a blown point
-    # gains at most min(r_p, rem) over its coefficient with every line at `base`
-    floor = [base] * n
-    if base > 0 and all(_point_coeff(p, m, floor) + min(p.r, rem) > 0 for p in blown_points):
-        for extra in itertools.combinations(range(n), rem):
+    if base > 0:
+        # rem < n lines get one more; blown point b needs needs[b] of its lines among them
+        floor = [base] * n
+        needs = [1 - _point_coeff(p, m, floor) for p in blown_points]
+        on_line: list[list[int]] = [[] for _ in range(n)]
+        for b, p in enumerate(blown_points):
+            for i in p.incident:
+                on_line[i].append(b)
+        extra = _extra_lines(0, rem, needs, [p.incident for p in blown_points], on_line)
+        if extra is not None:
             c = [base + (1 if i in extra else 0) for i in range(n)]
-            d = [_point_coeff(p, m, c) for p in blown_points]
-            if all(x > 0 for x in d):
-                return ThreeCanonicalDecomposition(
-                    tuple(c),
-                    tuple(d),
-                    integral=True,
-                    all_positive=True,
-                    canonical_route=canonical_route,
-                    note="3K_tilde = -(sum of strict transforms); uniform coefficients"
-                    if canonical_route
-                    else "near-balanced integral distribution (not unique)",
-                )
+            return ThreeCanonicalDecomposition(
+                tuple(c),
+                tuple(_point_coeff(p, m, c) for p in blown_points),
+                integral=True,
+                all_positive=True,
+                canonical_route=canonical_route,
+                note="3K_tilde = -(sum of strict transforms); uniform coefficients"
+                if canonical_route
+                else "near-balanced integral distribution (not unique)",
+            )
 
     c_rat = [Fraction(total, n)] * n
     d_rat = [_point_coeff(p, m, c_rat) for p in blown_points]

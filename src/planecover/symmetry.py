@@ -103,10 +103,12 @@ class KleinModel(NamedTuple):
     the m^k |H| elements: building it costs one search for the
     character-preserving automorphisms that keep the blow-up set, kept in
     `character_preserving` for the reports, and two realizability tests per
-    permutation.  Every question about G asked here reduces to H and linear
-    algebra mod m on the A_s: the real-structure classes cost
-    O(|H|^2 n + k^3) per H-class of anti-holomorphic involutions for odd m
-    (`classify_real_structures`).
+    permutation, each solved once per arrangement and then read from it
+    (`realize_symmetry`), so another cover of the same arrangement, or the
+    same cover again, repeats no realization.  Every question about G asked
+    here reduces to H and linear algebra mod m on the A_s: the
+    real-structure classes cost O(|H|^2 n + k^3) per H-class of
+    anti-holomorphic involutions for odd m (`classify_real_structures`).
     """
 
     cover: CoverModel

@@ -2,9 +2,10 @@
 `fixed_points_of` that rebuild the projective frame of the general-position
 quadruple for every permutation, solving for its scaling with 3x3 inverses.
 
-The library instead keeps one frame per arrangement and anti flag and works
-with adjugates; the tests require the same matrix, or None, and the same
-fixed points from both routes.
+The library instead keeps one frame per arrangement and anti flag, works
+with adjugates and keeps each answer on the arrangement; the tests require
+the same matrix, or None, and the same fixed points from both routes, cold
+and from the arrangement's memo.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def realize_symmetry(arr: Arrangement, perm: Perm, anti: bool) -> Mat3 | None:
     return normalize_matrix(m)
 
 
-def fixed_points_of(arr: Arrangement, matrix: Mat3, anti: bool) -> list[IncidencePoint]:
+def fixed_points_of(arr: Arrangement, matrix: Mat3, anti: bool) -> tuple[IncidencePoint, ...]:
     n = inverse(transpose(matrix))
     sigma = conj_vec if anti else (lambda v: v)
-    return [p for p in arr.points if canonical(matvec(n, sigma(p.coords))) == p.coords]
+    return tuple(p for p in arr.points if canonical(matvec(n, sigma(p.coords))) == p.coords)

@@ -34,6 +34,20 @@ DUAL_HESSE_TRIPLES = (
 )
 
 
+@pytest.fixture
+def dh():
+    """A fresh dual Hesse arrangement: the session one carries the
+    realizations and fixed points earlier tests kept on it, so a check here
+    would read them instead of solving."""
+    return dual_hesse()
+
+
+@pytest.fixture
+def cq():
+    """A fresh complete quadrilateral, as for `dh`."""
+    return complete_quadrilateral()
+
+
 def line_of_ints(a, b, c):
     return Line.make(CycNumber(a), CycNumber(b), CycNumber(c))
 
@@ -257,12 +271,16 @@ def test_realization_matches_inverse_based_reference(build, autos, realized):
         for anti in (False, True):
             matrix = realize_symmetry(arr, perm, anti)
             assert matrix == realize_oracle.realize_symmetry(arr, perm, anti)
+            # asked again, the answer is the one kept on the arrangement
+            assert realize_symmetry(arr, perm, anti) is arr._realizations[(perm, anti)] is matrix
             if matrix is not None:
                 hits += 1
-                assert fixed_points_of(arr, matrix, anti) == realize_oracle.fixed_points_of(
-                    arr, matrix, anti
-                )
+                fixed = fixed_points_of(arr, matrix, anti)
+                assert fixed == realize_oracle.fixed_points_of(arr, matrix, anti)
+                assert fixed_points_of(arr, matrix, anti) is fixed
     assert hits == realized
+    assert len(arr._realizations) == 2 * autos
+    assert len(arr._fixed_points) == realized
 
 
 # -- the automorphism search against its oracles -------------------------------

@@ -1,7 +1,6 @@
 import itertools
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -519,7 +518,21 @@ def test_canonical_route_needs_nine_lines_and_only_triple_points(build):
     assert routes == [arr.n == 9, False, arr.n == 9 and not higher, False]
 
 
-def test_three_canonical_skips_the_search_when_no_distribution_can_work(monkeypatch):
+@pytest.fixture
+def search_nodes(monkeypatch):
+    """The prefixes the 3K search visits: one call of `_extra_lines` each."""
+    nodes = []
+    original = cover_module._extra_lines
+
+    def counted(*args):
+        nodes.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(cover_module, "_extra_lines", counted)
+    return nodes
+
+
+def test_three_canonical_skips_the_search_when_no_distribution_can_work(search_nodes):
     # 25 lines through [0:0:1] and z = 0, m = 5, the 25-fold point blown:
     # base = 10, rem = 7, and the blown point's coefficient is at most
     # 15 - 3*4*24 + 25*10 + 7 = -16 over all C(26, 7) subsets
@@ -530,16 +543,75 @@ def test_three_canonical_skips_the_search_when_no_distribution_can_work(monkeypa
     pencil = next(pid for pid, p in enumerate(arr.points) if p.r == 25)
     cover = CoverModel.build(arr, phi, [pencil])
     assert cover.certificate.ok
-
-    def no_search(*args):
-        raise AssertionError("line subsets searched")
-
-    monkeypatch.setattr(cover_module, "itertools", SimpleNamespace(combinations=no_search))
     dec = three_canonical_decomposition(cover)
+    assert search_nodes == [(0, 7)]  # refused at the empty prefix
     assert dec.line_coeffs == (Fraction(267, 26),) * 26
     assert dec.point_coeffs == (Fraction(-423, 26),)
     assert not (dec.integral or dec.all_positive or dec.canonical_route)
     assert dec.note == "no positive integral distribution found; symmetric rational solution"
+
+
+def enumerated_line_coeffs(cover):
+    """The line coefficients of the first of all C(n, rem) subsets, in
+    lexicographic order, whose lines get one more and leave every blown
+    point's coefficient 3m - 3(m-1)(r-1) + (sum over its lines) positive; None
+    if there is none (or the even share is not positive)."""
+    arr, m = cover.arrangement, cover.m
+    total = 3 * (arr.n * (m - 1) - 3 * m)
+    base, rem = divmod(total, arr.n)
+    if base <= 0:
+        return None
+    for extra in itertools.combinations(range(arr.n), rem):
+        c = [base + (i in extra) for i in range(arr.n)]
+        points = (arr.points[pid] for pid in cover.blown_ids)
+        if all(3 * m - 3 * (m - 1) * (p.r - 1) + sum(c[i] for i in p.incident) > 0 for p in points):
+            return tuple(c)
+    return None
+
+
+def assert_3k_matches_enumeration(cover):
+    dec = three_canonical_decomposition(cover)
+    expected = enumerated_line_coeffs(cover)
+    if expected is None:
+        assert dec.note == "no positive integral distribution found; symmetric rational solution"
+    else:
+        assert dec.line_coeffs == expected and dec.integral and dec.all_positive
+        assert all(d > 0 for d in dec.point_coeffs)
+    return expected
+
+
+def two_pencils(a, b):
+    """a lines through [0:0:1] and b lines through [1:0:0], y = 0 in both."""
+    lines = [(0, 1, 0), (1, 0, 0), *[(1, t, 0) for t in range(1, a - 1)], (0, 0, 1)]
+    lines += [(0, 1, s) for s in range(1, b - 1)]
+    return build_arrangement([Line.make(*map(CycNumber, row)) for row in lines])
+
+
+def two_column_phi(n, m):
+    """An epimorphism of n lines onto (Z/m)^2; the 3K search reads only m."""
+    rows = [(1, 0)] * (n - 2) + [(0, 1), ((n - 2) * (m - 1) % m, m - 1)]
+    return Epimorphism(m=m, k=2, rows=tuple(rows))
+
+
+# 13 + 12 lines, n = 24, m = 2: base = 2 and rem = 6, but the two pencil
+# points need 5 and 4 of the 6 lines and share only y = 0
+TWO_PENCIL_PHI = (
+    (1, 1, 1, 1), (1, 1, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1), (1, 1, 1, 0), (1, 1, 1, 0),
+    (0, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 1), (1, 1, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1),
+    (0, 1, 1, 0), (1, 1, 0, 1), (0, 1, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0), (0, 1, 1, 1),
+    (1, 1, 0, 0), (0, 1, 1, 1), (1, 1, 1, 1), (1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 0, 0),
+)
+
+
+def test_three_canonical_prunes_the_two_pencil_cover(search_nodes):
+    arr = two_pencils(13, 12)
+    assert arr.t == {2: 132, 12: 1, 13: 1}
+    blown = [pid for pid, p in enumerate(arr.points) if p.r > 2]
+    cover = CoverModel.build(arr, Epimorphism(m=2, k=4, rows=TWO_PENCIL_PHI), blown)
+    assert cover.certificate.ok
+    assert assert_3k_matches_enumeration(cover) is None
+    # C(24, 6) = 134596 subsets enumerated; the search visits about 1%
+    assert len(search_nodes) < 2000
 
 
 ORACLE_ARRANGEMENTS = {
@@ -569,3 +641,40 @@ def test_invariants_match_the_lattice_on_random_covers(name, m, k, rng):
     blow = [pid for pid, p in enumerate(arr.points) if p.r >= 3]
     blow += rng.sample(doubles, rng.randint(0, len(doubles)))
     assert_matches_lattice(CoverModel.build(arr, phi, blow))
+
+
+@pytest.mark.parametrize(
+    "a, b, m, expected",
+    [
+        (6, 6, 2, (2, 1, 1, 1, 1, 1, 2, 2, 2, 1, 1)),
+        (6, 6, 3, (4, 4, 4, 3, 3, 3, 4, 4, 4, 3, 3)),
+        (5, 4, 3, (3, 3, 3, 3, 2, 3, 2, 2)),
+    ],
+)
+def test_three_canonical_first_positive_distribution_is_not_the_first_subset(a, b, m, expected):
+    # only the pencil point [1:0:0] blown: it needs lines of its own pencil,
+    # which come after the first lines of the other one
+    arr = two_pencils(a, b)
+    cover = CoverModel.build(arr, two_column_phi(arr.n, m), [1])
+    assert arr.points[1].r == b
+    assert assert_3k_matches_enumeration(as_if_smooth(cover)) == expected
+
+
+THREE_K_ARRANGEMENTS = {
+    **ORACLE_ARRANGEMENTS,
+    **{f"pencils_{a}_{b}": (lambda a=a, b=b: two_pencils(a, b))
+       for a, b in ((3, 3), (4, 3), (5, 4), (6, 6))},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(THREE_K_ARRANGEMENTS)),
+    st.sampled_from([2, 3, 5, 7]),
+    st.randoms(use_true_random=False),
+)
+def test_three_canonical_matches_the_enumeration(name, m, rng):
+    arr = THREE_K_ARRANGEMENTS[name]()
+    blow = rng.sample(range(len(arr.points)), rng.randint(0, len(arr.points)))
+    cover = CoverModel.build(arr, two_column_phi(arr.n, m), blow)
+    assert_3k_matches_enumeration(as_if_smooth(cover))

@@ -1,23 +1,34 @@
 """The per-process arrangement memo behind `catalog.resolve_arrangement`.
 
 An arrangement is built once per builtin name or tuple of line strings and
-shared, with its cached frame, search tables and |Aut_comb|, by every later
-query: reports from a warm process must equal those of cold runs byte for
-byte, a shared arrangement must equal a fresh build, and a later query must
-not rebuild what the first one built.
+shared, with its cached frame, search tables, |Aut_comb|, realizations of
+line permutations and their fixed points, by every later query: reports
+from a warm process must equal those of cold runs byte for byte, a shared
+arrangement must equal a fresh build and its kept realizations the
+reference route's, and a later query must not rebuild or realize again what
+an earlier one did.
 """
 
 import importlib
 import io
 import json
 import pkgutil
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 import planecover
-from planecover import arrangement, catalog
-from planecover.arrangement import Line, build_arrangement, complete_quadrilateral, dual_hesse
+import realize_oracle
+from planecover import arrangement, catalog, symmetry
+from planecover.arrangement import (
+    Line,
+    build_arrangement,
+    complete_quadrilateral,
+    dual_hesse,
+    fixed_points_of,
+    realize_symmetry,
+)
 from planecover.catalog import ARRANGEMENT_MEMO_SIZE, resolve_arrangement
 from planecover.cli import run
 from test_loader_fuzz import QUAD_COVER, QUAD_LINES
@@ -96,6 +107,7 @@ def test_shared_arrangement_equals_a_fresh_build_after_every_command(tmp_path):
     fresh["quadrilateral lines"] = build_arrangement([Line.parse(row) for row in QUAD_LINES])
     refs = {name: name for name in fresh}
     refs.update({name: lines_of(arr) for name, arr in fresh.items() if not name.startswith("builtin:")})
+    unasked = set()
     for name, arr in fresh.items():
         shared = resolve_arrangement(refs[name])
         assert resolve_arrangement(refs[name]) is shared
@@ -104,6 +116,15 @@ def test_shared_arrangement_equals_a_fresh_build_after_every_command(tmp_path):
         assert shared._search_tables == arr._search_tables
         assert shared._frame == arr._frame
         assert shared.automorphism_order == arr.automorphism_order
+        # every kept answer is the reference route's on the fresh build
+        if not (shared._realizations and shared._fixed_points):
+            unasked.add(name)
+        for (perm, anti), matrix in shared._realizations.items():
+            assert matrix == realize_oracle.realize_symmetry(arr, perm, anti)
+        for (matrix, anti), fixed in shared._fixed_points.items():
+            assert fixed == realize_oracle.fixed_points_of(arr, matrix, anti)
+    # the sweep names the census dual Hesse cover's arrangement as a builtin
+    assert unasked == {"census_dual_hesse"}
 
 
 def test_a_rewritten_file_resolves_to_its_new_lines(tmp_path):
@@ -165,7 +186,9 @@ def test_memo_evicts_the_least_recently_used_arrangement():
     assert resolve_arrangement(docs[1]) is not kept[0]
 
 
-COUNTED = ("build_arrangement", "combinatorial_automorphisms", "_incidence", "_search_order")
+COUNTED = (
+    "build_arrangement", "combinatorial_automorphisms", "_incidence", "_search_order", "_realize",
+)
 
 
 @pytest.fixture
@@ -201,7 +224,7 @@ NO_LISTING = ALL - {"combinatorial_automorphisms"}
         (["symmetry", "search", "COVER_JSON"], ALL),
         (["real", "classify", "builtin:example2"], NO_LISTING),
         (["real", "classify", "COVER_JSON"], NO_LISTING),
-        (["arrangement", "info", "builtin:dual_hesse", "--autos"], ALL),
+        (["arrangement", "info", "builtin:dual_hesse", "--autos"], ALL - {"_realize"}),
         (["paper", "verify"], ALL),
     ],
     ids=["symmetry-builtin", "symmetry-file", "real-builtin", "real-file", "info-autos", "paper-verify"],
@@ -216,3 +239,64 @@ def test_a_repeated_query_builds_nothing_again(tmp_path, calls, argv, first):
     calls.clear()
     assert run_captured(argv) == first_report
     assert calls == []
+
+
+@pytest.fixture
+def realizations(monkeypatch):
+    """The (lines, perm, anti) that `klein_model` asks `realize_symmetry`
+    about, and those the uncached `_realize` solves."""
+    asked, solved = [], []
+
+    def count(log, original):
+        def counted(arr, perm, anti):
+            log.append((arr.lines, tuple(perm), anti))
+            return original(arr, perm, anti)
+
+        return counted
+
+    monkeypatch.setattr(symmetry, "realize_symmetry", count(asked, symmetry.realize_symmetry))
+    monkeypatch.setattr(arrangement, "_realize", count(solved, arrangement._realize))
+    return asked, solved
+
+
+@pytest.mark.parametrize(
+    "queries",
+    [
+        [["symmetry", "search", "builtin:example2"]] * 2,
+        [["real", "classify", "builtin:example2"]] * 2,
+        [["symmetry", "search", "builtin:example1"], ["real", "classify", "builtin:example1"],
+         ["symmetry", "search", "builtin:example2"], ["real", "classify", "builtin:example2"]],
+        [["real", "classify", "example3"], ["real", "classify", "kummer_3_5"],
+         ["symmetry", "search", "quadrilateral_5_3"], ["real", "classify", "example3"]],
+    ],
+    ids=["symmetry-twice", "real-twice", "two-dual-hesse-covers", "three-quadrilateral-covers"],
+)
+def test_no_permutation_is_realized_twice(tmp_path, realizations, queries):
+    # the quadrilateral covers name their arrangement by the same line strings
+    covers = {"example3": (5, QUAD_COVER["phi"]), **QUAD_COVERS}
+    for argv in queries:
+        *command, ref = argv
+        if ref in covers:
+            m, rows = covers[ref]
+            doc = {"arrangement": {"lines": QUAD_LINES}, "m": m, "k": len(rows[0]), "phi": rows}
+            ref = write(tmp_path / f"{ref}.json", doc)
+        assert run_captured([*command, ref])[0] == 0
+    asked, solved = realizations
+    assert len(asked) > len(solved)
+    assert Counter(solved) == Counter(set(asked))
+
+
+def test_a_warm_arrangement_refuses_non_permutations_and_shares_no_list():
+    assert run_captured(["real", "classify", "builtin:example2"])[0] == 0
+    arr = resolve_arrangement("builtin:dual_hesse")
+    identity = tuple(range(arr.n))
+    assert (identity, False) in arr._realizations
+    for perm in ((0,) * arr.n, identity[:-1], (*identity, arr.n)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a permutation"):
+                realize_symmetry(arr, perm, False)
+        assert (perm, False) not in arr._realizations
+    (perm, anti), matrix = next((key, m) for key, m in arr._realizations.items() if m is not None)
+    fixed = fixed_points_of(arr, matrix, anti)
+    assert isinstance(fixed, tuple) and fixed_points_of(arr, matrix, anti) is fixed
+    assert fixed == realize_oracle.fixed_points_of(dual_hesse(), matrix, anti)
