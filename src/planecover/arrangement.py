@@ -1,7 +1,8 @@
 """Projective line arrangements over Q(zeta) with exact incidence.
 
 Lines and points are canonical projective triples (first nonzero entry 1),
-so deduplication and fixed-point tests are exact dictionary lookups.  The
+so deduplication is an exact dictionary lookup, and a point is fixed by a
+realized line permutation exactly when the permutation keeps its lines.  The
 module also enumerates incidence-preserving line permutations, optionally
 only those that preserve an epimorphism's character set and a set of
 blown-up points, and decides whether a permutation is realized by a
@@ -31,7 +32,6 @@ from .linalg import (
     normalize_matrix,
     proportional,
     scale,
-    transpose,
 )
 
 Perm = tuple[int, ...]
@@ -122,11 +122,6 @@ class Arrangement(_ArrangementFields):
         asked for: the commands ask only about incidence automorphisms, so
         at most 2 |Aut_comb| entries, and each is solved once however many
         covers of the arrangement ask."""
-        return {}
-
-    @cached_property
-    def _fixed_points(self) -> dict[tuple[Mat3, bool], tuple[IncidencePoint, ...]]:
-        """`fixed_points_of`'s answers by (matrix, anti), filled as asked."""
         return {}
 
     @cached_property
@@ -480,18 +475,12 @@ def _realize(arr: Arrangement, perm: Perm, anti: bool) -> Mat3 | None:
     return normalize_matrix(m)
 
 
-def fixed_points_of(arr: Arrangement, matrix: Mat3, anti: bool) -> tuple[IncidencePoint, ...]:
-    """Incidence points fixed by the (anti-)projectivity realized by `matrix`,
-    which maps a point x to (M^T)^(-1) sigma(x), a multiple of adj(M)^T sigma(x).
+def fixed_points_of(arr: Arrangement, perm: Perm) -> tuple[IncidencePoint, ...]:
+    """Incidence points fixed by a map realizing `perm`, in `arr.points` order.
 
-    Kept on the arrangement by (matrix, anti) (`Arrangement._fixed_points`),
-    as a tuple, so that no caller can change what the next one reads.
+    A realized map sends the point on lines I to the point on lines perm(I),
+    so a point is fixed exactly when perm maps its lines onto themselves:
+    O(sum of r_p) up to the sort of each point's lines, no Q(zeta)
+    arithmetic, and nothing kept on `arr`.
     """
-    memo = arr._fixed_points
-    if (matrix, anti) not in memo:
-        n = transpose(adjugate(matrix))
-        sigma = conj_vec if anti else (lambda v: v)
-        memo[matrix, anti] = tuple(
-            p for p in arr.points if canonical(matvec(n, sigma(p.coords))) == p.coords
-        )
-    return memo[matrix, anti]
+    return tuple(p for p in arr.points if tuple(sorted(perm[i] for i in p.incident)) == p.incident)

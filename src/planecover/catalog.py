@@ -8,9 +8,8 @@ An arrangement is built once per process for each builtin name or tuple of
 line coefficient strings (`_arrangement`), and the one object is shared by
 every query that names it, with what it caches: the projective frame, the
 automorphism-search tables, |Aut_comb|, and each realization of a line
-permutation and its fixed points once asked for (at most 2 |Aut_comb|
-entries, since the commands ask only about incidence automorphisms).  It
-must not be mutated.
+permutation once asked for (at most 2 |Aut_comb| entries, since the
+commands ask only about incidence automorphisms).  It must not be mutated.
 """
 
 from __future__ import annotations
@@ -136,6 +135,8 @@ def cover_from_json(data: dict) -> CoverModel:
     "blow_up": "all_r_ge_3" | [point ids]}."""
     from .cover import BLOW_ALL_TRIPLE, CoverModel
 
+    if not isinstance(data, dict):
+        raise ValueError(f"cover JSON must be an object, got {type(data).__name__}")
     try:
         arr = resolve_arrangement(data["arrangement"])
         phi = Epimorphism(

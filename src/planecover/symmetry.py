@@ -105,7 +105,9 @@ class KleinModel(NamedTuple):
     `character_preserving` for the reports, and two realizability tests per
     permutation, each solved once per arrangement and then read from it
     (`realize_symmetry`), so another cover of the same arrangement, or the
-    same cover again, repeats no realization.  Every question about G asked
+    same cover again, repeats no realization.  A class's real blown points
+    are read from its permutation (`fixed_points_of`), in O(sum of r_p) up
+    to a sort per point and with nothing cached.  Every question about G asked
     here reduces to H and linear algebra mod m on the A_s: the
     real-structure classes cost O(|H|^2 n + k^3) per H-class of
     anti-holomorphic involutions for odd m (`classify_real_structures`).
@@ -282,12 +284,11 @@ def _fingerprint(
 ) -> RealStructureClass:
     r = model.realized[rep[0]]
     arr = model.cover.arrangement
-    fixed = fixed_points_of(arr, r.matrix, r.anti)
-    blown = set(model.cover.blown_ids)
+    fixed = {p.incident for p in fixed_points_of(arr, r.perm)}
     real_blown = tuple(
-        p.incident_1based()
-        for pid, p in enumerate(arr.points)
-        if pid in blown and p in fixed
+        arr.points[pid].incident_1based()
+        for pid in model.cover.blown_ids
+        if arr.points[pid].incident in fixed
     )
     euler = betti = None
     if model.m % 2 == 1:

@@ -3,9 +3,11 @@
 quadruple for every permutation, solving for its scaling with 3x3 inverses.
 
 The library instead keeps one frame per arrangement and anti flag, works
-with adjugates and keeps each answer on the arrangement; the tests require
-the same matrix, or None, and the same fixed points from both routes, cold
-and from the arrangement's memo.
+with adjugates and keeps each realization on the arrangement; the tests
+require the same matrix, or None, from both routes, cold and from the
+arrangement's memo.  The library reads fixed points from the line
+permutation alone; the matrix route here, (M^T)^(-1) sigma(x) on every
+point, is the oracle its answer must equal for every realized (perm, anti).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from planecover.arrangement import (
@@ -21,6 +21,7 @@ from planecover.arrangement import (
 from planecover.cyclotomic import ONE, ZERO, ZETA, CycNumber
 from planecover.linalg import conj_vec, dot, matmul, normalize_matrix
 from planecover.symmetry import character_preserving_symmetries
+import realize_oracle
 from realize_oracle import IDENTITY3
 from test_homology import random_valid_phi
 from test_symmetry import ceva6_plus_3, invariant_phi
@@ -37,8 +38,8 @@ DUAL_HESSE_TRIPLES = (
 @pytest.fixture
 def dh():
     """A fresh dual Hesse arrangement: the session one carries the
-    realizations and fixed points earlier tests kept on it, so a check here
-    would read them instead of solving."""
+    realizations earlier tests kept on it, so a check here would read them
+    instead of solving."""
     return dual_hesse()
 
 
@@ -183,18 +184,41 @@ def test_realized_matrix_satisfies_proportionality_everywhere(dh):
 
 def test_fixed_points_of_standard_conjugation(dh):
     matrix = realize_symmetry(dh, CONJ_PERM, anti=True)
-    fixed = {p.incident_1based() for p in fixed_points_of(dh, matrix, True)}
-    assert fixed == {(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 5, 9)}
+    fixed = fixed_points_of(dh, CONJ_PERM)
+    assert fixed == realize_oracle.fixed_points_of(dh, matrix, True)
+    assert {p.incident_1based() for p in fixed} == {(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 5, 9)}
 
 
 def test_identity_fixes_all_points(dh):
-    assert len(fixed_points_of(dh, IDENTITY3, False)) == 12
+    fixed = fixed_points_of(dh, tuple(range(9)))
+    assert fixed == realize_oracle.fixed_points_of(dh, IDENTITY3, False)
+    assert len(fixed) == 12
 
 
 def test_all_real_conjugation_fixes_all_quadrilateral_points(cq):
     matrix = realize_symmetry(cq, tuple(range(6)), anti=True)
     assert matrix is not None
-    assert len(fixed_points_of(cq, matrix, True)) == 7
+    fixed = fixed_points_of(cq, tuple(range(6)))
+    assert fixed == realize_oracle.fixed_points_of(cq, matrix, True)
+    assert len(fixed) == 7
+
+
+def test_fixed_points_of_does_no_field_arithmetic_and_keeps_nothing(dh, monkeypatch):
+    # read from the permutation alone: no Q(zeta) product or quotient, and
+    # no table left on the arrangement
+    calls = []
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        original = getattr(CycNumber, name)
+
+        def counted(self, other, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, other)
+
+        monkeypatch.setattr(CycNumber, name, counted)
+    kept = dict(vars(dh))
+    fixed = fixed_points_of(dh, CONJ_PERM)
+    assert calls == [] and vars(dh) == kept
+    assert len(fixed) == 4
 
 
 def test_realizable_composition_closure(cq):
@@ -257,12 +281,13 @@ def hesse():
 
 @pytest.mark.parametrize(
     "build, autos, realized",
-    [(complete_quadrilateral, 24, 48), (dual_hesse, 432, 432), (hesse, 432, 432)],
-    ids=["quadrilateral", "dual_hesse", "hesse"],
+    [
+        (complete_quadrilateral, 24, 48), (dual_hesse, 432, 432), (hesse, 432, 432),
+        (ceva6_plus_3, 432, 432),
+    ],
+    ids=["quadrilateral", "dual_hesse", "hesse", "ceva6_plus_3"],
 )
 def test_realization_matches_inverse_based_reference(build, autos, realized):
-    import realize_oracle
-
     arr = build()
     perms = combinatorial_automorphisms(arr)
     assert len(perms) == autos
@@ -275,12 +300,28 @@ def test_realization_matches_inverse_based_reference(build, autos, realized):
             assert realize_symmetry(arr, perm, anti) is arr._realizations[(perm, anti)] is matrix
             if matrix is not None:
                 hits += 1
-                fixed = fixed_points_of(arr, matrix, anti)
-                assert fixed == realize_oracle.fixed_points_of(arr, matrix, anti)
-                assert fixed_points_of(arr, matrix, anti) is fixed
+                assert fixed_points_of(arr, perm) == realize_oracle.fixed_points_of(arr, matrix, anti)
     assert hits == realized
     assert len(arr._realizations) == 2 * autos
-    assert len(arr._fixed_points) == realized
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 20), min_size=4, max_size=9, unique=True))
+def test_fixed_points_match_the_matrix_route_on_ceva_subsets(picked):
+    """Subsets of Ceva(6)+3 in a random line order that keep 4 lines in
+    general position: for every realized (perm, anti), the permutation's
+    fixed points are the matrix route's."""
+    full = ceva6_plus_3()
+    arr = build_arrangement([full.lines[i] for i in picked])
+    try:
+        arr._frame
+    except ValueError:
+        assume(False)
+    for perm in combinatorial_automorphisms(arr):
+        for anti in (False, True):
+            matrix = realize_symmetry(arr, perm, anti)
+            if matrix is not None:
+                assert fixed_points_of(arr, perm) == realize_oracle.fixed_points_of(arr, matrix, anti)
 
 
 # -- the automorphism search against its oracles -------------------------------

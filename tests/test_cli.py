@@ -287,11 +287,17 @@ QUAD_PHI = [[1, 0], [1, 0], [1, 2], [0, 1], [0, 1], [2, 1]]
         # a Mersenne prime far past trial division: refused by the zero-sum check, at once
         ("m", 2**61 - 1),
         ("m", 2**89 - 1),
+        # no field: the whole document is the value, and not an object
+        (None, [1, 2]),
+        (None, "abc"),
+        (None, 5),
+        (None, None),
     ],
     ids=[
         "phi-float", "phi-bool", "phi-str", "m-float", "m-bool", "k-str", "k-bool", "k-zero",
         "m-composite", "blow-float", "blow-str", "blow-bool", "blow-unknown-keyword",
         "arrangement-int", "arrangement-list", "m-mersenne-61", "m-too-large",
+        "document-list", "document-str", "document-int", "document-null",
     ],
 )
 def test_malformed_cover_json_is_input_error(tmp_path, capsys, field, value):
@@ -300,11 +306,13 @@ def test_malformed_cover_json_is_input_error(tmp_path, capsys, field, value):
     if field == "k" and value == 0:
         cover["phi"] = [[] for _ in QUAD_PHI]
     path = tmp_path / "cover.json"
-    path.write_text(json.dumps(cover))
+    path.write_text(json.dumps(value if field is None else cover))
     code = run(["cover", "smoothness", str(path)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    if field is None:
+        assert err == f"error: cover JSON must be an object, got {type(value).__name__}\n"
     if field == "m" and value == 4:
         assert "modulus 4 is not prime" in err
     if field == "m" and value == 2**89 - 1:

@@ -1,12 +1,13 @@
 """The per-process arrangement memo behind `catalog.resolve_arrangement`.
 
 An arrangement is built once per builtin name or tuple of line strings and
-shared, with its cached frame, search tables, |Aut_comb|, realizations of
-line permutations and their fixed points, by every later query: reports
-from a warm process must equal those of cold runs byte for byte, a shared
-arrangement must equal a fresh build and its kept realizations the
-reference route's, and a later query must not rebuild or realize again what
-an earlier one did.
+shared, with its cached frame, search tables, |Aut_comb| and realizations of
+line permutations, by every later query: reports from a warm process must
+equal those of cold runs byte for byte, a shared arrangement must equal a
+fresh build and its kept realizations the reference route's, and a later
+query must not rebuild or realize again what an earlier one did.  Fixed
+points are not kept: they are read from each permutation, and must equal
+the reference route's from the kept matrix.
 """
 
 import importlib
@@ -117,12 +118,12 @@ def test_shared_arrangement_equals_a_fresh_build_after_every_command(tmp_path):
         assert shared._frame == arr._frame
         assert shared.automorphism_order == arr.automorphism_order
         # every kept answer is the reference route's on the fresh build
-        if not (shared._realizations and shared._fixed_points):
+        if not shared._realizations:
             unasked.add(name)
         for (perm, anti), matrix in shared._realizations.items():
             assert matrix == realize_oracle.realize_symmetry(arr, perm, anti)
-        for (matrix, anti), fixed in shared._fixed_points.items():
-            assert fixed == realize_oracle.fixed_points_of(arr, matrix, anti)
+            if matrix is not None:
+                assert fixed_points_of(shared, perm) == realize_oracle.fixed_points_of(arr, matrix, anti)
     # the sweep names the census dual Hesse cover's arrangement as a builtin
     assert unasked == {"census_dual_hesse"}
 
@@ -297,6 +298,6 @@ def test_a_warm_arrangement_refuses_non_permutations_and_shares_no_list():
                 realize_symmetry(arr, perm, False)
         assert (perm, False) not in arr._realizations
     (perm, anti), matrix = next((key, m) for key, m in arr._realizations.items() if m is not None)
-    fixed = fixed_points_of(arr, matrix, anti)
-    assert isinstance(fixed, tuple) and fixed_points_of(arr, matrix, anti) is fixed
+    fixed = fixed_points_of(arr, perm)
+    assert isinstance(fixed, tuple)
     assert fixed == realize_oracle.fixed_points_of(dual_hesse(), matrix, anti)
