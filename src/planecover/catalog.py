@@ -130,18 +130,25 @@ def resolve_arrangement(ref: str | dict) -> Arrangement:
     return _arrangement(_line_strings(read_json(ref) if isinstance(ref, str) else ref))
 
 
+def require_object(data, what: str) -> None:
+    """Refuse a JSON document that is not an object, naming its JSON type."""
+    if not isinstance(data, dict):
+        kinds = {type(None): "null", bool: "boolean", str: "string", list: "array"}
+        raise ValueError(f"{what} JSON must be an object, got {kinds.get(type(data), 'number')}")
+
+
 def cover_from_json(data: dict) -> CoverModel:
     """Schema: {"arrangement": ref, "m": int, "k": int, "phi": [[..],..],
     "blow_up": "all_r_ge_3" | [point ids]}."""
     from .cover import BLOW_ALL_TRIPLE, CoverModel
 
-    if not isinstance(data, dict):
-        raise ValueError(f"cover JSON must be an object, got {type(data).__name__}")
+    require_object(data, "cover")
     try:
         arr = resolve_arrangement(data["arrangement"])
-        phi = Epimorphism(
-            m=data["m"], k=data["k"], rows=tuple(tuple(r) for r in data["phi"])
-        )
+        rows = data["phi"]
+        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+            raise ValueError("cover JSON field 'phi' must be an array of arrays, one per line")
+        phi = Epimorphism(m=data["m"], k=data["k"], rows=tuple(map(tuple, rows)))
         blow = data.get("blow_up", BLOW_ALL_TRIPLE)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed cover JSON: {exc}") from exc

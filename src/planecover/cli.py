@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Each `<group> <action>` subcommand is declared once, in `COMMANDS`;
-`paper verify` recomputes everything and diffs it against the bundled
-reference values.  Identical inputs produce byte-identical reports.
+`paper verify` recomputes the bundled reference values from the commands'
+own reports and diffs them.  Identical inputs produce byte-identical reports.
 
 Exit codes: 0 success, 1 verification mismatch, 2 input error.
 """
@@ -14,7 +14,7 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from .catalog import read_json, resolve_arrangement, resolve_cover
+from .catalog import read_json, require_object, resolve_arrangement, resolve_cover
 
 if TYPE_CHECKING:
     from .arrangement import Arrangement
@@ -201,8 +201,7 @@ def bounds_report(data: dict, k3: int | None = None) -> dict:
     components as Betti triples."""
     from . import bounds as bounds_mod
 
-    if not isinstance(data, dict):
-        raise ValueError(f"hodge JSON must be an object, got {type(data).__name__}")
+    require_object(data, "hodge")
     optional = {
         "nu": _hodge_int(data, "nu", 0),
         "p_plus": _hodge_int(data, "p_plus", None),
@@ -266,109 +265,92 @@ def _load_reference() -> dict:
 
 
 def current_reference_values() -> dict:
-    """Recompute everything the bundled reference file pins down."""
-    from . import bounds as bounds_mod
-    from .arrangement import perm_cycles_str
-    from .catalog import PHI1, PHI2, builtin_arrangement, builtin_cover
-    from .characters import enumerate_characters
-    from .cover import (
-        generator_words,
-        invariants,
-        nonnegative_solutions,
-        three_canonical_decomposition,
-        word_str,
-    )
-    from .symmetry import classify_real_structures, klein_model
+    """Recompute everything the bundled reference file pins down.
 
-    dh = builtin_arrangement("dual_hesse")
-    cq = builtin_arrangement("complete_quadrilateral")
-    out: dict = {
-        "dual_hesse": {
-            "t": {str(r): c for r, c in sorted(dh.t.items())},
-            "triples": sorted(list(t) for t in dh.triples_1based()),
-            "triples_per_line": [
-                sum(1 for t in dh.triples_1based() if i in t) for i in range(1, 10)
-            ],
-            "real_lines": [
+    A field that some command prints is read from that command's report,
+    built by the global name `COMMANDS` calls; only the fields that no
+    command prints are computed here."""
+    from .bounds import fake_plane_involution_check
+    from .cover import nonnegative_solutions
+
+    out: dict = {"characters": {}}
+    for name in ("dual_hesse", "complete_quadrilateral"):
+        ref = f"builtin:{name}"
+        arr = resolve_arrangement(ref)
+        info = arrangement_report(arr, ref, with_autos=True)
+        out[name] = {key: info[key] for key in ("t", "triples", "automorphism_order")}
+        if name == "dual_hesse":
+            out[name]["triples_per_line"] = [
+                sum(i in t for t in info["triples"]) for i in range(1, info["n"] + 1)
+            ]
+            out[name]["real_lines"] = [
                 i + 1
-                for i, line in enumerate(dh.lines)
+                for i, line in enumerate(arr.lines)
                 if all(c.is_real() for c in line.coeffs)
-            ],
-            "automorphism_order": dh.automorphism_order,
-        },
-        "complete_quadrilateral": {
-            "t": {str(r): c for r, c in sorted(cq.t.items())},
-            "triples": sorted(list(t) for t in cq.triples_1based()),
-            "doubles": sorted(
-                list(p.incident_1based()) for p in cq.points if p.r == 2
-            ),
-            "automorphism_order": cq.automorphism_order,
-        },
-        "characters": {
-            "A1": [list(a) for a in enumerate_characters(PHI1)],
-            "A2": [list(a) for a in enumerate_characters(PHI2)],
-        },
-    }
-    for name in ("example1", "example2", "example3"):
-        cover = builtin_cover(name)
-        rep = invariants(cover)
-        model = klein_model(cover)
-        classes = classify_real_structures(model)
-        dec = three_canonical_decomposition(cover)
+            ]
+        else:
+            out[name]["doubles"] = sorted(p["lines"] for p in info["points"] if p["r"] == 2)
+    for i, name in enumerate(("example1", "example2", "example3"), 1):
+        ref = f"builtin:{name}"
+        cover = resolve_cover(ref)
+        inv = invariants_report(cover, ref)
+        sym = symmetry_report(cover, ref)
+        real = real_report(cover, ref)
+        if i < 3:  # A1 and A2 are the character sets of example1 and example2
+            chars = characters_report(cover, ref)["characters"]
+            out["characters"][f"A{i}"] = [c["vector"] for c in chars]
         out[name] = {
-            "smooth": cover.certificate.ok,
-            "k2": rep.k2,
-            "euler": rep.euler,
-            "chi": rep.chi,
-            "my_defect": rep.my_defect,
-            "line_self": sorted({c.self_int for c in rep.line_curves}),
-            "line_k_degree": sorted({c.k_degree for c in rep.line_curves}),
-            "line_genus": sorted({c.genus for c in rep.line_curves}),
-            "point_self": sorted({c.self_int for c in rep.point_curves}),
-            "point_k_degree": sorted({c.k_degree for c in rep.point_curves}),
-            "point_genus": sorted({c.genus for c in rep.point_curves}),
-            "three_canonical_lines": list(dec.line_coeffs),
-            "three_canonical_points": list(dec.point_coeffs),
-            "generator_words": [
-                word_str(w, j, cover.m)
-                for j, w in enumerate(generator_words(cover.phi))
-            ],
-            "klein_order": model.order,
-            "has_anti": model.has_anti,
-            "realized": [
-                [perm_cycles_str(r.perm), r.anti] for r in model.realized
-            ],
-            "real_class_count": len(classes),
+            "smooth": smoothness_report(cover, ref)["smooth"],
+            **{key: inv[key] for key in ("k2", "euler", "chi", "my_defect", "generator_words")},
+            **{
+                f"{kind}_{label}": sorted({c[field] for c in inv[f"{kind}_curves"]})
+                for kind in ("line", "point")
+                for label, field in (
+                    ("self", "self_int"), ("k_degree", "k_degree"), ("genus", "genus")
+                )
+            },
+            # every builtin 3K distribution is integral
+            "three_canonical_lines": [int(c) for c in inv["three_canonical"]["line_coeffs"]],
+            "three_canonical_points": [int(c) for c in inv["three_canonical"]["point_coeffs"]],
+            "klein_order": sym["klein_order"],
+            "has_anti": sym["has_anti"],
+            "realized": [[r["perm"], r["anti"]] for r in sym["realized"]],
+            "real_class_count": real["class_count"],
             "real_classes": [
                 {
-                    "fixed_lines": list(c.fixed_lines),
-                    "n_real_blown": c.n_real_blown,
-                    "euler": c.real_part_euler,
-                    "betti": list(c.real_part_betti) if c.real_part_betti else None,
+                    "fixed_lines": c["fixed_lines"],
+                    "n_real_blown": len(c["real_blown_points"]),
+                    "euler": c["real_part_euler"],
+                    "betti": c["real_part_betti"],
                 }
-                for c in classes
+                for c in real["classes"]
             ],
         }
-    h = bounds_mod.hodge_from_surface(333, 111, q=0, nu=0)
-    example2_real = h._replace(components=((1, 5, 1),))
-    fp = bounds_mod.fake_plane_involution_check()
-    h_split = bounds_mod.HodgeData(
-        h10=0, h20=36, h11=37, nu=0, p_plus=0, p_minus=36
-    )
+    # example2's surface as `bounds check` reads it: the computed K^2 and e,
+    # with q = 0 assumed (wrong for example2, ROADMAP item 6), and the Betti
+    # numbers of its one real class as the real part
+    ex2 = out["example2"]
+    surface = {
+        "k2": ex2["k2"],
+        "euler": ex2["euler"],
+        "q": 0,
+        "components": [c["betti"] for c in ex2["real_classes"][:1]],
+    }
+    h11 = bounds_report(surface)["hodge"]["h11"]
+    split = {**surface, "p_plus": 0, "p_minus": h11 - 1}
+    checks = [bounds_report(split, k3) for k3 in (0, 1, 2)]
+    b = checks[0]
     out["bounds"] = {
-        "nine_line_smith_total": bounds_mod.smith_total(h),
-        "nine_line_hodge": [h.h10, h.h20, h.h11],
-        "example2_real_total": 7,
-        "example2_maximal": bounds_mod.is_maximal(example2_real),
-        "example2_lefschetz_trace": bounds_mod.lefschetz_trace(example2_real),
+        "nine_line_smith_total": b["smith_total"],
+        "nine_line_hodge": [b["hodge"][h] for h in ("h10", "h20", "h11")],
+        "example2_real_total": b.get("real_betti_total"),
+        "example2_maximal": b.get("maximal"),
+        "example2_lefschetz_trace": b.get("lefschetz_trace"),
         "filter_7_12_27": [list(s) for s in nonnegative_solutions((7, 12), 27)],
         "filter_7_12_9": [list(s) for s in nonnegative_solutions((7, 12), 9)],
-        "fake_plane": fp.to_dict(),
-        "h20_lower_bound": bounds_mod.prop_h20_lower_bound(h_split),
-        "component_count_infeasible": [
-            not bounds_mod.component_count_bound(h_split, k3).feasible
-            for k3 in (0, 1, 2)
-        ],
+        "fake_plane": fake_plane_involution_check().to_dict(),
+        "h20_lower_bound": b.get("h20_lower_bound"),
+        "component_count_infeasible": [not r["component_count"]["feasible"] for r in checks],
     }
     return out
 

@@ -83,15 +83,18 @@ def nullspace_mod_p(rows: list[Vector], p: int, unknowns: int) -> list[Vector]:
     return basis
 
 
-def solve_mod_p(rows: list[Vector], rhs: Vector, p: int) -> Vector | None:
-    """One solution of rows . x = rhs mod p, or None if inconsistent."""
+def solve_mod_p(
+    rows: list[Vector] | tuple[Vector, ...], rhs: list[Vector], p: int
+) -> tuple[Vector, ...] | None:
+    """One solution X (k x w) of rows . X = rhs mod p, for n x k `rows` and
+    n x w `rhs`, in one elimination; None if some column is inconsistent."""
     unknowns = len(rows[0])
-    mat, pivots = row_reduce([tuple(r) + (b,) for r, b in zip(rows, rhs)], p, unknowns)
-    if any(r[unknowns] for r in mat[len(pivots):]):
+    mat, pivots = row_reduce([tuple(r) + tuple(b) for r, b in zip(rows, rhs)], p, unknowns)
+    if any(any(r[unknowns:]) for r in mat[len(pivots):]):
         return None
-    x = [0] * unknowns
+    x = [(0,) * len(rhs[0])] * unknowns
     for r, pc in enumerate(pivots):
-        x[pc] = mat[r][unknowns]
+        x[pc] = tuple(mat[r][unknowns:])
     return tuple(x)
 
 

@@ -51,22 +51,16 @@ def character_preserving_symmetries(
 def _charset_matrix(perm: Perm, phi: Epimorphism) -> Matrix:
     """Matrix P on character coordinates with phi . (P c) = (phi c) o perm.
 
-    Column j is the coordinate vector of the permuted j-th column of phi;
+    Column j is the coordinate vector of the permuted j-th column of phi, so
+    P solves phi . P = (rows of phi permuted by perm) in one elimination;
     inconsistency means the permutation does not preserve the span.
     """
-    m, k = phi.m, phi.k
-    rows = phi.rows
-    cols_of_p = []
-    for j in range(phi.k):
-        a = phi.column(j)
-        permuted = tuple(a[perm[i]] for i in range(phi.n))  # pullback a o perm
-        c = solve_mod_p(list(rows), permuted, m)
-        if c is None:
-            raise ValueError(
-                f"permutation {perm_cycles_str(perm)} does not preserve the characters"
-            )
-        cols_of_p.append(c)
-    return tuple(tuple(cols_of_p[j][i] for j in range(k)) for i in range(k))
+    p = solve_mod_p(phi.rows, [phi.rows[j] for j in perm], phi.m)
+    if p is None:
+        raise ValueError(
+            f"permutation {perm_cycles_str(perm)} does not preserve the characters"
+        )
+    return p
 
 
 def deck_action_of(perm: Perm, anti: bool, phi: Epimorphism) -> Matrix:
@@ -187,10 +181,6 @@ class RealStructureClass(NamedTuple):
     real_blown_points: tuple[tuple[int, ...], ...]  # 1-based incident triples
     real_part_euler: int | None
     real_part_betti: tuple[int, int, int] | None
-
-    @property
-    def n_real_blown(self) -> int:
-        return len(self.real_blown_points)
 
 
 def classify_real_structures(model: KleinModel) -> list[RealStructureClass]:

@@ -121,7 +121,7 @@ def test_criterion_6(dh, cover2, model2):
     assert anti[0].deck_aut == ((4, 0), (0, 4))  # s g s^-1 = g^-1
     classes = classify_real_structures(model2)
     assert len(classes) == 1 and classes[0].size == 25
-    assert classes[0].n_real_blown == 4
+    assert len(classes[0].real_blown_points) == 4
     betti = classes[0].real_part_betti
     assert sum(betti) == 7
     h = hodge_from_surface(333, 111, q=0, nu=0)

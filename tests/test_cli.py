@@ -125,8 +125,8 @@ HODGE = {"k2": 333, "euler": 111, "p_plus": 0, "p_minus": 36, "components": [[1,
 @pytest.mark.parametrize(
     "doc, message, options",
     [
-        ([1, 2], "hodge JSON must be an object, got list", []),
-        ("k2", "hodge JSON must be an object, got str", []),
+        ([1, 2], "hodge JSON must be an object, got array", []),
+        ("k2", "hodge JSON must be an object, got string", []),
         ({**HODGE, "components": [[1, "a"]]}, "components[0] must be 3 non-negative integer", []),
         ({**HODGE, "components": [[1, 5]]}, "components[0] must be 3", []),
         ({**HODGE, "components": [[1, 5, -1]]}, "components[0] must be 3", []),
@@ -205,6 +205,44 @@ def test_paper_verify_flags_mismatches(capsys, monkeypatch):
     assert "expected 334" in out
 
 
+EXAMPLES = {"example1", "example2", "example3"}
+
+
+@pytest.mark.parametrize(
+    "builder, key, sections",
+    [
+        ("arrangement_report", "automorphism_order", {"dual_hesse", "complete_quadrilateral"}),
+        ("smoothness_report", "smooth", EXAMPLES),
+        ("invariants_report", "chi", EXAMPLES),
+        ("characters_report", "characters", {"characters"}),
+        ("symmetry_report", "klein_order", EXAMPLES),
+        ("real_report", "class_count", EXAMPLES),
+        ("bounds_report", "smith_total", {"bounds"}),
+    ],
+    ids=["arrangement", "smoothness", "invariants", "characters", "symmetry", "real", "bounds"],
+)
+def test_paper_verify_reads_each_command_report(capsys, monkeypatch, builder, key, sections):
+    # one changed value in a command's report must show in `paper verify`
+    original = getattr(cli, builder)
+
+    def changed(*args, **kwargs):
+        report = original(*args, **kwargs)
+        value = report[key]
+        if isinstance(value, bool):
+            report[key] = not value
+        elif isinstance(value, int):
+            report[key] = value + 1
+        else:
+            report[key] = value[1:]
+        return report
+
+    monkeypatch.setattr(cli, builder, changed)
+    code, out = capture(capsys, ["--format", "json", "paper", "verify"])
+    assert code == 1
+    report = json.loads(out)["sections"]
+    assert {name for name, section in report.items() if not section["ok"]} == sections
+
+
 def test_unknown_builtin_is_input_error(capsys):
     assert run(["cover", "invariants", "builtin:nope"]) == 2
 
@@ -272,6 +310,7 @@ QUAD_PHI = [[1, 0], [1, 0], [1, 2], [0, 1], [0, 1], [2, 1]]
         ("phi", [[1.5, 0]] + QUAD_PHI[1:]),
         ("phi", [[True, 0]] + QUAD_PHI[1:]),
         ("phi", [["1", 0]] + QUAD_PHI[1:]),
+        ("phi", [1, 0, 1, 2, 0, 2]),
         ("m", 5.0),
         ("m", True),
         ("k", "2"),
@@ -294,8 +333,8 @@ QUAD_PHI = [[1, 0], [1, 0], [1, 2], [0, 1], [0, 1], [2, 1]]
         (None, None),
     ],
     ids=[
-        "phi-float", "phi-bool", "phi-str", "m-float", "m-bool", "k-str", "k-bool", "k-zero",
-        "m-composite", "blow-float", "blow-str", "blow-bool", "blow-unknown-keyword",
+        "phi-float", "phi-bool", "phi-str", "phi-flat", "m-float", "m-bool", "k-str", "k-bool",
+        "k-zero", "m-composite", "blow-float", "blow-str", "blow-bool", "blow-unknown-keyword",
         "arrangement-int", "arrangement-list", "m-mersenne-61", "m-too-large",
         "document-list", "document-str", "document-int", "document-null",
     ],
@@ -312,7 +351,10 @@ def test_malformed_cover_json_is_input_error(tmp_path, capsys, field, value):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     if field is None:
-        assert err == f"error: cover JSON must be an object, got {type(value).__name__}\n"
+        kind = {list: "array", str: "string", int: "number", type(None): "null"}[type(value)]
+        assert err == f"error: cover JSON must be an object, got {kind}\n"
+    if field == "phi" and not isinstance(value[0], list):
+        assert err == "error: cover JSON field 'phi' must be an array of arrays, one per line\n"
     if field == "m" and value == 4:
         assert "modulus 4 is not prime" in err
     if field == "m" and value == 2**89 - 1:

@@ -151,7 +151,7 @@ def test_example2_unique_real_structure_class(model2):
     assert cls.size == 25
     assert cls.perm_cycles == "(2 3)(4 6)(7 8)"
     assert cls.fixed_lines == (1, 5, 9)
-    assert cls.n_real_blown == 4
+    assert len(cls.real_blown_points) == 4
     assert cls.real_part_euler == -3
     assert cls.real_part_betti == (1, 5, 1)
 
@@ -171,9 +171,9 @@ def test_example3_two_classes_with_distinct_fingerprints(model3):
     assert (3, 6) in by_lines
     all_real = by_lines[(1, 2, 3, 4, 5, 6)]
     two_real = by_lines[(3, 6)]
-    assert all_real.n_real_blown == 4
+    assert len(all_real.real_blown_points) == 4
     assert all_real.real_part_betti == (1, 5, 1)
-    assert two_real.n_real_blown == 2
+    assert len(two_real.real_blown_points) == 2
     assert two_real.real_part_betti == (1, 3, 1)
 
 
