@@ -41,14 +41,13 @@ _EXPORTS = {
     ),
     "characters": ("enumerate_characters", "r_profile", "unique_profile_elements"),
     "cover": (
-        "CoverModel",
         "generator_words",
         "invariants",
         "nonnegative_solutions",
         "three_canonical_decomposition",
     ),
     "cyclotomic": ("ZETA", "CycNumber", "parse_cyc"),
-    "homology": ("Epimorphism", "galois_kernel", "smoothness_check"),
+    "homology": ("CoverModel", "Epimorphism", "galois_kernel", "smoothness_check"),
     "symmetry": ("KleinModel", "classify_real_structures", "deck_action_of", "klein_model"),
 }
 

@@ -2,7 +2,7 @@
 
 The three builtin covers pair the two builtin arrangements with fixed
 (Z/5Z)^2-valued epimorphisms; every blown-up point set defaults to all
-points of multiplicity at least 3.
+points of multiplicity at least 3.  A cover is resolved to a `CoverModel`.
 
 An arrangement is built once per process for each builtin name or tuple of
 line coefficient strings (`_arrangement`), and the one object is shared by
@@ -16,13 +16,9 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .arrangement import Arrangement, Line, build_arrangement, complete_quadrilateral, dual_hesse
-from .homology import Epimorphism
-
-if TYPE_CHECKING:  # the cover modules load with the first cover resolved
-    from .cover import CoverModel
+from .homology import BLOW_ALL_TRIPLE, CoverModel, Epimorphism
 
 PHI1 = Epimorphism(
     m=5,
@@ -101,8 +97,6 @@ def _line_strings(data: dict) -> LineStrings:
 
 
 def builtin_cover(name: str) -> CoverModel:
-    from .cover import BLOW_ALL_TRIPLE, CoverModel
-
     try:
         arr_name, phi = _COVERS[name]
     except KeyError:
@@ -140,8 +134,6 @@ def require_object(data, what: str) -> None:
 def cover_from_json(data: dict) -> CoverModel:
     """Schema: {"arrangement": ref, "m": int, "k": int, "phi": [[..],..],
     "blow_up": "all_r_ge_3" | [point ids]}."""
-    from .cover import BLOW_ALL_TRIPLE, CoverModel
-
     require_object(data, "cover")
     try:
         arr = resolve_arrangement(data["arrangement"])

@@ -14,19 +14,22 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
+from .arrangement import Arrangement, perm_cycles_str
 from .catalog import read_json, require_object, resolve_arrangement, resolve_cover
+from .cyclotomic import _is_int
+from .homology import CoverModel
 
 if TYPE_CHECKING:
-    from .arrangement import Arrangement
     from .bounds import Betti
-    from .cover import CoverModel
 
 
 # -- report builders (dicts with deterministic ordering) ------------------------
 #
-# Each builder imports the pipeline modules its report needs when it runs, so
-# a command loads only those (`bounds check` never loads the cover modules)
-# and reads each name from its defining module at call time.
+# Every command loads `catalog` and the modules it imports.  Each builder
+# imports the other pipeline modules its report needs when it runs, so a
+# command loads only those (only `cover invariants` and `paper verify` load
+# the invariants modules `cover` and `intersection`) and reads each name from
+# its defining module at call time.
 
 
 def arrangement_report(arr: Arrangement, ref: str, with_autos: bool) -> dict:
@@ -107,7 +110,6 @@ def characters_report(cover: CoverModel, ref: str) -> dict:
 
 
 def symmetry_report(cover: CoverModel, ref: str) -> dict:
-    from .arrangement import perm_cycles_str
     from .symmetry import klein_model
 
     model = klein_model(cover)
@@ -165,8 +167,6 @@ _REQUIRED = object()
 def _hodge_int(data: dict, name: str, default: object = _REQUIRED) -> int | None:
     """An integer field of hodge JSON; a missing optional one (or null where
     the default is None) gives the default."""
-    from .cyclotomic import _is_int
-
     value = data.get(name, default)
     if value is _REQUIRED:
         raise ValueError(f"hodge JSON needs an integer {name!r}")
@@ -176,8 +176,6 @@ def _hodge_int(data: dict, name: str, default: object = _REQUIRED) -> int | None
 
 
 def _hodge_components(data: dict) -> tuple[Betti, ...]:
-    from .cyclotomic import _is_int
-
     comps = data.get("components", [])
     if not isinstance(comps, list):
         raise ValueError(f"hodge JSON field 'components' must be a list, got {comps!r}")
@@ -196,12 +194,19 @@ def _hodge_components(data: dict) -> tuple[Betti, ...]:
 
 def bounds_report(data: dict, k3: int | None = None) -> dict:
     """Bound arithmetic on hodge JSON: an object with integer k2 and euler
-    (and optional q), or integer h10, h20 and h11; optional integer nu,
-    p_plus, p_minus and k3 (the `--k3` argument overrides it), and
-    components as Betti triples."""
+    (and optional q), or integer h10, h20 and h11, never fields of both;
+    optional integer nu, p_plus, p_minus and k3 (the `--k3` argument
+    overrides it), and components as Betti triples."""
     from . import bounds as bounds_mod
 
     require_object(data, "hodge")
+    surface = [key for key in ("k2", "euler", "q") if key in data]
+    hodge = [key for key in ("h10", "h20", "h11") if key in data]
+    if surface and hodge:
+        raise ValueError(
+            "hodge JSON must use one form, k2/euler/q or h10/h20/h11, "
+            f"got {', '.join(surface + hodge)}"
+        )
     optional = {
         "nu": _hodge_int(data, "nu", 0),
         "p_plus": _hodge_int(data, "p_plus", None),

@@ -1,11 +1,11 @@
 """Numeric invariants of the smooth abelian cover of the blown-up plane.
 
-A cover is an arrangement, a blow-up set, and an epimorphism phi onto
-(Z/mZ)^k.  All invariants are computed on the blown plane and scaled by the
-covering degree: the canonical class of the cover is the pullback of
-K_tilde + ((m-1)/m) B where B is the branch divisor class, the Euler
-characteristic comes from the stratification into the free part, the
-m^(k-1)-fold branch curves, and the m^(k-2)-fold crossing points.
+The cover (`homology.CoverModel`) is an arrangement, a blow-up set, and an
+epimorphism phi onto (Z/mZ)^k.  All invariants are computed on the blown
+plane and scaled by the covering degree: the canonical class of the cover is
+the pullback of K_tilde + ((m-1)/m) B where B is the branch divisor class,
+the Euler characteristic comes from the stratification into the free part,
+the m^(k-1)-fold branch curves, and the m^(k-2)-fold crossing points.
 """
 
 from __future__ import annotations
@@ -14,58 +14,9 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arrangement import Arrangement, IncidencePoint
-from .cyclotomic import _is_int
-from .homology import Epimorphism, SmoothnessCertificate, Vector, smoothness_check
+from .arrangement import Arrangement
+from .homology import CoverModel, Epimorphism, Vector
 from .intersection import Blown, DivisorClass, exceptional, pairing, strict_transforms
-
-BLOW_ALL_TRIPLE = "all_r_ge_3"
-
-
-class CoverModel(NamedTuple):
-    arrangement: Arrangement
-    phi: Epimorphism
-    blown_ids: tuple[int, ...]
-    certificate: SmoothnessCertificate
-
-    @classmethod
-    def build(
-        cls,
-        arr: Arrangement,
-        phi: Epimorphism,
-        blow: str | list[int] | tuple[int, ...] = BLOW_ALL_TRIPLE,
-    ) -> CoverModel:
-        if phi.n != arr.n:
-            raise ValueError(
-                f"epimorphism has {phi.n} rows but the arrangement has {arr.n} lines"
-            )
-        if blow == BLOW_ALL_TRIPLE:
-            blown = tuple(pid for pid, p in enumerate(arr.points) if p.r >= 3)
-        elif isinstance(blow, (list, tuple)) and all(_is_int(b) for b in blow):
-            blown = tuple(sorted(set(blow)))
-            for pid in blown:
-                if not 0 <= pid < len(arr.points):
-                    raise ValueError(f"blow-up id {pid} out of range")
-        else:
-            raise ValueError(
-                f"blow_up must be {BLOW_ALL_TRIPLE!r} or a list of integer point ids, "
-                f"got {blow!r}"
-            )
-        return cls(arr, phi, blown, smoothness_check(arr, phi, blown))
-
-    @property
-    def m(self) -> int:
-        return self.phi.m
-
-    @property
-    def k(self) -> int:
-        return self.phi.k
-
-    def require_smooth(self) -> None:
-        if not self.certificate.ok:
-            bad = ", ".join(c.detail for c in self.certificate.failures())
-            raise ValueError(f"cover is not certified smooth: {bad}")
-
 
 # -- canonical class -----------------------------------------------------------
 
@@ -232,10 +183,12 @@ class ThreeCanonicalDecomposition(NamedTuple):
         }
 
 
-def _point_coeff(point: IncidencePoint, m: int, line_coeffs) -> int | Fraction:
-    """A blown point's coefficient in 3K, given the line coefficients:
-    3m - 3(m-1)(r-1) plus the coefficients of the lines through it."""
-    return 3 * m - 3 * (m - 1) * (point.r - 1) + sum(line_coeffs[i] for i in point.incident)
+def _point_coeffs(arr: Arrangement, blown, mkadj: DivisorClass, line_coeffs) -> list:
+    """The blown points' coefficients in 3K, given the line coefficients: 3 e_p
+    (m K_adj = hH + sum e_p E_p) plus the coefficients of the lines through p."""
+    return [
+        3 * mkadj.e[pid] + sum(line_coeffs[i] for i in arr.points[pid].incident) for pid in blown
+    ]
 
 
 def _extra_lines(
@@ -282,16 +235,17 @@ def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposit
     cover.require_smooth()
     arr, blown, m = cover.arrangement, cover.blown_ids, cover.m
     n = arr.n
+    mkadj = adjoint_class(arr, frozenset(blown), m)
     blown_points = [arr.points[pid] for pid in blown]
     # 3K_tilde = -9H + 3 sum E_p and -(sum of strict transforms) = -nH + sum r_p E_p
     canonical_route = n == 9 and all(p.r == 3 for p in blown_points)
 
-    total = 3 * (n * (m - 1) - 3 * m)  # sum of line coefficients
+    total = 3 * mkadj.h  # sum of line coefficients
     base, rem = divmod(total, n)
     if base > 0:
         # rem < n lines get one more; blown point b needs needs[b] of its lines among them
         floor = [base] * n
-        needs = [1 - _point_coeff(p, m, floor) for p in blown_points]
+        needs = [1 - d for d in _point_coeffs(arr, blown, mkadj, floor)]
         on_line: list[list[int]] = [[] for _ in range(n)]
         for b, p in enumerate(blown_points):
             for i in p.incident:
@@ -301,7 +255,7 @@ def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposit
             c = [base + (1 if i in extra else 0) for i in range(n)]
             return ThreeCanonicalDecomposition(
                 tuple(c),
-                tuple(_point_coeff(p, m, c) for p in blown_points),
+                tuple(_point_coeffs(arr, blown, mkadj, c)),
                 integral=True,
                 all_positive=True,
                 canonical_route=canonical_route,
@@ -311,7 +265,7 @@ def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposit
             )
 
     c_rat = [Fraction(total, n)] * n
-    d_rat = [_point_coeff(p, m, c_rat) for p in blown_points]
+    d_rat = _point_coeffs(arr, blown, mkadj, c_rat)
     return ThreeCanonicalDecomposition(
         tuple(c_rat),
         tuple(d_rat),

@@ -1,10 +1,11 @@
-"""First homology of the line-arrangement complement, mod-m epimorphisms,
-exceptional loop classes, smoothness certificates, and the covering kernel.
+"""First homology of the arrangement complement, mod-m epimorphisms, exceptional
+loop classes, smoothness certificates, covers, and the covering kernel.
 
 Loops lambda_1..lambda_n around the lines generate H_1 subject to the single
 relation sum(lambda_i) = 0.  A branched abelian cover is encoded by the n x k
 residue matrix phi with phi(lambda_i) = rows[i] in (Z/mZ)^k.  Only prime m is
-supported; every bundled example has m = 5.
+supported; every bundled example has m = 5.  A `CoverModel` is an arrangement,
+a blow-up set and an epimorphism, certified smooth or not; `cover` reads it.
 """
 
 from __future__ import annotations
@@ -229,6 +230,54 @@ def smoothness_check(
                 )
             )
     return SmoothnessCertificate(tuple(checks), all(c.ok for c in checks))
+
+
+BLOW_ALL_TRIPLE = "all_r_ge_3"
+
+
+class CoverModel(NamedTuple):
+    arrangement: Arrangement
+    phi: Epimorphism
+    blown_ids: tuple[int, ...]
+    certificate: SmoothnessCertificate
+
+    @classmethod
+    def build(
+        cls,
+        arr: Arrangement,
+        phi: Epimorphism,
+        blow: str | list[int] | tuple[int, ...] = BLOW_ALL_TRIPLE,
+    ) -> CoverModel:
+        if phi.n != arr.n:
+            raise ValueError(
+                f"epimorphism has {phi.n} rows but the arrangement has {arr.n} lines"
+            )
+        if blow == BLOW_ALL_TRIPLE:
+            blown = tuple(pid for pid, p in enumerate(arr.points) if p.r >= 3)
+        elif isinstance(blow, (list, tuple)) and all(_is_int(b) for b in blow):
+            blown = tuple(sorted(set(blow)))
+            for pid in blown:
+                if not 0 <= pid < len(arr.points):
+                    raise ValueError(f"blow-up id {pid} out of range")
+        else:
+            raise ValueError(
+                f"blow_up must be {BLOW_ALL_TRIPLE!r} or a list of integer point ids, "
+                f"got {blow!r}"
+            )
+        return cls(arr, phi, blown, smoothness_check(arr, phi, blown))
+
+    @property
+    def m(self) -> int:
+        return self.phi.m
+
+    @property
+    def k(self) -> int:
+        return self.phi.k
+
+    def require_smooth(self) -> None:
+        if not self.certificate.ok:
+            bad = ", ".join(c.detail for c in self.certificate.failures())
+            raise ValueError(f"cover is not certified smooth: {bad}")
 
 
 # -- covering kernel -----------------------------------------------------------

@@ -26,8 +26,7 @@ from .arrangement import (
     perm_cycles_str,
     realize_symmetry,
 )
-from .cover import CoverModel
-from .homology import Epimorphism, Vector, nullspace_mod_p, row_reduce, solve_mod_p
+from .homology import CoverModel, Epimorphism, Vector, nullspace_mod_p, row_reduce, solve_mod_p
 from .linalg import Mat3
 
 Matrix = tuple[Vector, ...]  # k x k over Z/mZ
@@ -152,7 +151,7 @@ def klein_model(cover: CoverModel) -> KleinModel:
     preserving = character_preserving_symmetries(arr, phi, cover.blown_ids)
     realized: list[RealizedSymmetry] = []
     rejected: list[tuple[Perm, bool]] = []
-    for perm in preserving:
+    for perm in preserving:  # sorted, so `realized` is sorted by (perm, anti)
         for anti in (False, True):
             matrix = realize_symmetry(arr, perm, anti)
             if matrix is None:
@@ -161,7 +160,6 @@ def klein_model(cover: CoverModel) -> KleinModel:
                 realized.append(
                     RealizedSymmetry(perm, anti, matrix, deck_action_of(perm, anti, phi))
                 )
-    realized.sort(key=lambda r: (r.perm, r.anti))
     return KleinModel(
         cover=cover,
         realized=tuple(realized),

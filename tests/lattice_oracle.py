@@ -17,11 +17,11 @@ from fractions import Fraction
 
 from planecover.arrangement import Arrangement
 from planecover.cover import (
-    CoverModel,
     CurveInvariants,
     InvariantReport,
     _as_int,
 )
+from planecover.homology import CoverModel
 
 Context = tuple[int, ...]  # sorted blown point ids
 

@@ -142,12 +142,19 @@ HODGE = {"k2": 333, "euler": 111, "p_plus": 0, "p_minus": 36, "components": [[1,
         ({**HODGE, "k3": -1}, "k3 must be non-negative, got -1", []),
         ({**HODGE, "k3": "x"}, "'k3' must be an integer", ["--k3", "0"]),
         ({**HODGE, "k3": -1}, "k3 must be non-negative, got -1", ["--k3", "0"]),
+        # one form only: k2, euler and optional q, or h10, h20 and h11
+        ({"k2": 333, "euler": 111, "h10": 5, "h20": 1, "h11": 1},
+         "must use one form, k2/euler/q or h10/h20/h11, got k2, euler, h10, h20, h11", []),
+        ({"h10": 0, "h20": 1, "h11": 1, "q": 2},
+         "must use one form, k2/euler/q or h10/h20/h11, got q, h10, h20, h11", []),
+        ({**HODGE, "h11": 37}, "must use one form, k2/euler/q or h10/h20/h11, got k2, euler, h11", []),
     ],
     ids=[
         "list", "string", "component-str", "component-pair", "component-negative",
         "components-object", "h11-float", "h11-bool", "h10-missing", "euler-missing",
         "k2-str", "p-plus-float", "nu-null", "k3-bool", "k3-negative",
         "k3-str-under-argument", "k3-negative-under-argument",
+        "mixed-forms", "q-beside-hodge-numbers", "h11-beside-surface",
     ],
 )
 def test_malformed_hodge_json_is_input_error(tmp_path, capsys, doc, message, options):

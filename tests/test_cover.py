@@ -20,7 +20,6 @@ from planecover import cover as cover_module
 from planecover.arrangement import Line, build_arrangement, complete_quadrilateral, dual_hesse
 from planecover.catalog import PHI3, builtin_cover
 from planecover.cover import (
-    CoverModel,
     adjoint_class,
     generator_words,
     invariants,
@@ -30,7 +29,7 @@ from planecover.cover import (
     word_str,
 )
 from planecover.cyclotomic import CycNumber
-from planecover.homology import Epimorphism, SmoothnessCertificate
+from planecover.homology import CoverModel, Epimorphism, SmoothnessCertificate
 from test_symmetry import (
     CENSUS_COVERS,
     CENSUS_GENERIC_COVERS,

@@ -17,7 +17,6 @@ from planecover.bounds import (
 )
 from planecover.catalog import builtin_cover
 from planecover.cover import (
-    CoverModel,
     CurveInvariants,
     InvariantReport,
     ThreeCanonicalDecomposition,
@@ -26,6 +25,7 @@ from planecover.cover import (
     three_canonical_decomposition,
 )
 from planecover.homology import (
+    CoverModel,
     Epimorphism,
     PointCheck,
     SmoothnessCertificate,

@@ -19,7 +19,8 @@ import planecover
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(planecover.__file__)))
 
 # one command (or none: a bare `import planecover`), what it must load, and
-# what it must not load
+# what it must not load; of the cover commands only `cover invariants` loads
+# the invariants modules `cover` and `intersection`
 CASES = {
     "import planecover": (None, set(), {
         "arrangement", "bounds", "catalog", "characters", "cli", "cover", "cyclotomic",
@@ -32,8 +33,8 @@ CASES = {
     ),
     "cover smoothness": (
         ["cover", "smoothness", "builtin:example1"],
-        {"cover"},
-        {"characters", "symmetry", "bounds"},
+        {"homology"},
+        {"cover", "intersection", "characters", "symmetry", "bounds"},
     ),
     "cover invariants": (
         ["cover", "invariants", "builtin:example3"],
@@ -43,17 +44,17 @@ CASES = {
     "characters list": (
         ["characters", "list", "builtin:example1"],
         {"characters"},
-        {"symmetry", "bounds"},
+        {"cover", "intersection", "symmetry", "bounds"},
     ),
     "symmetry search": (
         ["symmetry", "search", "builtin:example2"],
         {"symmetry"},
-        {"characters", "bounds"},
+        {"cover", "intersection", "characters", "bounds"},
     ),
     "real classify": (
         ["real", "classify", "builtin:example3"],
         {"symmetry"},
-        {"characters", "bounds"},
+        {"cover", "intersection", "characters", "bounds"},
     ),
     "bounds check": (
         ["bounds", "check", "HODGE"],

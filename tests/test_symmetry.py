@@ -29,7 +29,7 @@ from planecover.bounds import hodge_from_surface, lefschetz_trace, smith_total
 from planecover.catalog import PHI2, PHI3, builtin_cover
 from planecover.characters import enumerate_characters, preserves_charset
 from planecover.cyclotomic import ONE, ZERO, ZETA
-from planecover.homology import Epimorphism
+from planecover.homology import BLOW_ALL_TRIPLE, CoverModel, Epimorphism
 from planecover.symmetry import (
     character_preserving_symmetries,
     classify_real_structures,
@@ -186,8 +186,6 @@ def test_symmetries_keep_the_blow_up_set(cq, blow, order, perms):
     # points 1, 4 and 6 are the double points (1,4), (2,5) and (3,6); the
     # swap (1 2)(4 5) sends (1,4) to (2,5), so with only (1,4) blown it is
     # birational on the blown-up cover, not an automorphism
-    from planecover.cover import CoverModel
-
     model = klein_model(CoverModel.build(cq, PHI3, blow))
     assert [perm_cycles_str(p) for p in model.character_preserving] == perms
     assert model.order == order
@@ -294,8 +292,6 @@ QUAD_COVERS = {
 
 
 def quadrilateral_cover(cq, m, rows):
-    from planecover.cover import BLOW_ALL_TRIPLE, CoverModel
-
     phi = Epimorphism(m=m, k=len(rows[0]), rows=tuple(tuple(r) for r in rows))
     return CoverModel.build(cq, phi, BLOW_ALL_TRIPLE)
 
@@ -523,8 +519,6 @@ ODD_COVERS = ["example1", "example2", "example3", "quadrilateral_5_3", "quadrila
 
 
 def odd_cover(name, cq):
-    from planecover.cover import BLOW_ALL_TRIPLE, CoverModel
-
     if name == "kummer_5_5":
         rows = [tuple(int(i == j) for j in range(5)) for i in range(5)] + [(4, 4, 4, 4, 4)]
         return quadrilateral_cover(cq, 5, rows)
@@ -566,7 +560,10 @@ def test_topology_cross_checks(name, cq):
     assert my_identity(h) == (rep.k2 == 3 * rep.euler)
     if name in ("example1", "example2", "example3"):
         assert my_identity(h)
-    classes = classify_real_structures(klein_model(cover))
+    model = klein_model(cover)
+    # the search yields H in (perm, anti) order; klein_model does not sort it
+    assert list(model.realized) == sorted(model.realized, key=lambda r: (r.perm, r.anti))
+    classes = classify_real_structures(model)
     assert classes or name == "example1"
     for cls in classes:
         euler_r, betti_r = real_part_topology(cls)
