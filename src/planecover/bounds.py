@@ -149,16 +149,6 @@ class FakePlaneReport(NamedTuple):
     holomorphic_sum: Fraction
     holomorphic_contradiction: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "curve_case_equation": self.curve_case_equation,
-            "curve_case_contradiction": self.curve_case_contradiction,
-            "lefschetz_fixed_points": self.lefschetz_fixed_points,
-            "jacobian_det": self.jacobian_det,
-            "holomorphic_sum": str(self.holomorphic_sum),
-            "holomorphic_contradiction": self.holomorphic_contradiction,
-        }
-
 
 def fake_plane_involution_check() -> FakePlaneReport:
     """Arithmetic obstruction to an order-2 automorphism of a surface with

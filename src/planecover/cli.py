@@ -21,6 +21,7 @@ from .homology import CoverModel
 
 if TYPE_CHECKING:
     from .bounds import Betti
+    from .symmetry import KleinModel
 
 
 # -- report builders (dicts with deterministic ordering) ------------------------
@@ -29,7 +30,10 @@ if TYPE_CHECKING:
 # imports the other pipeline modules its report needs when it runs, so a
 # command loads only those (only `cover invariants` and `paper verify` load
 # the invariants modules `cover` and `intersection`) and reads each name from
-# its defining module at call time.
+# its defining module at call time.  The builders are the only place a record
+# becomes a report dict.  The symmetry and real builders take the Klein model,
+# built once per command (`_klein_model`), so `paper verify` builds one per
+# example for both.
 
 
 def arrangement_report(arr: Arrangement, ref: str, with_autos: bool) -> dict:
@@ -86,9 +90,15 @@ def invariants_report(cover: CoverModel, ref: str) -> dict:
     words = [
         word_str(w, j, cover.m) for j, w in enumerate(generator_words(cover.phi))
     ]
-    data = rep.to_dict()
+    data = rep._asdict()
+    for kind in ("line_curves", "point_curves"):
+        data[kind] = [c._asdict() for c in data[kind]]
     data["cover"] = ref
-    data["three_canonical"] = dec.to_dict()
+    data["three_canonical"] = {
+        **dec._asdict(),
+        "line_coeffs": [str(c) for c in dec.line_coeffs],
+        "point_coeffs": [str(c) for c in dec.point_coeffs],
+    }
     data["generator_words"] = words
     return data
 
@@ -109,13 +119,16 @@ def characters_report(cover: CoverModel, ref: str) -> dict:
     }
 
 
-def symmetry_report(cover: CoverModel, ref: str) -> dict:
+def _klein_model(cover: CoverModel) -> KleinModel:
     from .symmetry import klein_model
 
-    model = klein_model(cover)
+    return klein_model(cover)
+
+
+def symmetry_report(model: KleinModel, ref: str) -> dict:
     return {
         "cover": ref,
-        "combinatorial_automorphisms": cover.arrangement.automorphism_order,
+        "combinatorial_automorphisms": model.cover.arrangement.automorphism_order,
         "character_preserving": [perm_cycles_str(p) for p in model.character_preserving],
         "realized": [
             {
@@ -136,10 +149,9 @@ def symmetry_report(cover: CoverModel, ref: str) -> dict:
     }
 
 
-def real_report(cover: CoverModel, ref: str) -> dict:
-    from .symmetry import classify_real_structures, klein_model
+def real_report(model: KleinModel, ref: str) -> dict:
+    from .symmetry import classify_real_structures
 
-    model = klein_model(cover)
     classes = classify_real_structures(model)
     return {
         "cover": ref,
@@ -194,9 +206,10 @@ def _hodge_components(data: dict) -> tuple[Betti, ...]:
 
 def bounds_report(data: dict, k3: int | None = None) -> dict:
     """Bound arithmetic on hodge JSON: an object with integer k2 and euler
-    (and optional q), or integer h10, h20 and h11, never fields of both;
-    optional integer nu, p_plus, p_minus and k3 (the `--k3` argument
-    overrides it), and components as Betti triples."""
+    (and optional q), or integer h10, h20 and h11, never fields of both (any
+    of k2, euler or q selects the first form); optional integer nu, p_plus,
+    p_minus and k3 (the `--k3` argument overrides it), and components as
+    Betti triples."""
     from . import bounds as bounds_mod
 
     require_object(data, "hodge")
@@ -219,7 +232,7 @@ def bounds_report(data: dict, k3: int | None = None) -> dict:
     for value in (k3, document_k3):
         if value is not None and value < 0:
             raise ValueError(f"k3 must be non-negative, got {value}")
-    if "k2" in data or "euler" in data:
+    if surface:
         h = bounds_mod.hodge_from_surface(
             _hodge_int(data, "k2"),
             _hodge_int(data, "euler"),
@@ -298,9 +311,10 @@ def current_reference_values() -> dict:
     for i, name in enumerate(("example1", "example2", "example3"), 1):
         ref = f"builtin:{name}"
         cover = resolve_cover(ref)
+        model = _klein_model(cover)
         inv = invariants_report(cover, ref)
-        sym = symmetry_report(cover, ref)
-        real = real_report(cover, ref)
+        sym = symmetry_report(model, ref)
+        real = real_report(model, ref)
         if i < 3:  # A1 and A2 are the character sets of example1 and example2
             chars = characters_report(cover, ref)["characters"]
             out["characters"][f"A{i}"] = [c["vector"] for c in chars]
@@ -345,6 +359,7 @@ def current_reference_values() -> dict:
     split = {**surface, "p_plus": 0, "p_minus": h11 - 1}
     checks = [bounds_report(split, k3) for k3 in (0, 1, 2)]
     b = checks[0]
+    fake = fake_plane_involution_check()
     out["bounds"] = {
         "nine_line_smith_total": b["smith_total"],
         "nine_line_hodge": [b["hodge"][h] for h in ("h10", "h20", "h11")],
@@ -353,7 +368,7 @@ def current_reference_values() -> dict:
         "example2_lefschetz_trace": b.get("lefschetz_trace"),
         "filter_7_12_27": [list(s) for s in nonnegative_solutions((7, 12), 27)],
         "filter_7_12_9": [list(s) for s in nonnegative_solutions((7, 12), 9)],
-        "fake_plane": fake_plane_involution_check().to_dict(),
+        "fake_plane": {**fake._asdict(), "holomorphic_sum": str(fake.holomorphic_sum)},
         "h20_lower_bound": b.get("h20_lower_bound"),
         "component_count_infeasible": [not r["component_count"]["feasible"] for r in checks],
     }
@@ -484,13 +499,13 @@ COMMANDS = {
         "symmetry search",
         "realizable character-preserving symmetries",
         (_COVER_REF,),
-        lambda a: (symmetry_report(resolve_cover(a.ref), a.ref), 0),
+        lambda a: (symmetry_report(_klein_model(resolve_cover(a.ref)), a.ref), 0),
     ),
     ("real", "classify"): (
         "real structure classification",
         "conjugacy classes of real structures",
         (_COVER_REF,),
-        lambda a: (real_report(resolve_cover(a.ref), a.ref), 0),
+        lambda a: (real_report(_klein_model(resolve_cover(a.ref)), a.ref), 0),
     ),
     ("bounds", "check"): (
         "topological bound arithmetic",

@@ -88,18 +88,6 @@ class InvariantReport(NamedTuple):
     line_curves: tuple[CurveInvariants, ...]
     point_curves: tuple[CurveInvariants, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "k2": self.k2,
-            "euler": self.euler,
-            "chi": self.chi,
-            "my_defect": self.my_defect,
-            "line_curves": [c._asdict() for c in self.line_curves],
-            "point_curves": [c._asdict() for c in self.point_curves],
-        }
-
 
 def _as_int(x: Fraction, what: str) -> int:
     if x.denominator != 1:
@@ -171,16 +159,6 @@ class ThreeCanonicalDecomposition(NamedTuple):
     all_positive: bool
     canonical_route: bool
     note: str
-
-    def to_dict(self) -> dict:
-        return {
-            "line_coeffs": [str(c) for c in self.line_coeffs],
-            "point_coeffs": [str(c) for c in self.point_coeffs],
-            "integral": self.integral,
-            "all_positive": self.all_positive,
-            "canonical_route": self.canonical_route,
-            "note": self.note,
-        }
 
 
 def _point_coeffs(arr: Arrangement, blown, mkadj: DivisorClass, line_coeffs) -> list:

@@ -148,6 +148,9 @@ HODGE = {"k2": 333, "euler": 111, "p_plus": 0, "p_minus": 36, "components": [[1,
         ({"h10": 0, "h20": 1, "h11": 1, "q": 2},
          "must use one form, k2/euler/q or h10/h20/h11, got q, h10, h20, h11", []),
         ({**HODGE, "h11": 37}, "must use one form, k2/euler/q or h10/h20/h11, got k2, euler, h11", []),
+        # q alone selects the k2/euler form
+        ({"q": 0}, "hodge JSON needs an integer 'k2'", []),
+        ({"q": 0, "nu": 0}, "hodge JSON needs an integer 'k2'", []),
     ],
     ids=[
         "list", "string", "component-str", "component-pair", "component-negative",
@@ -155,6 +158,7 @@ HODGE = {"k2": 333, "euler": 111, "p_plus": 0, "p_minus": 36, "components": [[1,
         "k2-str", "p-plus-float", "nu-null", "k3-bool", "k3-negative",
         "k3-str-under-argument", "k3-negative-under-argument",
         "mixed-forms", "q-beside-hodge-numbers", "h11-beside-surface",
+        "q-only", "q-and-nu",
     ],
 )
 def test_malformed_hodge_json_is_input_error(tmp_path, capsys, doc, message, options):
@@ -198,6 +202,25 @@ def test_paper_verify_passes(capsys):
     code, out = capture(capsys, ["paper", "verify"])
     assert code == 0
     assert "mismatch_count: 0" in out
+
+
+def test_paper_verify_builds_one_klein_model_per_example(capsys, monkeypatch):
+    # the symmetry and real reports of an example share one model
+    from planecover import symmetry
+
+    covers = []
+    original = symmetry.klein_model
+
+    def counted(cover):
+        covers.append(cover)
+        return original(cover)
+
+    monkeypatch.setattr(symmetry, "klein_model", counted)
+    code, out = capture(capsys, ["paper", "verify"])
+    assert code == 0
+    assert "mismatch_count: 0" in out
+    assert len(covers) == 3
+    assert len(set(covers)) == 3
 
 
 def test_paper_verify_flags_mismatches(capsys, monkeypatch):
@@ -544,7 +567,7 @@ def test_run_calls_the_patched_report_builder(capsys, monkeypatch):
         return resolve(ref)
 
     monkeypatch.setattr(cli, "resolve_cover", traced)
-    monkeypatch.setattr(cli, "real_report", lambda cover, ref: {"cover": ref, "m": cover.m})
+    monkeypatch.setattr(cli, "real_report", lambda model, ref: {"cover": ref, "m": model.m})
     code, out = capture(capsys, ["real", "classify", "builtin:example3"])
     assert code == 0
     assert out == "[real classify]\ncover: builtin:example3\nm: 5\n"

@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+from planecover import cli
 from planecover.arrangement import Arrangement, IncidencePoint, Line, dual_hesse
 from planecover.bounds import (
     ComponentBoundVerdict,
@@ -109,10 +110,18 @@ def test_arrangement_is_equal_by_lines_points_and_notes():
 
 
 def test_invariant_report_dict_keeps_the_field_order():
-    report = SAMPLES[InvariantReport]
-    data = report.to_dict()
+    # `cli` builds the report dict from the records' fields, in field order
+    # (the text renderer prints the keys in that order)
+    report, dec = SAMPLES[InvariantReport], SAMPLES[ThreeCanonicalDecomposition]
+    data = cli.invariants_report(builtin_cover("example3"), "builtin:example3")
+    assert list(data)[: len(InvariantReport._fields)] == list(InvariantReport._fields)
     assert list(data["line_curves"][0]) == ["label", "self_int", "k_degree", "genus"]
     assert data["line_curves"] == [c._asdict() for c in report.line_curves]
+    assert data["point_curves"] == [c._asdict() for c in report.point_curves]
+    three = data["three_canonical"]
+    assert list(three) == list(ThreeCanonicalDecomposition._fields)
+    assert three["line_coeffs"] == [str(c) for c in dec.line_coeffs]
+    assert three["point_coeffs"] == [str(c) for c in dec.point_coeffs]
 
 
 def test_checked_records_normalise_their_input():
