@@ -525,21 +525,30 @@ COMMANDS = {
 }
 
 
+_FORMATS = ("text", "json")
+
+
+def _add_command_arguments(
+    parser: argparse.ArgumentParser, arguments: tuple
+) -> argparse.ArgumentParser:
+    # the top-level flags are accepted after the command too; SUPPRESS keeps
+    # the command's parser from clobbering a value parsed at the top level
+    parser.add_argument("--format", choices=_FORMATS, default=argparse.SUPPRESS)
+    parser.add_argument("--out", default=argparse.SUPPRESS)
+    for names, kwargs in arguments:
+        parser.add_argument(*names, **kwargs)
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole tree: the top-level flags, a parser per group and per command."""
     parser = argparse.ArgumentParser(
         prog="planecover",
         description="Exact invariants and real-structure classification for "
         "abelian covers of the plane branched over line arrangements.",
     )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--format", choices=_FORMATS, default="text")
     parser.add_argument("--out", default=None, help="write the report to a file")
-
-    # the same flags are accepted after the subcommand; SUPPRESS keeps a leaf
-    # parser from clobbering a value parsed at the top level
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
-    common.add_argument("--out", default=argparse.SUPPRESS)
-
     groups = parser.add_subparsers(dest="group", required=True)
     actions = {}
     for (group, action), (group_help, action_help, arguments, _) in COMMANDS.items():
@@ -547,18 +556,74 @@ def _build_parser() -> argparse.ArgumentParser:
             actions[group] = groups.add_parser(group, help=group_help).add_subparsers(
                 dest="action", required=True
             )
-        leaf = actions[group].add_parser(action, parents=[common], help=action_help)
-        for names, kwargs in arguments:
-            leaf.add_argument(*names, **kwargs)
+        _add_command_arguments(actions[group].add_parser(action, help=action_help), arguments)
     return parser
 
 
-_PARSER = _build_parser()
+def _command_parser(group: str, action: str) -> argparse.ArgumentParser:
+    """One command's parser, as the full tree builds it for that command."""
+    parser = argparse.ArgumentParser(prog=f"planecover {group} {action}")
+    return _add_command_arguments(parser, COMMANDS[group, action][2])
+
+
+# the parsers built so far, kept for the life of the process:
+# (group, action) -> that command's parser, None -> the full tree
+_PARSERS: dict[tuple[str, str] | None, argparse.ArgumentParser] = {}
+
+
+def _parser(key: tuple[str, str] | None) -> argparse.ArgumentParser:
+    if key not in _PARSERS:
+        _PARSERS[key] = _build_parser() if key is None else _command_parser(*key)
+    return _PARSERS[key]
+
+
+def _split_command(argv: list[str]) -> tuple[argparse.Namespace, list[str]] | None:
+    """A command line `[--format F] [--out O] <group> <action> ...` as the
+    full tree's top level reads it: the namespace it fills and the arguments
+    it hands to the command's parser.  None for any other command line (help,
+    no command, an error at the top level or a spelling this reader does not
+    follow): the full tree parses those."""
+    top = {"format": "text", "out": None}
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        # --format, --out or an abbreviation, with its value after "=" or next
+        name, eq, value = argv[i].partition("=")
+        dest = next((d for d in top if len(name) > 2 and f"--{d}".startswith(name)), None)
+        if dest is None:
+            return None
+        if not eq:
+            i += 1
+            if i == len(argv) or argv[i].startswith("-"):
+                return None
+            value = argv[i]
+        top[dest] = value
+        i += 1
+    command, rest = tuple(argv[i : i + 2]), argv[i + 2 :]
+    # the top level rejects "--=..." anywhere as ambiguous, before any command parses
+    if top["format"] not in _FORMATS or command not in COMMANDS or any(
+        a.startswith("--=") for a in rest
+    ):
+        return None
+    return argparse.Namespace(**top, group=command[0], action=command[1]), rest
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The full tree's reading of argv, from the one command's parser when
+    argv names a command and that parser takes every argument."""
+    split = _split_command(argv)
+    if split is not None:
+        namespace, rest = split
+        args, extra = _parser((namespace.group, namespace.action)).parse_known_args(
+            rest, namespace
+        )
+        if not extra:
+            return args
+    return _parser(None).parse_args(argv)
 
 
 def run(argv: list[str]) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 

@@ -180,9 +180,19 @@ def _extra_lines(
     at least needs[b] of the lines incident[b] through each blown point b, or
     None.  Depth-first in the order of `itertools.combinations`, dropping a
     prefix as soon as some point needs more lines than the slots left or
-    than its lines from `start` on; `needs` is restored on return."""
+    than its lines from `start` on, or the points together need more than
+    the `slots` lines from `start` on that pass through the most needy
+    points can give (a line lowers each need through it by one);
+    `needs` is restored on return."""
     for need, lines in zip(needs, incident):
         if need > min(slots, len(lines) - bisect_left(lines, start)):
+            return None
+    if total := sum(need for need in needs if need > 0):
+        reach = sorted(
+            (sum(needs[b] > 0 for b in on_line[i]) for i in range(start, len(on_line))),
+            reverse=True,
+        )
+        if total > sum(reach[:slots]):
             return None
     if slots == 0:
         return ()

@@ -13,10 +13,13 @@ the triple, and each operation is integer arithmetic and one gcd.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
 
-_RationalLike = int | Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    _RationalLike = int | Fraction
 
 
 def _is_int(x: object) -> bool:
@@ -30,7 +33,7 @@ class CycNumber:
     __slots__ = ("p", "q", "d")
 
     def __new__(cls, a: _RationalLike = 0, b: _RationalLike = 0) -> CycNumber:
-        (p, d1), (q, d2) = Fraction(a).as_integer_ratio(), Fraction(b).as_integer_ratio()
+        (p, d1), (q, d2) = a.as_integer_ratio(), b.as_integer_ratio()
         return _reduced(p * d2, q * d1, d1 * d2)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -41,17 +44,15 @@ class CycNumber:
         # restore the slots through the refusing __setattr__
         return (_reduced, (self.p, self.q, self.d))
 
-    a = property(lambda self: Fraction(self.p, self.d), doc="rational part")
-    b = property(lambda self: Fraction(self.q, self.d), doc="coefficient of zeta")
+    a = property(lambda self: _fraction(self.p, self.d), doc="rational part")
+    b = property(lambda self: _fraction(self.q, self.d), doc="coefficient of zeta")
 
     # -- ring / field structure -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, CycNumber):
-            return self.p == other.p and self.q == other.q and self.d == other.d
-        if isinstance(other, (int, Fraction)):
-            return self.q == 0 and self.p * other.denominator == other.numerator * self.d
-        return NotImplemented
+        if other.__class__ is not CycNumber and (other := _coerce(other)) is None:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q and self.d == other.d
 
     def __hash__(self) -> int:
         return hash((self.p, self.q, self.d))
@@ -117,9 +118,9 @@ class CycNumber:
             return "0"
         parts = []
         if self.p:
-            parts.append(_fmt_fraction(self.a))
+            parts.append(_fmt_ratio(self.p, self.d))
         if self.q:
-            term = f"{_fmt_fraction(abs(self.b))}*z"
+            term = f"{_fmt_ratio(abs(self.q), self.d)}*z"
             if parts:
                 parts.append("+" if self.q > 0 else "-")
                 parts.append(term)
@@ -145,13 +146,28 @@ def _reduced(p: int, q: int, d: int) -> CycNumber:
 
 
 def _coerce(x: object) -> CycNumber | None:
-    if isinstance(x, (int, Fraction)):
+    """An int or a Fraction (any rational with numerator and denominator) as
+    an element; None for anything else."""
+    if isinstance(x, int):
+        return _reduced(x, 0, 1)
+    try:
         return _reduced(x.numerator, 0, x.denominator)
-    return None
+    except AttributeError:
+        return None
 
 
-def _fmt_fraction(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _fraction(n: int, d: int) -> Fraction:
+    # the one use of `fractions`, imported here so that loading this module
+    # (and computing on (p, q, d)) does not load it
+    from fractions import Fraction
+
+    return Fraction(n, d)
+
+
+def _fmt_ratio(p: int, d: int) -> str:
+    """p/d in lowest terms, as an integer when d divides p."""
+    g = gcd(p, d)
+    return str(p // g) if g == d else f"{p // g}/{d // g}"
 
 
 ZERO = CycNumber(0, 0)
@@ -187,10 +203,15 @@ def parse_cyc(text: str) -> CycNumber:
         if match.group("barez"):
             value = value + CycNumber(0, sign)
         else:
-            coef = Fraction(match.group("coef")) * sign
+            num, _, den = match.group("coef").partition("/")
+            coef, d = sign * int(num), int(den or 1)
+            if d == 0:  # a zero written in non-ASCII digits, which _TERM lets through
+                raise ValueError(
+                    f"bad cyclotomic literal {text!r} at position {match.start('coef') + len(num)}"
+                )
             if match.group("star"):
-                value = value + CycNumber(0, coef)
+                value = value + _reduced(0, coef, d)
             else:
-                value = value + CycNumber(coef, 0)
+                value = value + _reduced(coef, 0, d)
         pos = match.end()
     return value

@@ -512,18 +512,113 @@ def test_malformed_arrangement_json_is_input_error(tmp_path, capsys, lines, mess
     assert message in err
 
 
-def test_run_builds_no_parser(capsys, monkeypatch):
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The parsers constructed from here on, with none kept from earlier runs."""
     built = []
     init = argparse.ArgumentParser.__init__
 
     def counted(self, *args, **kwargs):
-        built.append(args)
+        built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert run(["cover", "smoothness", "builtin:example3"]) == 0
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    return built
+
+
+def command_argv(command, tmp_path):
+    """A well-formed command line for each command."""
+    positional = {
+        ("arrangement", "info"): ["builtin:dual_hesse"],
+        ("bounds", "check"): [str(tmp_path / "hodge.json")],
+        ("paper", "verify"): [],
+    }
+    return [*command, *positional.get(command, ["builtin:example3"])]
+
+
+def test_run_builds_one_parser_per_command(capsys, parsers_built, tmp_path):
+    (tmp_path / "hodge.json").write_text('{"k2": 333, "euler": 111}')
+    for command in cli.COMMANDS:
+        argv = command_argv(command, tmp_path)
+        assert run(argv) == 0
+        assert parsers_built == [f"planecover {' '.join(command)}"]
+        # kept for the process: a repeated command builds none
+        assert run(["--format", "json", *argv]) == 0
+        assert parsers_built == [f"planecover {' '.join(command)}"]
+        parsers_built.clear()
     assert run(["--format", "json", "bounds", "check", "/no/such/file.json"]) == 2
-    assert built == []
+    assert parsers_built == []
+    # no valid command line builds the full tree; help for a group does
+    assert None not in cli._PARSERS
+    assert run(["cover", "--help"]) == 0
+    assert "planecover" in parsers_built and None in cli._PARSERS
+
+
+def read_as(parse, argv, capsys):
+    """What a parse of argv gives: the namespace (or the exit code) and its output."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+FAST_SHAPES = {
+    "plain": lambda a: a,
+    "flags-first": lambda a: ["--format", "json", "--out", "F", *a],
+    "flags-last": lambda a: [*a, "--format", "json", "--out", "F"],
+    "equals-first": lambda a: ["--format=json", "--out=F", *a],
+    "equals-last": lambda a: [*a, "--format=json", "--out=F"],
+    "abbreviated-first": lambda a: ["--form", "json", *a],
+    "abbreviated-last": lambda a: [*a, "--form", "json"],
+    "override": lambda a: ["--format", "json", "--out", "F", *a, "--format", "text"],
+    "help": lambda a: [*a[:2], "--help"],
+    "bad-format-last": lambda a: [*a, "--format", "xml"],
+}
+
+
+@pytest.mark.parametrize("shape", list(FAST_SHAPES))
+@pytest.mark.parametrize("command", list(cli.COMMANDS), ids=" ".join)
+def test_command_parser_reads_argv_as_the_full_tree(capsys, monkeypatch, tmp_path, command, shape):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    argv = FAST_SHAPES[shape](command_argv(command, tmp_path))
+    fast = read_as(cli._parse, argv, capsys)
+    assert list(cli._PARSERS) == [command]  # the full tree was not needed
+    assert fast == read_as(cli._build_parser().parse_args, argv, capsys)
+    if isinstance(fast[0], dict):  # parsed, not help or an error
+        assert fast[0]["format"] == ("text" if shape in ("plain", "override") else "json")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["cover", "--help"], 0),
+        ([], 2),
+        (["cover"], 2),
+        (["nosuch", "action", "x"], 2),
+        (["cover", "nosuch", "builtin:example3"], 2),
+        (["cover", "smoothness"], 2),
+        (["--format", "xml", "cover", "smoothness", "builtin:example3"], 2),
+        (["--format", "cover", "smoothness", "builtin:example3"], 2),
+        (["--out", "-x", "cover", "smoothness", "builtin:example3"], 2),
+        (["--format"], 2),
+        (["cover", "smoothness", "builtin:example3", "--bogus"], 2),
+        (["cover", "smoothness", "builtin:example3", "extra"], 2),
+        (["cover", "smoothness", "builtin:example3", "--=x"], 2),
+        (["cover", "--format", "json", "smoothness", "builtin:example3"], 2),
+    ],
+    ids=repr,
+)
+def test_other_command_lines_exit_as_the_full_tree(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    full = read_as(cli._build_parser().parse_args, argv, capsys)
+    assert full[0] == code
+    assert read_as(cli._parse, argv, capsys) == full
+    assert run(argv) == code
+    assert capsys.readouterr().err == full[2]
 
 
 @pytest.mark.parametrize(

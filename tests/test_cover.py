@@ -609,8 +609,26 @@ def test_three_canonical_prunes_the_two_pencil_cover(search_nodes):
     cover = CoverModel.build(arr, Epimorphism(m=2, k=4, rows=TWO_PENCIL_PHI), blown)
     assert cover.certificate.ok
     assert assert_3k_matches_enumeration(cover) is None
-    # C(24, 6) = 134596 subsets enumerated; the search visits about 1%
-    assert len(search_nodes) < 2000
+    # C(24, 6) = 134596 subsets enumerated; the search refuses at the empty
+    # prefix: the needs 5 + 4 exceed the 2 + 5 * 1 that six lines can give
+    assert search_nodes == [(0, 6)]
+
+
+def test_three_canonical_refuses_sixteen_plus_sixteen_pencils_at_once(search_nodes):
+    # n = 31, m = 2: base = 2 and rem = 13; each 16-fold point has
+    # 3(3 - 16) + 16 * 2 = -7, so it needs 8 of the 13 lines, and 8 + 8 = 16
+    # exceeds the 2 + 12 * 1 = 14 that 13 lines can give (y = 0 is the one
+    # line through both).  Either point alone could have its 8 lines, so only
+    # the joint bound refuses; C(31, 13) is too many subsets to enumerate.
+    arr = two_pencils(16, 16)
+    assert arr.n == 31 and arr.t == {2: 225, 16: 2}
+    blown = [pid for pid, p in enumerate(arr.points) if p.r > 2]
+    cover = as_if_smooth(CoverModel.build(arr, two_column_phi(arr.n, 2), blown))
+    dec = three_canonical_decomposition(cover)
+    assert search_nodes == [(0, 13)]
+    assert dec.line_coeffs == (Fraction(75, 31),) * 31
+    assert not (dec.integral or dec.all_positive or dec.canonical_route)
+    assert dec.note == "no positive integral distribution found; symmetric rational solution"
 
 
 ORACLE_ARRANGEMENTS = {

@@ -122,6 +122,16 @@ def test_parse_rejects_garbage():
     assert parse_cyc("1/10") == CycNumber(Fraction(1, 10))
 
 
+@pytest.mark.parametrize("zero", ["0", "\u0660", "0\u0660", "\u09e6"])
+def test_zero_denominator_in_any_digits_is_refused_at_the_slash(zero):
+    # non-ASCII digits parse as numbers (int reads them), so a zero
+    # denominator written in them is refused like an ASCII one
+    for text, pos in ((f"1/{zero}", 1), (f"2-13/{zero}*z", 4)):
+        with pytest.raises(ValueError, match=f"bad cyclotomic literal .* at position {pos}$"):
+            parse_cyc(text)
+    assert parse_cyc("\u0661/\u0662") == CycNumber(Fraction(1, 2))
+
+
 def test_hashable_for_map_keys():
     assert len({ZETA, ZETA * ONE, ONE}) == 2
 

@@ -1,6 +1,7 @@
 """Start-up: each command loads only the pipeline modules its report needs,
-the package exports its names lazily, and no command loads `dataclasses` or
-`inspect` (the records are NamedTuples, so no code is generated at import).
+the package exports its names lazily, no command loads `dataclasses` or
+`inspect` (the records are NamedTuples, so no code is generated at import),
+and only the commands that compute invariants or bounds load `fractions`.
 
 The module sets are read in a fresh interpreter per command, so they do not
 depend on what other tests imported; no timing is asserted."""
@@ -75,9 +76,12 @@ else:
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("planecover.") or m in HEAVY)]))
 """
 
-# standard-library modules that cost milliseconds to import and that no
-# command needs: `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`
-HEAVY = ("dataclasses", "inspect")
+# standard-library modules that cost milliseconds to import: no command needs
+# `dataclasses` (it pulls in `inspect`, `ast`, `dis` and `tokenize`), and only
+# the commands with an invariants or bounds module need `fractions` (it pulls
+# in `decimal`); `CycNumber` computes on integers
+HEAVY = ("dataclasses", "inspect", "fractions", "decimal")
+RATIONAL = {"cover invariants", "bounds check"}
 
 
 def fresh_modules(code, *args):
@@ -115,8 +119,11 @@ def test_command_loads_only_its_modules(case, tmp_path):
     assert needed <= modules
     assert not modules & unused, sorted(modules & unused)
     assert "dataclasses" not in modules
-    # some site set-ups import `inspect` before any planecover code runs
-    assert "inspect" not in modules or "inspect" in bare_interpreter_modules()
+    # some site set-ups import `inspect` (or another of these) before any
+    # planecover code runs
+    unneeded = {"inspect"} | (set() if case in RATIONAL else {"fractions", "decimal"})
+    for name in unneeded & modules:
+        assert name in bare_interpreter_modules(), name
 
 
 def test_every_export_is_the_defining_modules_object(monkeypatch):
