@@ -15,7 +15,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from planecover.catalog import PHI1, PHI2
 from planecover.characters import enumerate_characters
-from planecover.cli import current_reference_values
+from planecover import cli
+from planecover.verify import current_reference_values
 
 A1_NONZERO = [
     (1, 1, 1, 3, 3, 0, 0, 0, 1), (2, 2, 2, 1, 1, 0, 0, 0, 2),
@@ -56,7 +57,7 @@ def main() -> None:
     assert tuple(enumerate_characters(PHI1)) == tuple(A1), "library disagrees with the A1 reference list"
     assert tuple(enumerate_characters(PHI2)) == tuple(A2), "library disagrees with the A2 reference list"
 
-    reference = current_reference_values()
+    reference = current_reference_values(cli)
     reference["characters"] = {
         "A1": [list(a) for a in A1],
         "A2": [list(a) for a in A2],

@@ -126,10 +126,10 @@ class Arrangement(_ArrangementFields):
 
     @cached_property
     def automorphism_order(self) -> int:
-        """|Aut_comb|, listed once per arrangement and kept on it: `symmetry
-        search`, `arrangement info --autos` and `paper verify` print it, and
-        nothing in the Klein model needs it."""
-        return len(combinatorial_automorphisms(self))
+        """|Aut_comb|, counted once per arrangement (`count_automorphisms`)
+        and kept on it: `symmetry search`, `arrangement info --autos` and
+        `paper verify` print it, and nothing in the Klein model needs it."""
+        return count_automorphisms(self)
 
 
 def build_arrangement(lines: list[Line] | tuple[Line, ...], notes: tuple[str, ...] = ()) -> Arrangement:
@@ -270,8 +270,58 @@ def _search_order(
 
 def combinatorial_automorphisms(arr: Arrangement) -> list[Perm]:
     """All line permutations preserving the incidence relation (Aut_comb),
-    sorted: `incidence_automorphisms` without a linear constraint."""
+    sorted: `incidence_automorphisms` without a linear constraint.  No
+    command lists the group; `count_automorphisms` counts it."""
     return incidence_automorphisms(arr)
+
+
+def count_automorphisms(arr: Arrangement) -> int:
+    """|Aut_comb| by orbit-stabilizer (Sims), without listing the group.
+
+    The search's line order is a base: G_j, the automorphisms fixing
+    order[0..j-1] line by line, has |G_j| = |orbit of order[j] under G_j| x
+    |G_j+1|.  Levels run last to first, so every generator found so far lies
+    in G_j.  Each line the search would try for order[j] with that prefix
+    fixed, and that the generators do not reach, gets one first-solution
+    run of `incidence_automorphisms` sending order[j] to it, as nauty drives
+    its search (McKay 1981): a hit is a new generator, and a miss proves the
+    line outside the orbit, so the count is exact.
+
+    Cost: the base is the whole line order, so n levels, of at most n runs
+    each; a level whose only candidate is its own line runs nothing.  The
+    runs at one level search disjoint subtrees of the listing's search
+    tree, each below a walk of at most n forced nodes, and in practice the
+    generators leave few runs.  Each hit strictly enlarges the generated
+    group, so there are at most log2 |Aut_comb| <= n log2 n generators, each
+    followed by an O(n x generators) orbit update.
+    """
+    _, through, meet, profiles, same_profile, order, anchors = arr._search_tables
+    gens: list[Perm] = []
+    total = 1
+    for j in reversed(range(arr.n)):
+        i, fixed, anchor = order[j], order[:j], anchors[j]
+        # with the prefix fixed, an anchored line's image lies on the anchor point
+        candidates = same_profile[i] if anchor is None else through[meet[anchor[0]][anchor[1]]]
+        orbit = _orbit(i, gens)
+        for c in candidates:
+            if c in orbit or c in fixed or profiles[c] != profiles[i]:
+                continue
+            hit = incidence_automorphisms(arr, prefix=(*fixed, c), first=True)
+            if hit:
+                gens.append(hit[0])
+                orbit = _orbit(i, gens)
+        total *= len(orbit)
+    return total
+
+
+def _orbit(i: int, gens: list[Perm]) -> set[int]:
+    orbit, frontier = {i}, [i]
+    for x in frontier:
+        for g in gens:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                frontier.append(g[x])
+    return orbit
 
 
 def incidence_automorphisms(
@@ -279,19 +329,24 @@ def incidence_automorphisms(
     rows: tuple[Vector, ...] | None = None,
     m: int = 0,
     blown: tuple[int, ...] = (),
+    prefix: tuple[int, ...] = (),
+    first: bool = False,
 ) -> list[Perm]:
     """The incidence automorphisms, sorted; given the rows of an epimorphism
     phi onto (Z/m)^k, m prime, only those sigma with phi[sigma(i)] = phi[i] P
     for one matrix P, which are the permutations whose coordinate action
     fixes the span of phi's columns; given blown point ids, only those
-    mapping the blown points onto themselves.
+    mapping the blown points onto themselves; given a prefix, only those
+    sending the line at position t of the search order to prefix[t]; with
+    `first`, only the first one found (an empty list if there is none).
 
     Backtracking over the static line order of `_search_order`, computed
     once per arrangement (`Arrangement._search_tables`).  A line
     anchored at two earlier lines a, b must map to a line through the point
     where the images of a and b meet, so its candidates are the lines
     through that one point; an unanchored line tries the lines of its
-    profile.  Each candidate must be unused, have the same profile, and for
+    profile, and a line in the prefix tries its given image only.  Each
+    candidate must be unused, have the same profile, and for
     every earlier line j send the point line ^ j to a point of the same
     multiplicity, consistently with the partial point map, which stays
     injective; a permutation passing these checks at every line is an
@@ -303,7 +358,8 @@ def incidence_automorphisms(
     Ceva(6)+3), so the search visits about |Aut| x n nodes, each scanning at
     most the lines through one point and checking one pair per earlier
     line.  Arrangements with only double points anchor nothing and list
-    all n! permutations.
+    all n! permutations.  A prefix confines the search to the subtree below
+    it, and `first` stops it at the first leaf (`count_automorphisms`).
 
     With phi, one reduction of the rows in search order (`row_reduce`)
     writes each line's row as a combination of the earlier lines with new
@@ -339,14 +395,19 @@ def incidence_automorphisms(
     pmap = [-1] * len(mult)
     pmap_inv = [-1] * len(mult)
     results: list[Perm] = []
+    forced = len(prefix)
 
-    def extend(k: int) -> None:
+    def extend(k: int) -> bool:
+        """Place order[k] and the lines after it; True once `first` has its
+        permutation, leaving the tables as they are."""
         if k == n:
             results.append(tuple(perm))
-            return
+            return first
         i = order[k]
         anchor = anchors[k]
-        if anchor is None:
+        if k < forced:
+            candidates = prefix[k : k + 1]
+        elif anchor is None:
             candidates = same_profile[i]
         else:
             candidates = through[meet[perm[anchor[0]]][perm[anchor[1]]]]
@@ -380,11 +441,13 @@ def incidence_automorphisms(
             else:
                 perm[i] = img
                 used[img] = True
-                extend(k + 1)
+                if extend(k + 1):
+                    return True
                 used[img] = False
             for p in added:
                 pmap_inv[pmap[p]] = -1
                 pmap[p] = -1
+        return False
 
     extend(0)
     return sorted(results)

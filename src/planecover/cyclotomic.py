@@ -6,13 +6,15 @@ and is the unique nontrivial field automorphism.  This degree-2 field contains
 every constant needed by the bundled line arrangements.
 
 An element is stored as integers (p, q, d), a + b*zeta = (p + q*zeta)/d with
-d > 0 and gcd(p, q, d) = 1: a canonical form, so equality and hashing compare
-the triple, and each operation is integer arithmetic and one gcd.
+d > 0 and gcd(p, q, d) = 1: a canonical form, so equality compares the triple,
+and each operation is integer arithmetic and one gcd.  A rational element
+hashes like the equal int or Fraction, so either finds it in a set or dict.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -55,7 +57,11 @@ class CycNumber:
         return self.p == other.p and self.q == other.q and self.d == other.d
 
     def __hash__(self) -> int:
-        return hash((self.p, self.q, self.d))
+        if self.q:
+            return hash((self.p, self.q, self.d))
+        if self.d == 1:
+            return hash(self.p)
+        return _rational_hash(self.p, self.d)
 
     def __bool__(self) -> bool:
         return bool(self.p) or bool(self.q)
@@ -154,6 +160,18 @@ def _coerce(x: object) -> CycNumber | None:
         return _reduced(x.numerator, 0, x.denominator)
     except AttributeError:
         return None
+
+
+_MODULUS = sys.hash_info.modulus
+
+
+def _rational_hash(p: int, d: int) -> int:
+    """hash(Fraction(p, d)) for d > 1 in lowest terms, as Python defines
+    the hash of a rational: |p| / d modulo the hash modulus (the infinity
+    hash where d has no inverse), with p's sign, and -1 taken as -2."""
+    h = abs(p) * pow(d, -1, _MODULUS) % _MODULUS if d % _MODULUS else sys.hash_info.inf
+    h = h if p >= 0 else -h
+    return -2 if h == -1 else h
 
 
 def _fraction(n: int, d: int) -> Fraction:

@@ -1,4 +1,6 @@
 import itertools
+import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,9 +13,11 @@ from planecover.arrangement import (
     build_arrangement,
     combinatorial_automorphisms,
     complete_quadrilateral,
+    count_automorphisms,
     compose_perms,
     dual_hesse,
     fixed_points_of,
+    incidence_automorphisms,
     invert_perm,
     perm_cycles_str,
     realize_symmetry,
@@ -352,6 +356,8 @@ def assert_search_matches_oracles(arr):
     assert autos == autos_oracle.combinatorial_automorphisms(arr)
     if arr.n <= 7:
         assert autos == autos_oracle.brute_force_automorphisms(arr)
+    # the orbit-stabilizer count, on a fresh build so no table is shared
+    assert count_automorphisms(build_arrangement(arr.lines)) == len(autos)
     return autos
 
 
@@ -413,6 +419,83 @@ def test_search_on_relabelled_lines_is_the_conjugate_group(name, rng):
     expected = sorted(compose_perms(s_inv, compose_perms(g, tuple(s)))
                       for g in combinatorial_automorphisms(arr))
     assert combinatorial_automorphisms(relabelled) == expected
+
+
+def vandermonde(n):
+    """The lines x + a y + a^2 z for n distinct a in Q(zeta): tangent lines
+    of one conic, so no three meet and Aut_comb is all of S_n."""
+    values = [CycNumber(a, b) for b in range(3) for a in range(-2, 4)][:n]
+    return build_arrangement([Line.make(ONE, a, a * a) for a in values])
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_count_on_vandermonde_lines_is_n_factorial(n):
+    arr = vandermonde(n)
+    assert arr.t == {2: n * (n - 1) // 2}
+    assert count_automorphisms(arr) == math.factorial(n)
+
+
+def search_nodes(fn, arr):
+    """fn(arr) and the number of calls of the search's `extend`, one per
+    node of the search tree visited, over all of fn's searches."""
+    nodes = 0
+    extend_code = next(
+        c for c in incidence_automorphisms.__code__.co_consts
+        if getattr(c, "co_name", None) == "extend"
+    )
+
+    def profile(frame, event, _arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code is extend_code:
+            nodes += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(arr)
+    finally:
+        sys.setprofile(None)
+    return result, nodes
+
+
+@pytest.mark.parametrize(
+    "build",
+    [*SEARCH_CASES.values(), lambda: vandermonde(7),
+     # a subset of Ceva(6)+3 whose count misses at some candidates
+     lambda: build_arrangement([ceva6_plus_3().lines[i] for i in (1, 3, 5, 11, 13, 16, 17, 18)])],
+    ids=[*SEARCH_CASES, "vandermonde7", "ceva_subset"],
+)
+def test_count_visits_at_most_n_times_the_listings_nodes(build):
+    """The runs at one level of the count search disjoint subtrees of the
+    listing's search tree, and there are n levels."""
+    arr = build()
+    count, nodes = search_nodes(count_automorphisms, arr)
+    autos, listing_nodes = search_nodes(combinatorial_automorphisms, arr)
+    assert count == len(autos)
+    assert listing_nodes > 0 and nodes <= arr.n * listing_nodes
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(line_strategy, min_size=2, max_size=7, unique_by=lambda l: l.coeffs),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+)
+def test_prefix_and_first_select_the_listings_permutations(lines, rng, first):
+    """A forced prefix gives exactly the automorphisms with those images at
+    the first positions of the search order, and `first` one of them."""
+    arr = build_arrangement(lines)
+    order = arr._search_tables[5]
+    autos = combinatorial_automorphisms(arr)
+    length = rng.randint(0, arr.n)
+    prefix = tuple(rng.choice(autos)[i] for i in order[:length])
+    if rng.random() < 0.5 and length:
+        prefix = (*prefix[:-1], rng.randrange(arr.n))
+    expected = [g for g in autos if all(g[order[t]] == prefix[t] for t in range(length))]
+    got = incidence_automorphisms(arr, prefix=prefix, first=first)
+    if first:
+        assert len(got) == min(1, len(expected)) and set(got) <= set(expected)
+    else:
+        assert got == expected
 
 
 # which positions of the search order have no anchor (U) and which have one

@@ -224,12 +224,12 @@ def test_paper_verify_builds_one_klein_model_per_example(capsys, monkeypatch):
 
 
 def test_paper_verify_flags_mismatches(capsys, monkeypatch):
-    from planecover import cli
+    from planecover import verify
 
-    reference = cli._load_reference()
+    reference = verify._load_reference()
     corrupted = json.loads(json.dumps(reference))
     corrupted["example1"]["k2"] = 334
-    monkeypatch.setattr(cli, "_load_reference", lambda: corrupted)
+    monkeypatch.setattr(verify, "_load_reference", lambda: corrupted)
     code, out = capture(capsys, ["paper", "verify"])
     assert code == 1
     assert "expected 334" in out
@@ -423,20 +423,28 @@ def test_symmetry_search_runs_one_automorphism_search(capsys, monkeypatch):
     from planecover import arrangement, symmetry
 
     calls = []
-    search = arrangement.combinatorial_automorphisms
+    count = arrangement.count_automorphisms
 
     def counted(arr):
         calls.append(arr)
-        return search(arr)
+        return count(arr)
 
+    def no_listing(arr):
+        raise AssertionError("Aut_comb listed")
+
+    monkeypatch.setattr(arrangement, "count_automorphisms", counted)
     for module in (arrangement, symmetry):
-        monkeypatch.setattr(module, "combinatorial_automorphisms", counted)
-    code, out = capture(capsys, ["--format", "json", "symmetry", "search", "builtin:example3"])
+        monkeypatch.setattr(module, "combinatorial_automorphisms", no_listing)
+    argv = ["--format", "json", "symmetry", "search", "builtin:example3"]
+    code, out = capture(capsys, argv)
     assert code == 0
     assert len(calls) == 1
     data = json.loads(out)
     assert data["combinatorial_automorphisms"] == 24
     assert data["character_preserving"] == ["id", "(1 2)(4 5)"]
+    # the count is kept on the arrangement, which the process shares
+    assert capture(capsys, argv) == (code, out)
+    assert len(calls) == 1
 
 
 def test_real_classify_never_lists_the_combinatorial_group(capsys, monkeypatch):

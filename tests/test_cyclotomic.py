@@ -1,10 +1,11 @@
 import copy
 import pickle
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from planecover.cyclotomic import ONE, ZETA, CycNumber, parse_cyc
@@ -134,6 +135,29 @@ def test_zero_denominator_in_any_digits_is_refused_at_the_slash(zero):
 
 def test_hashable_for_map_keys():
     assert len({ZETA, ZETA * ONE, ONE}) == 2
+
+
+MODULUS = sys.hash_info.modulus
+rational = (
+    st.integers()
+    | st.fractions()
+    # numerators and denominators at and past the hash modulus, where a
+    # denominator may have no inverse
+    | st.builds(Fraction, st.integers(-3, 3).map(lambda c: c * MODULUS - 1) | st.integers(),
+                st.integers(1, 3).map(lambda c: c * MODULUS) | st.integers(1, 10**30))
+)
+
+
+@given(rational)
+@example(-1)
+@example(Fraction(-1, MODULUS))
+@example(Fraction(MODULUS + 1, 2 * MODULUS))
+def test_a_rational_element_hashes_like_the_equal_int_or_fraction(x):
+    z = CycNumber(x)
+    assert z == x and hash(z) == hash(x)
+    assert x in {z} and z in {x} and {x: 0}[z] == 0 and {z: 0}[x] == 0
+    if x == int(x):
+        assert hash(z) == hash(int(x))
 
 
 # -- second route: the field on pairs of Fractions ----------------------------

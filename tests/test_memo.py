@@ -188,7 +188,8 @@ def test_memo_evicts_the_least_recently_used_arrangement():
 
 
 COUNTED = (
-    "build_arrangement", "combinatorial_automorphisms", "_incidence", "_search_order", "_realize",
+    "build_arrangement", "count_automorphisms", "combinatorial_automorphisms", "_incidence",
+    "_search_order", "_realize",
 )
 
 
@@ -214,29 +215,32 @@ def calls(monkeypatch):
     return calls
 
 
-ALL = set(COUNTED)
-NO_LISTING = ALL - {"combinatorial_automorphisms"}
+# no command lists Aut_comb; the commands that print |Aut_comb| count it
+ALL = set(COUNTED) - {"combinatorial_automorphisms"}
+NO_COUNT = ALL - {"count_automorphisms"}
 
 
 @pytest.mark.parametrize(
-    "argv, first",
+    "argv, first, counts",
     [
-        (["symmetry", "search", "builtin:example3"], ALL),
-        (["symmetry", "search", "COVER_JSON"], ALL),
-        (["real", "classify", "builtin:example2"], NO_LISTING),
-        (["real", "classify", "COVER_JSON"], NO_LISTING),
-        (["arrangement", "info", "builtin:dual_hesse", "--autos"], ALL - {"_realize"}),
-        (["paper", "verify"], ALL),
+        (["symmetry", "search", "builtin:example3"], ALL, 1),
+        (["symmetry", "search", "COVER_JSON"], ALL, 1),
+        (["real", "classify", "builtin:example2"], NO_COUNT, 0),
+        (["real", "classify", "COVER_JSON"], NO_COUNT, 0),
+        (["arrangement", "info", "builtin:dual_hesse", "--autos"], ALL - {"_realize"}, 1),
+        # dual Hesse and the quadrilateral, each counted once for all its covers
+        (["paper", "verify"], ALL, 2),
     ],
     ids=["symmetry-builtin", "symmetry-file", "real-builtin", "real-file", "info-autos", "paper-verify"],
 )
-def test_a_repeated_query_builds_nothing_again(tmp_path, calls, argv, first):
+def test_a_repeated_query_builds_nothing_again(tmp_path, calls, argv, first, counts):
     # example3's cover, with its arrangement given by line strings
     cover = {**QUAD_COVER, "arrangement": {"lines": QUAD_LINES}}
     argv = [write(tmp_path / "cover.json", cover) if a == "COVER_JSON" else a for a in argv]
     first_report = run_captured(argv)
     assert first_report[0] == 0
     assert set(calls) == first
+    assert calls.count("count_automorphisms") == counts
     calls.clear()
     assert run_captured(argv) == first_report
     assert calls == []

@@ -21,45 +21,46 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(planecover.__file__)))
 
 # one command (or none: a bare `import planecover`), what it must load, and
 # what it must not load; of the cover commands only `cover invariants` loads
-# the invariants modules `cover` and `intersection`
+# the invariants modules `cover` and `intersection`, and only `bounds check`
+# (and `paper verify`) load `verify`
 CASES = {
     "import planecover": (None, set(), {
         "arrangement", "bounds", "catalog", "characters", "cli", "cover", "cyclotomic",
-        "homology", "intersection", "linalg", "symmetry",
+        "homology", "intersection", "linalg", "symmetry", "verify",
     }),
     "arrangement info --autos": (
         ["arrangement", "info", "builtin:dual_hesse", "--autos"],
         {"arrangement"},
-        {"cover", "intersection", "characters", "symmetry", "bounds"},
+        {"cover", "intersection", "characters", "symmetry", "bounds", "verify"},
     ),
     "cover smoothness": (
         ["cover", "smoothness", "builtin:example1"],
         {"homology"},
-        {"cover", "intersection", "characters", "symmetry", "bounds"},
+        {"cover", "intersection", "characters", "symmetry", "bounds", "verify"},
     ),
     "cover invariants": (
         ["cover", "invariants", "builtin:example3"],
         {"cover", "intersection"},
-        {"characters", "symmetry", "bounds"},
+        {"characters", "symmetry", "bounds", "verify"},
     ),
     "characters list": (
         ["characters", "list", "builtin:example1"],
         {"characters"},
-        {"cover", "intersection", "symmetry", "bounds"},
+        {"cover", "intersection", "symmetry", "bounds", "verify"},
     ),
     "symmetry search": (
         ["symmetry", "search", "builtin:example2"],
         {"symmetry"},
-        {"cover", "intersection", "characters", "bounds"},
+        {"cover", "intersection", "characters", "bounds", "verify"},
     ),
     "real classify": (
         ["real", "classify", "builtin:example3"],
         {"symmetry"},
-        {"cover", "intersection", "characters", "bounds"},
+        {"cover", "intersection", "characters", "bounds", "verify"},
     ),
     "bounds check": (
         ["bounds", "check", "HODGE"],
-        {"bounds"},
+        {"bounds", "verify"},
         {"cover", "intersection", "characters", "symmetry"},
     ),
 }
@@ -124,6 +125,22 @@ def test_command_loads_only_its_modules(case, tmp_path):
     unneeded = {"inspect"} | (set() if case in RATIONAL else {"fractions", "decimal"})
     for name in unneeded & modules:
         assert name in bare_interpreter_modules(), name
+
+
+def test_paper_verify_as_main_never_imports_cli_again():
+    """Run as `python -m planecover.cli`, cli is `__main__`; `verify` reads
+    the builders from that module object, so `planecover.cli` is never
+    imported (compiled and run a second time)."""
+    path = [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "planecover.cli", "paper", "verify"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0 and "mismatch_count: 0" in out.stdout
+    imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()}
+    assert "planecover.verify" in imported
+    assert "planecover.cli" not in imported
 
 
 def test_every_export_is_the_defining_modules_object(monkeypatch):
