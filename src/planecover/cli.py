@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import TYPE_CHECKING
@@ -327,6 +328,7 @@ def _add_command_arguments(
     return parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The whole tree: the top-level flags, a parser per group and per command."""
     parser = argparse.ArgumentParser(
@@ -347,44 +349,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
 def _command_parser(group: str, action: str) -> argparse.ArgumentParser:
     """One command's parser, as the full tree builds it for that command."""
     parser = argparse.ArgumentParser(prog=f"planecover {group} {action}")
     return _add_command_arguments(parser, COMMANDS[group, action][2])
 
 
-# the parsers built so far, kept for the life of the process:
-# (group, action) -> that command's parser, None -> the full tree
-_PARSERS: dict[tuple[str, str] | None, argparse.ArgumentParser] = {}
-
-
-def _parser(key: tuple[str, str] | None) -> argparse.ArgumentParser:
-    if key not in _PARSERS:
-        _PARSERS[key] = _build_parser() if key is None else _command_parser(*key)
-    return _PARSERS[key]
-
-
 def _split_command(argv: list[str]) -> tuple[argparse.Namespace, list[str]] | None:
-    """A command line `[--format F] [--out O] <group> <action> ...` as the
-    full tree's top level reads it: the namespace it fills and the arguments
-    it hands to the command's parser.  None for any other command line (help,
-    no command, an error at the top level or a spelling this reader does not
-    follow): the full tree parses those."""
+    """A command line `[--format F] [--out O] <group> <action> ...`, each flag
+    spelled out with its value as the next word, as the full tree's top level
+    reads it: the namespace it fills and the arguments it hands to the
+    command's parser.  None for any other command line (help, no command, an
+    error at the top level, an abbreviated flag or `--flag=value`): the full
+    tree parses those."""
     top = {"format": "text", "out": None}
     i = 0
-    while i < len(argv) and argv[i].startswith("-"):
-        # --format, --out or an abbreviation, with its value after "=" or next
-        name, eq, value = argv[i].partition("=")
-        dest = next((d for d in top if len(name) > 2 and f"--{d}".startswith(name)), None)
-        if dest is None:
-            return None
-        if not eq:
-            i += 1
-            if i == len(argv) or argv[i].startswith("-"):
-                return None
-            value = argv[i]
-        top[dest] = value
-        i += 1
+    while i + 1 < len(argv) and argv[i] in ("--format", "--out") and argv[i + 1][:1] != "-":
+        top[argv[i][2:]] = argv[i + 1]
+        i += 2
     command, rest = tuple(argv[i : i + 2]), argv[i + 2 :]
     # the top level rejects "--=..." anywhere as ambiguous, before any command parses
     if top["format"] not in _FORMATS or command not in COMMANDS or any(
@@ -400,12 +383,12 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     split = _split_command(argv)
     if split is not None:
         namespace, rest = split
-        args, extra = _parser((namespace.group, namespace.action)).parse_known_args(
+        args, extra = _command_parser(namespace.group, namespace.action).parse_known_args(
             rest, namespace
         )
         if not extra:
             return args
-    return _parser(None).parse_args(argv)
+    return _build_parser().parse_args(argv)
 
 
 def run(argv: list[str]) -> int:

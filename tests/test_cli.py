@@ -520,6 +520,12 @@ def test_malformed_arrangement_json_is_input_error(tmp_path, capsys, lines, mess
     assert message in err
 
 
+def clear_parsers():
+    """Forget the parsers built so far (each is kept for the life of the process)."""
+    cli._build_parser.cache_clear()
+    cli._command_parser.cache_clear()
+
+
 @pytest.fixture
 def parsers_built(monkeypatch):
     """The parsers constructed from here on, with none kept from earlier runs."""
@@ -531,7 +537,7 @@ def parsers_built(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    monkeypatch.setattr(cli, "_PARSERS", {})
+    clear_parsers()
     return built
 
 
@@ -558,9 +564,9 @@ def test_run_builds_one_parser_per_command(capsys, parsers_built, tmp_path):
     assert run(["--format", "json", "bounds", "check", "/no/such/file.json"]) == 2
     assert parsers_built == []
     # no valid command line builds the full tree; help for a group does
-    assert None not in cli._PARSERS
+    assert cli._build_parser.cache_info().currsize == 0
     assert run(["cover", "--help"]) == 0
-    assert "planecover" in parsers_built and None in cli._PARSERS
+    assert "planecover" in parsers_built and cli._build_parser.cache_info().currsize == 1
 
 
 def read_as(parse, argv, capsys):
@@ -584,19 +590,26 @@ FAST_SHAPES = {
     "override": lambda a: ["--format", "json", "--out", "F", *a, "--format", "text"],
     "help": lambda a: [*a[:2], "--help"],
     "bad-format-last": lambda a: [*a, "--format", "xml"],
+    "double-dash": lambda a: [*a[:2], "--", *a[2:]],
 }
+# spellings the one-command reader leaves to the full tree
+FULL_TREE_SHAPES = {"equals-first", "abbreviated-first"}
 
 
 @pytest.mark.parametrize("shape", list(FAST_SHAPES))
 @pytest.mark.parametrize("command", list(cli.COMMANDS), ids=" ".join)
-def test_command_parser_reads_argv_as_the_full_tree(capsys, monkeypatch, tmp_path, command, shape):
-    monkeypatch.setattr(cli, "_PARSERS", {})
+def test_command_parser_reads_argv_as_the_full_tree(capsys, tmp_path, command, shape):
+    clear_parsers()
     argv = FAST_SHAPES[shape](command_argv(command, tmp_path))
     fast = read_as(cli._parse, argv, capsys)
-    assert list(cli._PARSERS) == [command]  # the full tree was not needed
+    # `paper verify --` leaves its "--" over, an error the full tree reports
+    left_over = argv[2:] == ["--"]
+    assert cli._build_parser.cache_info().currsize == (shape in FULL_TREE_SHAPES or left_over)
+    assert cli._command_parser.cache_info().currsize == (shape not in FULL_TREE_SHAPES)
     assert fast == read_as(cli._build_parser().parse_args, argv, capsys)
     if isinstance(fast[0], dict):  # parsed, not help or an error
-        assert fast[0]["format"] == ("text" if shape in ("plain", "override") else "json")
+        text = shape in ("plain", "override", "double-dash")
+        assert fast[0]["format"] == ("text" if text else "json")
 
 
 @pytest.mark.parametrize(
@@ -620,8 +633,8 @@ def test_command_parser_reads_argv_as_the_full_tree(capsys, monkeypatch, tmp_pat
     ],
     ids=repr,
 )
-def test_other_command_lines_exit_as_the_full_tree(capsys, monkeypatch, argv, code):
-    monkeypatch.setattr(cli, "_PARSERS", {})
+def test_other_command_lines_exit_as_the_full_tree(capsys, argv, code):
+    clear_parsers()
     full = read_as(cli._build_parser().parse_args, argv, capsys)
     assert full[0] == code
     assert read_as(cli._parse, argv, capsys) == full

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 
 import hypothesis.strategies as st
@@ -26,10 +27,11 @@ from planecover.arrangement import (
     perm_cycles_str,
 )
 from planecover.bounds import hodge_from_surface, lefschetz_trace, smith_total
-from planecover.catalog import PHI2, PHI3, builtin_cover
+from planecover.catalog import PHI1, PHI2, PHI3, builtin_cover
 from planecover.characters import enumerate_characters, preserves_charset
+from planecover.cli import run
 from planecover.cyclotomic import ONE, ZERO, ZETA
-from planecover.homology import BLOW_ALL_TRIPLE, CoverModel, Epimorphism
+from planecover.homology import BLOW_ALL_TRIPLE, CoverModel, Epimorphism, rank_mod_p
 from planecover.symmetry import (
     character_preserving_symmetries,
     classify_real_structures,
@@ -300,6 +302,76 @@ def named_cover(name, cq):
     if name in QUAD_COVERS:
         return quadrilateral_cover(cq, *QUAD_COVERS[name])
     return builtin_cover(name)
+
+
+# -- relabelling the deck group: phi -> phi A for A in GL_k(F_m) ----------------
+
+RELABELLED_COVERS = {
+    "example1": ("builtin:dual_hesse", PHI1.m, PHI1.rows),
+    "example2": ("builtin:dual_hesse", PHI2.m, PHI2.rows),
+    "example3": ("builtin:complete_quadrilateral", PHI3.m, PHI3.rows),
+    "kummer_3_5": ("builtin:complete_quadrilateral", *QUAD_COVERS["kummer_3_5"]),
+}
+
+
+def mat_mul(x, y, m):
+    return [[sum(x[i][t] * y[t][j] for t in range(len(y))) % m for j in range(len(y[0]))]
+            for i in range(len(x))]
+
+
+def json_reports(capsys, path, arrangement, m, rows):
+    """Every cover command's JSON report on the cover with these rows of phi,
+    written to path (the same path on both sides, so `cover` agrees)."""
+    k = len(rows[0])
+    path.write_text(json.dumps({"arrangement": arrangement, "m": m, "k": k, "phi": rows}))
+    reports = {}
+    for command in ("characters list", "real classify", "cover invariants", "symmetry search",
+                    "cover smoothness"):
+        assert run(["--format", "json", *command.split(), str(path)]) == 0
+        reports[command] = capsys.readouterr().out
+    return reports
+
+
+def invertible_mod(rng, k, m):
+    while True:
+        a = [[rng.randrange(m) for _ in range(k)] for _ in range(k)]
+        if rank_mod_p(a, m) == k:
+            return a
+
+
+def is_scalar(d):
+    return all(d[i][j] == d[0][0] * (i == j) for i in range(len(d)) for j in range(len(d)))
+
+
+@pytest.mark.parametrize("name", list(RELABELLED_COVERS))
+def test_relabelled_deck_group_gives_the_same_cover(name, capsys, tmp_path):
+    arrangement, m, rows = RELABELLED_COVERS[name]
+    path = tmp_path / "cover.json"
+    before = json_reports(capsys, path, arrangement, m, rows)
+    deck_actions = [r["deck_action"] for r in json.loads(before["symmetry search"])["realized"]]
+    # only kummer_3_5 has deck actions that A^T (.) (A^T)^-1 can move
+    assert sum(not is_scalar(d) for d in deck_actions) == (46 if name == "kummer_3_5" else 0)
+    rng = random.Random(name)
+    for _ in range(3):
+        a = invertible_mod(rng, len(rows[0]), m)
+        after = json_reports(capsys, path, arrangement, m, mat_mul(rows, a, m))
+        # the character set is the column span of phi, which A keeps
+        assert after["characters list"] == before["characters list"]
+        assert after["real classify"] == before["real classify"]
+        old, new = (json.loads(r["cover invariants"]) for r in (before, after))
+        assert {**old, "generator_words": None} == {**new, "generator_words": None}
+        # each deck action D becomes A^T D (A^T)^-1
+        old, new = (json.loads(r["symmetry search"]) for r in (before, after))
+        at = [list(col) for col in zip(*a)]
+        for d, e in zip(old["realized"], new["realized"]):
+            assert mat_mul(e["deck_action"], at, m) == mat_mul(at, d["deck_action"], m)
+            d["deck_action"] = e["deck_action"] = None
+        assert old == new
+        # the detail strings print the rows of phi
+        old, new = (json.loads(r["cover smoothness"]) for r in (before, after))
+        for check in [*old["checks"], *new["checks"]]:
+            check["detail"] = None
+        assert old == new
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", *QUAD_COVERS])
