@@ -2,11 +2,14 @@
 
 Lines and points are canonical projective triples (first nonzero entry 1),
 so deduplication is an exact dictionary lookup, and a point is fixed by a
-realized line permutation exactly when the permutation keeps its lines.  The
-module also enumerates incidence-preserving line permutations, optionally
-only those that preserve an epimorphism's character set and a set of
-blown-up points, and decides whether a permutation is realized by a
-projectivity or anti-projectivity.
+realized line permutation exactly when the permutation keeps its lines.
+
+The incidence-preserving permutation search and the realization of a
+permutation by a projectivity or anti-projectivity live in `search`.  This
+module keeps their entry points (`combinatorial_automorphisms`,
+`realize_symmetry` and the cached properties of `Arrangement` that hold
+what they compute), which import `search` when they run: a command that
+reads only incidence, such as `cover smoothness`, never compiles it.
 """
 
 from __future__ import annotations
@@ -17,22 +20,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .cyclotomic import ONE, ZERO, ZETA, CycNumber, parse_cyc
-from .homology import Vector, row_reduce
-from .linalg import (
-    Mat3,
-    Vec3,
-    adjugate,
-    canonical,
-    columns_to_matrix,
-    conj_vec,
-    cross,
-    det3,
-    matmul,
-    matvec,
-    normalize_matrix,
-    proportional,
-    scale,
-)
+from .linalg import Mat3, Vec3, adjugate, canonical, conj_vec, cross
 
 Perm = tuple[int, ...]
 
@@ -98,6 +86,8 @@ class Arrangement(_ArrangementFields):
     def _frame(self) -> tuple[tuple[int, ...], tuple[Mat3, Mat3]]:
         """A general-position quadruple and adj of the scaled frame of its
         lines, then of its conjugated lines (realize_symmetry)."""
+        from .search import _general_position_quadruple, _scaled_frame
+
         quad = _general_position_quadruple(self)
         vs = [self.lines[i].coeffs for i in quad]
         return quad, tuple(adjugate(_scaled_frame(w)) for w in (vs, [conj_vec(v) for v in vs]))
@@ -108,6 +98,8 @@ class Arrangement(_ArrangementFields):
         multiplicity and lines, the meet table and line profiles
         (`_incidence`), each line's same-profile lines, and the line order
         with its anchors (`_search_order`)."""
+        from .search import _incidence, _search_order
+
         mult = [p.r for p in self.points]
         meet, profiles = _incidence(self)
         same_profile = [tuple(j for j in range(self.n) if profiles[j] == p) for p in profiles]
@@ -129,6 +121,8 @@ class Arrangement(_ArrangementFields):
         """|Aut_comb|, counted once per arrangement (`count_automorphisms`)
         and kept on it: `symmetry search`, `arrangement info --autos` and
         `paper verify` print it, and nothing in the Klein model needs it."""
+        from .search import count_automorphisms
+
         return count_automorphisms(self)
 
 
@@ -213,244 +207,13 @@ def complete_quadrilateral() -> Arrangement:
 # -- combinatorial symmetry --------------------------------------------------
 
 
-def _incidence(arr: Arrangement) -> tuple[list[list[int]], list[tuple[int, ...]]]:
-    """The point where lines i != j meet, as meet[i][j] (-1 on the
-    diagonal), and each line's profile: the sorted multiplicities of the
-    points on it."""
-    n = arr.n
-    meet = [[-1] * n for _ in range(n)]
-    for pid, p in enumerate(arr.points):
-        for i, j in itertools.combinations(p.incident, 2):
-            meet[i][j] = meet[j][i] = pid
-    mult = [p.r for p in arr.points]
-    return meet, [tuple(sorted(mult[pid] for pid in set(row) if pid >= 0)) for row in meet]
-
-
-def _search_order(
-    meet: list[list[int]], mult: list[int], profiles: list[tuple[int, ...]]
-) -> tuple[list[int], list[tuple[int, int] | None]]:
-    """A static line order for the automorphism search, most constrained
-    first, and for each position an anchor: two earlier lines through a
-    point of multiplicity >= 3 on that line, or None.
-
-    Each step prefers a line with at most one candidate, then one meeting
-    ordered lines in the most distinct points of multiplicity >= 3, then
-    one with the fewest candidates, then the lowest index.  A line through
-    such a point P that already lies on two ordered lines is anchored
-    there, with mult(P) minus the ordered lines through P as its candidate
-    count (the least over such points); any other line counts the
-    unordered lines of its profile.
-    """
-    n = len(meet)
-    order: list[int] = []
-    anchors: list[tuple[int, int] | None] = []
-    on_ordered = [0] * len(mult)
-    rest = set(range(n))
-    while rest:
-        best = None
-        for i in sorted(rest):
-            met = {meet[i][j] for j in order if mult[meet[i][j]] >= 3}
-            known = [p for p in met if on_ordered[p] >= 2]
-            if known:
-                pid = min(known, key=lambda p: (mult[p] - on_ordered[p], p))
-                count = mult[pid] - on_ordered[pid]
-            else:
-                pid, count = -1, sum(1 for j in rest if profiles[j] == profiles[i])
-            key = (count > 1, -len(met), count)
-            if best is None or key < best[0]:
-                best = (key, i, pid)
-        _, i, pid = best
-        anchors.append(tuple(j for j in order if meet[i][j] == pid)[:2] if pid >= 0 else None)
-        order.append(i)
-        rest.remove(i)
-        for p in set(meet[i]) - {-1}:
-            on_ordered[p] += 1
-    return order, anchors
-
-
 def combinatorial_automorphisms(arr: Arrangement) -> list[Perm]:
     """All line permutations preserving the incidence relation (Aut_comb),
     sorted: `incidence_automorphisms` without a linear constraint.  No
     command lists the group; `count_automorphisms` counts it."""
+    from .search import incidence_automorphisms
+
     return incidence_automorphisms(arr)
-
-
-def count_automorphisms(arr: Arrangement) -> int:
-    """|Aut_comb| by orbit-stabilizer (Sims), without listing the group.
-
-    The search's line order is a base: G_j, the automorphisms fixing
-    order[0..j-1] line by line, has |G_j| = |orbit of order[j] under G_j| x
-    |G_j+1|.  Levels run last to first, so every generator found so far lies
-    in G_j.  Each line the search would try for order[j] with that prefix
-    fixed, and that the generators do not reach, gets one first-solution
-    run of `incidence_automorphisms` sending order[j] to it, as nauty drives
-    its search (McKay 1981): a hit is a new generator, and a miss proves the
-    line outside the orbit, so the count is exact.
-
-    Cost: the base is the whole line order, so n levels, of at most n runs
-    each; a level whose only candidate is its own line runs nothing.  The
-    runs at one level search disjoint subtrees of the listing's search
-    tree, each below a walk of at most n forced nodes, and in practice the
-    generators leave few runs.  Each hit strictly enlarges the generated
-    group, so there are at most log2 |Aut_comb| <= n log2 n generators, each
-    followed by an O(n x generators) orbit update.
-    """
-    _, through, meet, profiles, same_profile, order, anchors = arr._search_tables
-    gens: list[Perm] = []
-    total = 1
-    for j in reversed(range(arr.n)):
-        i, fixed, anchor = order[j], order[:j], anchors[j]
-        # with the prefix fixed, an anchored line's image lies on the anchor point
-        candidates = same_profile[i] if anchor is None else through[meet[anchor[0]][anchor[1]]]
-        orbit = _orbit(i, gens)
-        for c in candidates:
-            if c in orbit or c in fixed or profiles[c] != profiles[i]:
-                continue
-            hit = incidence_automorphisms(arr, prefix=(*fixed, c), first=True)
-            if hit:
-                gens.append(hit[0])
-                orbit = _orbit(i, gens)
-        total *= len(orbit)
-    return total
-
-
-def _orbit(i: int, gens: list[Perm]) -> set[int]:
-    orbit, frontier = {i}, [i]
-    for x in frontier:
-        for g in gens:
-            if g[x] not in orbit:
-                orbit.add(g[x])
-                frontier.append(g[x])
-    return orbit
-
-
-def incidence_automorphisms(
-    arr: Arrangement,
-    rows: tuple[Vector, ...] | None = None,
-    m: int = 0,
-    blown: tuple[int, ...] = (),
-    prefix: tuple[int, ...] = (),
-    first: bool = False,
-) -> list[Perm]:
-    """The incidence automorphisms, sorted; given the rows of an epimorphism
-    phi onto (Z/m)^k, m prime, only those sigma with phi[sigma(i)] = phi[i] P
-    for one matrix P, which are the permutations whose coordinate action
-    fixes the span of phi's columns; given blown point ids, only those
-    mapping the blown points onto themselves; given a prefix, only those
-    sending the line at position t of the search order to prefix[t]; with
-    `first`, only the first one found (an empty list if there is none).
-
-    Backtracking over the static line order of `_search_order`, computed
-    once per arrangement (`Arrangement._search_tables`).  A line
-    anchored at two earlier lines a, b must map to a line through the point
-    where the images of a and b meet, so its candidates are the lines
-    through that one point; an unanchored line tries the lines of its
-    profile, and a line in the prefix tries its given image only.  Each
-    candidate must be unused, have the same profile, and for
-    every earlier line j send the point line ^ j to a point of the same
-    multiplicity, consistently with the partial point map, which stays
-    injective; a permutation passing these checks at every line is an
-    automorphism, and every automorphism passes them.  A blown point counts
-    as a multiplicity of its own, so the point map sends blown points to
-    blown points and, a bijection once complete, onto them.  The first
-    lines anchor the rest on arrangements with many multiple points (three
-    unanchored lines on the quadrilateral, dual Hesse, Hesse and
-    Ceva(6)+3), so the search visits about |Aut| x n nodes, each scanning at
-    most the lines through one point and checking one pair per earlier
-    line.  Arrangements with only double points anchor nothing and list
-    all n! permutations.  A prefix confines the search to the subtree below
-    it, and `first` stops it at the first leaf (`count_automorphisms`).
-
-    With phi, one reduction of the rows in search order (`row_reduce`)
-    writes each line's row as a combination of the earlier lines with new
-    rows, the pivots, or finds it new.  A line with a combination must map
-    to a line whose row is the same combination of the pivots' images'
-    rows; a pivot line is unconstrained.  A permutation passing every such
-    check has phi[sigma(i)] = phi[i] P for the P taking the pivots' rows to
-    their images' rows, and every such permutation passes them.  The check
-    only prunes, so the search visits a subset of the full search's nodes.
-    Past the at most k pivots every line's image must carry one given row,
-    so in practice it visits about |H_comb| x n nodes, H_comb the
-    character-preserving automorphisms, even where Aut_comb is all of S_n.
-    """
-    n = arr.n
-    mult, through, meet, profiles, same_profile, order, anchors = arr._search_tables
-    if blown:
-        # a point's multiplicity, negated if it is blown up
-        blown_set = set(blown)
-        mult = [-r if pid in blown_set else r for pid, r in enumerate(mult)]
-    # combos[k]: (pivot line, coefficient) pairs giving the row of order[k]
-    combos: list[tuple[tuple[int, int], ...] | None] = [None] * n
-    if rows is not None:
-        if len(rows) != n:
-            raise ValueError("epimorphism size does not match the arrangement")
-        reduced, pivots = row_reduce(
-            [tuple(rows[i][j] for i in order) for j in range(len(rows[0]))], m, n
-        )
-        for k in set(range(n)) - set(pivots):
-            combos[k] = tuple((order[p], r[k]) for p, r in zip(pivots, reduced) if r[k])
-
-    perm = [-1] * n
-    used = [False] * n
-    pmap = [-1] * len(mult)
-    pmap_inv = [-1] * len(mult)
-    results: list[Perm] = []
-    forced = len(prefix)
-
-    def extend(k: int) -> bool:
-        """Place order[k] and the lines after it; True once `first` has its
-        permutation, leaving the tables as they are."""
-        if k == n:
-            results.append(tuple(perm))
-            return first
-        i = order[k]
-        anchor = anchors[k]
-        if k < forced:
-            candidates = prefix[k : k + 1]
-        elif anchor is None:
-            candidates = same_profile[i]
-        else:
-            candidates = through[meet[perm[anchor[0]]][perm[anchor[1]]]]
-        profile = profiles[i]
-        row = meet[i]
-        earlier = order[:k]
-        combo = combos[k]
-        if combo is not None:
-            target = tuple(
-                sum(c * rows[perm[b]][j] for b, c in combo) % m for j in range(len(rows[i]))
-            )
-        for img in candidates:
-            if used[img] or profiles[img] != profile:
-                continue
-            if combo is not None and rows[img] != target:
-                continue
-            img_row = meet[img]
-            added: list[int] = []
-            for j in earlier:
-                p = row[j]
-                q = img_row[perm[j]]
-                if pmap[p] >= 0:
-                    if pmap[p] != q:
-                        break
-                elif mult[p] != mult[q] or pmap_inv[q] >= 0:
-                    break
-                else:
-                    pmap[p] = q
-                    pmap_inv[q] = p
-                    added.append(p)
-            else:
-                perm[i] = img
-                used[img] = True
-                if extend(k + 1):
-                    return True
-                used[img] = False
-            for p in added:
-                pmap_inv[pmap[p]] = -1
-                pmap[p] = -1
-        return False
-
-    extend(0)
-    return sorted(results)
 
 
 def perm_cycles_str(perm: Perm) -> str:
@@ -487,25 +250,6 @@ def invert_perm(p: Perm) -> Perm:
 # -- projective / anti-projective realizability ------------------------------
 
 
-def _general_position_quadruple(arr: Arrangement) -> tuple[int, int, int, int]:
-    for quad in itertools.combinations(range(arr.n), 4):
-        vs = [arr.lines[i].coeffs for i in quad]
-        if all(det3((vs[a], vs[b], vs[c])) for a, b, c in itertools.combinations(range(4), 3)):
-            return quad
-    raise ValueError(
-        "the symmetry model needs a finite projective stabilizer: "
-        "the arrangement has no 4 lines in general position"
-    )
-
-
-def _scaled_frame(vs: list[Vec3]) -> Mat3:
-    """Columns c_i v_i (i < 3), c the Cramer numerators of v_3 in the basis
-    v_0, v_1, v_2: the matrix maps (1, 1, 1) to det(v_0, v_1, v_2) v_3."""
-    v0, v1, v2, v3 = vs
-    c = (det3((v3, v1, v2)), det3((v0, v3, v2)), det3((v0, v1, v3)))
-    return columns_to_matrix(*(scale(vs[i], c[i]) for i in range(3)))
-
-
 def realize_symmetry(arr: Arrangement, perm: Perm, anti: bool) -> Mat3 | None:
     """Return a matrix realizing (perm, anti) on line coefficients, or None.
 
@@ -519,23 +263,10 @@ def realize_symmetry(arr: Arrangement, perm: Perm, anti: bool) -> Mat3 | None:
     if (perm, anti) not in memo:
         if sorted(perm) != list(range(arr.n)):
             raise ValueError("perm is not a permutation of the lines")
+        from .search import _realize
+
         memo[perm, anti] = _realize(arr, perm, anti)
     return memo[perm, anti]
-
-
-def _realize(arr: Arrangement, perm: Perm, anti: bool) -> Mat3 | None:
-    """M = W adj(V), for the scaled frames V and W of a quadruple of lines in
-    general position and of its images, verified exactly on every line (a
-    degenerate image quadruple fails it); absence of a matrix is a definite
-    answer, not a failure."""
-    quad, source_adjugates = arr._frame
-    m = matmul(_scaled_frame([arr.lines[perm[i]].coeffs for i in quad]), source_adjugates[anti])
-    sigma = conj_vec if anti else (lambda v: v)
-    for i in range(arr.n):
-        image = matvec(m, sigma(arr.lines[i].coeffs))
-        if not proportional(image, arr.lines[perm[i]].coeffs):
-            return None
-    return normalize_matrix(m)
 
 
 def fixed_points_of(arr: Arrangement, perm: Perm) -> tuple[IncidencePoint, ...]:

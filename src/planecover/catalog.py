@@ -14,11 +14,11 @@ commands ask only about incidence automorphisms).  It must not be mutated.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 
 from .arrangement import Arrangement, Line, build_arrangement, complete_quadrilateral, dual_hesse
 from .homology import BLOW_ALL_TRIPLE, CoverModel, Epimorphism
+from .jsonio import read_json, require_object
 
 PHI1 = Epimorphism(
     m=5,
@@ -106,29 +106,12 @@ def builtin_cover(name: str) -> CoverModel:
     return CoverModel.build(builtin_arrangement(arr_name), phi, BLOW_ALL_TRIPLE)
 
 
-def read_json(path: str):
-    """The JSON document in a file; nesting too deep to parse is an input
-    error, not a crash."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
-
-
 def resolve_arrangement(ref: str | dict) -> Arrangement:
     """Accept 'builtin:<name>', a JSON file path, or an inline JSON object;
     the arrangement is shared (`_arrangement`)."""
     if isinstance(ref, str) and ref.startswith("builtin:"):
         return builtin_arrangement(ref.split(":", 1)[1])
     return _arrangement(_line_strings(read_json(ref) if isinstance(ref, str) else ref))
-
-
-def require_object(data, what: str) -> None:
-    """Refuse a JSON document that is not an object, naming its JSON type."""
-    if not isinstance(data, dict):
-        kinds = {type(None): "null", bool: "boolean", str: "string", list: "array"}
-        raise ValueError(f"{what} JSON must be an object, got {kinds.get(type(data), 'number')}")
 
 
 def cover_from_json(data: dict) -> CoverModel:

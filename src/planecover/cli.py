@@ -10,31 +10,51 @@ Exit codes: 0 success, 1 verification mismatch, 2 input error.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .arrangement import Arrangement, perm_cycles_str
-from .catalog import read_json, resolve_arrangement, resolve_cover
-from .homology import CoverModel
-
 if TYPE_CHECKING:
+    import argparse
+
+    from .arrangement import Arrangement
+    from .homology import CoverModel
     from .symmetry import KleinModel
 
 
 # -- report builders (dicts with deterministic ordering) ------------------------
 #
-# Every command loads `catalog` and the modules it imports.  Each builder
-# imports the other pipeline modules its report needs when it runs, so a
-# command loads only those (only `cover invariants` and `paper verify` load
-# the invariants modules `cover` and `intersection`) and reads each name from
-# its defining module at call time.  The builders (and, for `bounds check`
-# and `paper verify`, `verify`) are the only place a record becomes a report
-# dict.  The symmetry and real builders take the Klein model,
-# built once per command (`_klein_model`), so `paper verify` builds one per
-# example for both.
+# This module imports no pipeline module when it loads.  The resolvers below
+# import `catalog` (and through it `arrangement`, `homology` and `linalg`)
+# when a handler resolves an arrangement or a cover, so `bounds check` loads
+# no geometry.  Each builder imports the other pipeline modules its report
+# needs when it runs, so a command loads only those (only `cover invariants`
+# and `paper verify` load the invariants modules `cover` and `intersection`)
+# and reads each name from its defining module at call time.  The builders
+# (and, for `bounds check` and `paper verify`, `verify`) are the only place a
+# record becomes a report dict.  The symmetry and real builders take the
+# Klein model, built once per command (`_klein_model`), so `paper verify`
+# builds one per example for both.
+
+
+def resolve_arrangement(ref: str) -> Arrangement:
+    from . import catalog
+
+    return catalog.resolve_arrangement(ref)
+
+
+def resolve_cover(ref: str) -> CoverModel:
+    from . import catalog
+
+    return catalog.resolve_cover(ref)
+
+
+def read_json(path: str):
+    from .jsonio import read_json
+
+    return read_json(path)
 
 
 def arrangement_report(arr: Arrangement, ref: str, with_autos: bool) -> dict:
@@ -127,6 +147,8 @@ def _klein_model(cover: CoverModel) -> KleinModel:
 
 
 def symmetry_report(model: KleinModel, ref: str) -> dict:
+    from .arrangement import perm_cycles_str
+
     return {
         "cover": ref,
         "combinatorial_automorphisms": model.cover.arrangement.automorphism_order,
@@ -316,21 +338,11 @@ COMMANDS = {
 _FORMATS = ("text", "json")
 
 
-def _add_command_arguments(
-    parser: argparse.ArgumentParser, arguments: tuple
-) -> argparse.ArgumentParser:
-    # the top-level flags are accepted after the command too; SUPPRESS keeps
-    # the command's parser from clobbering a value parsed at the top level
-    parser.add_argument("--format", choices=_FORMATS, default=argparse.SUPPRESS)
-    parser.add_argument("--out", default=argparse.SUPPRESS)
-    for names, kwargs in arguments:
-        parser.add_argument(*names, **kwargs)
-    return parser
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The whole tree: the top-level flags, a parser per group and per command."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="planecover",
         description="Exact invariants and real-structure classification for "
@@ -345,50 +357,86 @@ def _build_parser() -> argparse.ArgumentParser:
             actions[group] = groups.add_parser(group, help=group_help).add_subparsers(
                 dest="action", required=True
             )
-        _add_command_arguments(actions[group].add_parser(action, help=action_help), arguments)
+        command = actions[group].add_parser(action, help=action_help)
+        # the top-level flags are accepted after the command too; SUPPRESS
+        # keeps the command's parser from clobbering a value parsed at the
+        # top level
+        command.add_argument("--format", choices=_FORMATS, default=argparse.SUPPRESS)
+        command.add_argument("--out", default=argparse.SUPPRESS)
+        for names, kwargs in arguments:
+            command.add_argument(*names, **kwargs)
     return parser
 
 
-@functools.cache
-def _command_parser(group: str, action: str) -> argparse.ArgumentParser:
-    """One command's parser, as the full tree builds it for that command."""
-    parser = argparse.ArgumentParser(prog=f"planecover {group} {action}")
-    return _add_command_arguments(parser, COMMANDS[group, action][2])
+# option -> (namespace name, type or None for a store_true flag, choices)
+_TOP_OPTIONS = {"--format": ("format", str, _FORMATS), "--out": ("out", str, None)}
 
 
-def _split_command(argv: list[str]) -> tuple[argparse.Namespace, list[str]] | None:
-    """A command line `[--format F] [--out O] <group> <action> ...`, each flag
-    spelled out with its value as the next word, as the full tree's top level
-    reads it: the namespace it fills and the arguments it hands to the
-    command's parser.  None for any other command line (help, no command, an
-    error at the top level, an abbreviated flag or `--flag=value`): the full
-    tree parses those."""
-    top = {"format": "text", "out": None}
-    i = 0
-    while i + 1 < len(argv) and argv[i] in ("--format", "--out") and argv[i + 1][:1] != "-":
-        top[argv[i][2:]] = argv[i + 1]
-        i += 2
-    command, rest = tuple(argv[i : i + 2]), argv[i + 2 :]
-    # the top level rejects "--=..." anywhere as ambiguous, before any command parses
-    if top["format"] not in _FORMATS or command not in COMMANDS or any(
-        a.startswith("--=") for a in rest
-    ):
+def _read_exact(argv: list[str]) -> SimpleNamespace | None:
+    """What the full tree makes of a command line
+    `[--format F] [--out O] <group> <action> ...` that spells out every flag
+    exactly, read from the command's declaration in `COMMANDS`: its
+    positional, `store_true` flags, typed options and the top-level flags,
+    each option's value the next word.  None for any word it does not take
+    exactly, which leaves the line to the full tree: help, an unknown or
+    abbreviated flag, `--flag=value`, `--`, a value starting with `-`, a
+    value its type or choices refuse, a missing or extra positional."""
+    values = {"format": "text", "out": None}
+    words = iter(argv)
+    word = next(words, None)
+    while word in _TOP_OPTIONS:
+        if not _take(values, _TOP_OPTIONS[word], next(words, None)):
+            return None
+        word = next(words, None)
+    command = (word, next(words, None))
+    if command not in COMMANDS:
         return None
-    return argparse.Namespace(**top, group=command[0], action=command[1]), rest
+    values.update(group=command[0], action=command[1])
+    positionals, options = [], dict(_TOP_OPTIONS)
+    for (name,), kwargs in COMMANDS[command][2]:
+        if name[0] != "-":
+            positionals.append(name)
+        elif kwargs.get("action") == "store_true":
+            options[name] = (name[2:], None, None)
+            values[name[2:]] = False
+        else:
+            options[name] = (name[2:], kwargs.get("type", str), kwargs.get("choices"))
+            values[name[2:]] = kwargs.get("default")
+    for word in words:
+        if word[:1] != "-":
+            if not positionals:
+                return None
+            values[positionals.pop(0)] = word
+        elif word not in options:
+            return None
+        elif options[word][1] is None:
+            values[options[word][0]] = True
+        elif not _take(values, options[word], next(words, None)):
+            return None
+    return None if positionals else SimpleNamespace(**values)
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The full tree's reading of argv, from the one command's parser when
-    argv names a command and that parser takes every argument."""
-    split = _split_command(argv)
-    if split is not None:
-        namespace, rest = split
-        args, extra = _command_parser(namespace.group, namespace.action).parse_known_args(
-            rest, namespace
-        )
-        if not extra:
-            return args
-    return _build_parser().parse_args(argv)
+def _take(values: dict, option: tuple, word: str | None) -> bool:
+    """Store word as the option's value; False where the full tree must read
+    it (no word, or one starting with `-`)."""
+    name, kind, choices = option
+    if word is None or word[:1] == "-":
+        return False
+    try:
+        value = kind(word)
+    except (TypeError, ValueError):
+        return False
+    if choices is not None and value not in choices:
+        return False
+    values[name] = value
+    return True
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+    """The full tree's reading of argv, read directly (`_read_exact`) when
+    every word is one the direct reading takes."""
+    args = _read_exact(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def run(argv: list[str]) -> int:

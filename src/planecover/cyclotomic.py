@@ -24,11 +24,6 @@ if TYPE_CHECKING:
     _RationalLike = int | Fraction
 
 
-def _is_int(x: object) -> bool:
-    """An integer of parsed input (JSON or Python), not a bool."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 class CycNumber:
     """Immutable element (p + q*zeta)/d of Q(zeta), zeta^2 = zeta - 1."""
 

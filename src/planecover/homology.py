@@ -13,9 +13,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cyclotomic import _is_int
+from .jsonio import _is_int
 
-if TYPE_CHECKING:  # arrangement imports this module's elimination
+if TYPE_CHECKING:
     from .arrangement import Arrangement
 
 Vector = tuple[int, ...]

@@ -21,13 +21,13 @@ from .arrangement import (
     combinatorial_automorphisms,  # noqa: F401  (perfbench's trace test reads it here)
     compose_perms,
     fixed_points_of,
-    incidence_automorphisms,
     invert_perm,
     perm_cycles_str,
     realize_symmetry,
 )
 from .homology import CoverModel, Epimorphism, Vector, nullspace_mod_p, row_reduce, solve_mod_p
 from .linalg import Mat3
+from .search import incidence_automorphisms
 
 Matrix = tuple[Vector, ...]  # k x k over Z/mZ
 

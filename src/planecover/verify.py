@@ -14,8 +14,7 @@ import json
 from typing import TYPE_CHECKING
 
 from . import bounds as bounds_mod
-from .catalog import require_object
-from .cyclotomic import _is_int
+from .jsonio import _is_int, require_object
 
 if TYPE_CHECKING:
     from types import ModuleType

@@ -12,12 +12,7 @@ point, is the oracle its answer must equal for every realized (perm, anti).
 
 from __future__ import annotations
 
-from planecover.arrangement import (
-    Arrangement,
-    IncidencePoint,
-    Perm,
-    _general_position_quadruple,
-)
+from planecover.arrangement import Arrangement, IncidencePoint, Perm
 from planecover.cyclotomic import ONE, ZERO
 from planecover.linalg import (
     Mat3,
@@ -33,6 +28,7 @@ from planecover.linalg import (
     scale,
     transpose,
 )
+from planecover.search import _general_position_quadruple
 
 IDENTITY3: Mat3 = ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
 

@@ -8,22 +8,19 @@ import hypothesis.strategies as st
 
 from planecover.arrangement import (
     Line,
-    _incidence,
-    _search_order,
     build_arrangement,
     combinatorial_automorphisms,
     complete_quadrilateral,
-    count_automorphisms,
     compose_perms,
     dual_hesse,
     fixed_points_of,
-    incidence_automorphisms,
     invert_perm,
     perm_cycles_str,
     realize_symmetry,
 )
 from planecover.cyclotomic import ONE, ZERO, ZETA, CycNumber
 from planecover.linalg import conj_vec, dot, matmul, normalize_matrix
+from planecover.search import _incidence, _search_order, count_automorphisms, incidence_automorphisms
 from planecover.symmetry import character_preserving_symmetries
 import realize_oracle
 from realize_oracle import IDENTITY3

@@ -1,10 +1,14 @@
 import argparse
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from planecover import cli
 from planecover.cli import run
@@ -393,14 +397,14 @@ def test_malformed_cover_json_is_input_error(tmp_path, capsys, field, value):
 
 @pytest.mark.parametrize("command", [["symmetry", "search"], ["real", "classify"]])
 def test_near_pencil_refused_before_automorphism_search(tmp_path, capsys, monkeypatch, command):
-    from planecover import arrangement, symmetry
+    from planecover import search, symmetry
 
     def no_search(*args):
         raise AssertionError("automorphism search started")
 
     monkeypatch.setattr(symmetry, "combinatorial_automorphisms", no_search)
     # the search constrained by phi, behind the character filter
-    for module in (arrangement, symmetry):
+    for module in (search, symmetry):
         monkeypatch.setattr(module, "incidence_automorphisms", no_search)
     # x, y and x + y meet in one point: no 4 lines in general position
     cover = {
@@ -420,10 +424,10 @@ def test_near_pencil_refused_before_automorphism_search(tmp_path, capsys, monkey
 
 
 def test_symmetry_search_runs_one_automorphism_search(capsys, monkeypatch):
-    from planecover import arrangement, symmetry
+    from planecover import arrangement, search, symmetry
 
     calls = []
-    count = arrangement.count_automorphisms
+    count = search.count_automorphisms
 
     def counted(arr):
         calls.append(arr)
@@ -432,7 +436,7 @@ def test_symmetry_search_runs_one_automorphism_search(capsys, monkeypatch):
     def no_listing(arr):
         raise AssertionError("Aut_comb listed")
 
-    monkeypatch.setattr(arrangement, "count_automorphisms", counted)
+    monkeypatch.setattr(search, "count_automorphisms", counted)
     for module in (arrangement, symmetry):
         monkeypatch.setattr(module, "combinatorial_automorphisms", no_listing)
     argv = ["--format", "json", "symmetry", "search", "builtin:example3"]
@@ -521,9 +525,8 @@ def test_malformed_arrangement_json_is_input_error(tmp_path, capsys, lines, mess
 
 
 def clear_parsers():
-    """Forget the parsers built so far (each is kept for the life of the process)."""
+    """Forget the parser tree built so far (it is kept for the life of the process)."""
     cli._build_parser.cache_clear()
-    cli._command_parser.cache_clear()
 
 
 @pytest.fixture
@@ -551,22 +554,32 @@ def command_argv(command, tmp_path):
     return [*command, *positional.get(command, ["builtin:example3"])]
 
 
-def test_run_builds_one_parser_per_command(capsys, parsers_built, tmp_path):
+def test_no_exact_command_line_constructs_a_parser(capsys, parsers_built, tmp_path):
     (tmp_path / "hodge.json").write_text('{"k2": 333, "euler": 111}')
     for command in cli.COMMANDS:
         argv = command_argv(command, tmp_path)
         assert run(argv) == 0
-        assert parsers_built == [f"planecover {' '.join(command)}"]
-        # kept for the process: a repeated command builds none
-        assert run(["--format", "json", *argv]) == 0
-        assert parsers_built == [f"planecover {' '.join(command)}"]
-        parsers_built.clear()
+        assert run(["--format", "json", *argv, "--out", str(tmp_path / "report")]) == 0
     assert run(["--format", "json", "bounds", "check", "/no/such/file.json"]) == 2
     assert parsers_built == []
-    # no valid command line builds the full tree; help for a group does
     assert cli._build_parser.cache_info().currsize == 0
+    # help for a group builds the whole tree, once for the process
     assert run(["cover", "--help"]) == 0
     assert "planecover" in parsers_built and cli._build_parser.cache_info().currsize == 1
+    parsers_built.clear()
+    assert run(["cover", "--help"]) == 0
+    assert parsers_built == []
+
+
+def test_every_declared_argument_is_one_the_direct_reading_takes():
+    # `_read_exact` reads a positional, a `store_true` flag or a typed
+    # option, each declared under one name
+    for command, (_, _, arguments, _) in cli.COMMANDS.items():
+        for names, kwargs in arguments:
+            assert len(names) == 1, command
+            assert set(kwargs) <= {"help", "action", "type", "default"}, command
+            assert kwargs.get("action", "store_true") == "store_true", command
+            assert names[0].startswith("--") or set(kwargs) == {"help"}, command
 
 
 def read_as(parse, argv, capsys):
@@ -592,8 +605,8 @@ FAST_SHAPES = {
     "bad-format-last": lambda a: [*a, "--format", "xml"],
     "double-dash": lambda a: [*a[:2], "--", *a[2:]],
 }
-# spellings the one-command reader leaves to the full tree
-FULL_TREE_SHAPES = {"equals-first", "abbreviated-first"}
+# the shapes `cli._read_exact` reads; it leaves every other one to the full tree
+DIRECT_SHAPES = {"plain", "flags-first", "flags-last", "override"}
 
 
 @pytest.mark.parametrize("shape", list(FAST_SHAPES))
@@ -602,10 +615,7 @@ def test_command_parser_reads_argv_as_the_full_tree(capsys, tmp_path, command, s
     clear_parsers()
     argv = FAST_SHAPES[shape](command_argv(command, tmp_path))
     fast = read_as(cli._parse, argv, capsys)
-    # `paper verify --` leaves its "--" over, an error the full tree reports
-    left_over = argv[2:] == ["--"]
-    assert cli._build_parser.cache_info().currsize == (shape in FULL_TREE_SHAPES or left_over)
-    assert cli._command_parser.cache_info().currsize == (shape not in FULL_TREE_SHAPES)
+    assert cli._build_parser.cache_info().currsize == (shape not in DIRECT_SHAPES)
     assert fast == read_as(cli._build_parser().parse_args, argv, capsys)
     if isinstance(fast[0], dict):  # parsed, not help or an error
         text = shape in ("plain", "override", "double-dash")
@@ -640,6 +650,62 @@ def test_other_command_lines_exit_as_the_full_tree(capsys, argv, code):
     assert read_as(cli._parse, argv, capsys) == full
     assert run(argv) == code
     assert capsys.readouterr().err == full[2]
+
+
+# command words, the flags the commands declare, words the direct reading
+# leaves to the full tree, and values
+VOCABULARY = [
+    *sorted({word for command in cli.COMMANDS for word in command}),
+    "--format", "--out", "--autos", "--k3", "-1", "--", "-h", "--form", "--out=x", "",
+    "json", "text", "7", "builtin:example3",
+]
+words = st.lists(st.sampled_from(VOCABULARY), max_size=6)
+# a flag with a value the direct reading takes, or with any word
+top_flags = st.one_of(
+    st.sampled_from([("--format", "json"), ("--format", "text"), ("--out", "x"), ("--out", "")]),
+    st.tuples(st.sampled_from(["--format", "--out"]), st.sampled_from(VOCABULARY)),
+)
+# one of those, a declared flag or option, a positional, or any word
+pieces = st.one_of(
+    top_flags,
+    st.sampled_from([("--autos",), ("--k3", "7"), ("builtin:example3",)]),
+    st.sampled_from(VOCABULARY).map(lambda word: (word,)),
+)
+
+
+def joined(parts):
+    return [word for part in parts for word in part]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        words,
+        # top-level flags, a command, maybe its positional, and more words:
+        # lines the direct reading takes, and lines near them
+        st.builds(
+            lambda before, command, ref, after: [*joined(before), *command, *ref, *joined(after)],
+            st.lists(top_flags, max_size=2),
+            st.sampled_from(list(cli.COMMANDS)),
+            st.sampled_from([(), ("builtin:example3",), ("builtin:example3",)]),
+            st.lists(pieces, max_size=3),
+        ),
+    )
+)
+@example(["--format", "json", "bounds", "check", "x", "--k3", "7", "--out", ""])
+@example(["arrangement", "info", "--autos", "builtin:example3", "--autos", "--format", "text"])
+@example(["--out", "x", "paper", "verify", "--out", "y"])
+def test_parse_reads_any_command_line_as_the_full_tree(argv):
+    def read(parse):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                result = vars(parse(argv))
+            except SystemExit as exc:
+                result = exc.code
+        return result, out.getvalue(), err.getvalue()
+
+    assert read(cli._parse) == read(cli._build_parser().parse_args)
 
 
 @pytest.mark.parametrize(
@@ -691,17 +757,17 @@ def test_run_calls_the_patched_report_builder(capsys, monkeypatch):
 
 
 def test_symmetry_search_builds_the_incidence_tables_once(capsys, monkeypatch):
-    from planecover import arrangement
+    from planecover import search
 
     calls = []
     for name in ("_incidence", "_search_order"):
-        original = getattr(arrangement, name)
+        original = getattr(search, name)
 
         def counted(*args, _name=name, _original=original):
             calls.append(_name)
             return _original(*args)
 
-        monkeypatch.setattr(arrangement, name, counted)
+        monkeypatch.setattr(search, name, counted)
     code, out = capture(capsys, ["--format", "json", "symmetry", "search", "builtin:example2"])
     assert code == 0
     assert json.loads(out)["combinatorial_automorphisms"] == 432

@@ -21,7 +21,7 @@ import pytest
 
 import planecover
 import realize_oracle
-from planecover import arrangement, catalog, symmetry
+from planecover import arrangement, catalog, search, symmetry
 from planecover.arrangement import (
     Line,
     build_arrangement,
@@ -187,10 +187,12 @@ def test_memo_evicts_the_least_recently_used_arrangement():
     assert resolve_arrangement(docs[1]) is not kept[0]
 
 
-COUNTED = (
-    "build_arrangement", "count_automorphisms", "combinatorial_automorphisms", "_incidence",
-    "_search_order", "_realize",
-)
+# name -> defining module
+COUNTED = {
+    "build_arrangement": arrangement, "combinatorial_automorphisms": arrangement,
+    "count_automorphisms": search, "_incidence": search, "_search_order": search,
+    "_realize": search,
+}
 
 
 @pytest.fixture
@@ -201,8 +203,8 @@ def calls(monkeypatch):
         importlib.import_module(f"planecover.{info.name}")
         for info in pkgutil.iter_modules(planecover.__path__)
     ]
-    for name in COUNTED:
-        original = getattr(arrangement, name)
+    for name, defining in COUNTED.items():
+        original = getattr(defining, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls.append(_name)
@@ -260,7 +262,7 @@ def realizations(monkeypatch):
         return counted
 
     monkeypatch.setattr(symmetry, "realize_symmetry", count(asked, symmetry.realize_symmetry))
-    monkeypatch.setattr(arrangement, "_realize", count(solved, arrangement._realize))
+    monkeypatch.setattr(search, "_realize", count(solved, search._realize))
     return asked, solved
 
 

@@ -1,7 +1,9 @@
 """Start-up: each command loads only the pipeline modules its report needs,
 the package exports its names lazily, no command loads `dataclasses` or
 `inspect` (the records are NamedTuples, so no code is generated at import),
-and only the commands that compute invariants or bounds load `fractions`.
+only the commands that compute invariants or bounds load `fractions`, and
+only a command line the direct reading leaves to the whole parser tree (help,
+say) loads `argparse`.
 
 The module sets are read in a fresh interpreter per command, so they do not
 depend on what other tests imported; no timing is asserted."""
@@ -21,68 +23,76 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(planecover.__file__)))
 
 # one command (or none: a bare `import planecover`), what it must load, and
 # what it must not load; of the cover commands only `cover invariants` loads
-# the invariants modules `cover` and `intersection`, and only `bounds check`
-# (and `paper verify`) load `verify`
+# the invariants modules `cover` and `intersection`, only the commands that
+# search or realize line permutations load `search`, and only `bounds check`
+# (and `paper verify`) load `verify`, `bounds check` without any geometry
 CASES = {
     "import planecover": (None, set(), {
         "arrangement", "bounds", "catalog", "characters", "cli", "cover", "cyclotomic",
-        "homology", "intersection", "linalg", "symmetry", "verify",
+        "homology", "intersection", "jsonio", "linalg", "search", "symmetry", "verify",
     }),
     "arrangement info --autos": (
         ["arrangement", "info", "builtin:dual_hesse", "--autos"],
-        {"arrangement"},
+        {"arrangement", "search"},
         {"cover", "intersection", "characters", "symmetry", "bounds", "verify"},
     ),
     "cover smoothness": (
         ["cover", "smoothness", "builtin:example1"],
         {"homology"},
-        {"cover", "intersection", "characters", "symmetry", "bounds", "verify"},
+        {"cover", "intersection", "characters", "search", "symmetry", "bounds", "verify"},
     ),
     "cover invariants": (
         ["cover", "invariants", "builtin:example3"],
         {"cover", "intersection"},
-        {"characters", "symmetry", "bounds", "verify"},
+        {"characters", "search", "symmetry", "bounds", "verify"},
     ),
     "characters list": (
         ["characters", "list", "builtin:example1"],
         {"characters"},
-        {"cover", "intersection", "symmetry", "bounds", "verify"},
+        {"cover", "intersection", "search", "symmetry", "bounds", "verify"},
     ),
     "symmetry search": (
         ["symmetry", "search", "builtin:example2"],
-        {"symmetry"},
+        {"search", "symmetry"},
         {"cover", "intersection", "characters", "bounds", "verify"},
     ),
     "real classify": (
         ["real", "classify", "builtin:example3"],
-        {"symmetry"},
+        {"search", "symmetry"},
         {"cover", "intersection", "characters", "bounds", "verify"},
     ),
     "bounds check": (
         ["bounds", "check", "HODGE"],
         {"bounds", "verify"},
-        {"cover", "intersection", "characters", "symmetry"},
+        {"arrangement", "catalog", "cover", "cyclotomic", "homology", "intersection",
+         "characters", "linalg", "search", "symmetry"},
     ),
+    # help is left to the whole parser tree
+    "cover --help": (["cover", "--help"], {"argparse", "gettext"}, {"catalog", "arrangement"}),
 }
 
 PROBE = """
-import json, os, sys
+import contextlib, io, json, os, sys
 argv = json.loads(sys.argv[1])
 if argv is None:
     import planecover
     code = 0
 else:
     from planecover import cli
-    code = cli.run([*argv, "--out", os.devnull])
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run([*argv, "--out", os.devnull])
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("planecover.") or m in HEAVY)]))
 """
 
 # standard-library modules that cost milliseconds to import: no command needs
 # `dataclasses` (it pulls in `inspect`, `ast`, `dis` and `tokenize`), and only
 # the commands with an invariants or bounds module need `fractions` (it pulls
-# in `decimal`); `CycNumber` computes on integers
-HEAVY = ("dataclasses", "inspect", "fractions", "decimal")
+# in `decimal`); `CycNumber` computes on integers.  Only the whole parser
+# tree, built for help (HELP), loads `argparse` and the `gettext` it pulls in
+PARSER = ("argparse", "gettext")
+HEAVY = ("dataclasses", "inspect", "fractions", "decimal", *PARSER)
 RATIONAL = {"cover invariants", "bounds check"}
+HELP = {"cover --help"}
 
 
 def fresh_modules(code, *args):
@@ -123,6 +133,7 @@ def test_command_loads_only_its_modules(case, tmp_path):
     # some site set-ups import `inspect` (or another of these) before any
     # planecover code runs
     unneeded = {"inspect"} | (set() if case in RATIONAL else {"fractions", "decimal"})
+    unneeded |= set() if case in HELP else set(PARSER)
     for name in unneeded & modules:
         assert name in bare_interpreter_modules(), name
 

@@ -23,7 +23,6 @@ from planecover.arrangement import (
     combinatorial_automorphisms,
     complete_quadrilateral,
     dual_hesse,
-    incidence_automorphisms,
     perm_cycles_str,
 )
 from planecover.bounds import hodge_from_surface, lefschetz_trace, smith_total
@@ -32,6 +31,7 @@ from planecover.characters import enumerate_characters, preserves_charset
 from planecover.cli import run
 from planecover.cyclotomic import ONE, ZERO, ZETA
 from planecover.homology import BLOW_ALL_TRIPLE, CoverModel, Epimorphism, rank_mod_p
+from planecover.search import incidence_automorphisms
 from planecover.symmetry import (
     character_preserving_symmetries,
     classify_real_structures,
