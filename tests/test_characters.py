@@ -1,21 +1,39 @@
 import json
 import random
 import re
+from collections import Counter
 from importlib import resources
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+import hypothesis.strategies as st
 
 from planecover.catalog import PHI1, PHI2, PHI3
-from planecover.characters import (
-    enumerate_characters,
-    preserves_charset,
-    r_profile,
-    unique_profile_elements,
-)
+from planecover import cli
+from planecover.characters import enumerate_characters, preserves_charset, r_profile
 from planecover.homology import Epimorphism
 
 ALPHA = (1, 1, 1, 3, 3, 0, 0, 0, 1)
 BETA = (1, 0, 1, 3, 0, 1, 1, 2, 1)
+
+
+def unique_profile_elements(charset, m):
+    """Characters whose residue profile occurs exactly once in the set."""
+    profiles = [r_profile(a, m) for a in charset]
+    freq = Counter(profiles)
+    return tuple(a for a, p in zip(charset, profiles) if freq[p] == 1)
+
+
+def sorted_span(phi):
+    """The (Z/mZ)-span of phi's columns, sorted: every combination of the
+    columns themselves, with no echelon form."""
+    cols = [phi.column(j) for j in range(phi.k)]
+    return tuple(sorted({
+        tuple(sum(c * col[i] for c, col in zip(coeffs, cols)) % phi.m for i in range(phi.n))
+        for coeffs in product(range(phi.m), repeat=phi.k)
+    }))
 
 
 def act_on_character(perm, a):
@@ -133,6 +151,33 @@ def test_enumeration_size_and_uniqueness():
     for phi in (PHI1, PHI2, PHI3):
         charset = enumerate_characters(phi)
         assert len(charset) == len(set(charset)) == 25
+
+
+@st.composite
+def epimorphisms(draw):
+    """Zero-sum rows onto (Z/m)^k, m^k <= 343; not always of rank k."""
+    m = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(1, {2: 4, 3: 4, 5: 3, 7: 3}[m]))
+    n = draw(st.integers(k + 1, 8))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * k), min_size=n - 1, max_size=n - 1))
+    rows.append(tuple(-sum(r[j] for r in rows) % m for j in range(k)))
+    return m, k, tuple(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(epimorphisms())
+def test_enumeration_is_the_sorted_span(spec):
+    # product order against the echelon basis is lexicographic order, with
+    # no sort; and the report's profile_unique is the oracle's
+    m, k, rows = spec
+    try:
+        phi = Epimorphism(m=m, k=k, rows=rows)
+    except ValueError:
+        assume(False)
+    charset = enumerate_characters(phi)
+    assert charset == sorted_span(phi)
+    report = cli.characters_report(SimpleNamespace(phi=phi, m=m), "ref")
+    assert report["profile_unique"] == [list(a) for a in unique_profile_elements(charset, m)]
 
 
 def test_invalid_phi_rejected():

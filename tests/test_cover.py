@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from lattice_oracle import (
     adjoint_branch_class,
     canonical_class,
+    component_count,
     exceptional,
     lattice_canonical_route,
     lattice_invariants,
@@ -289,7 +290,12 @@ def hirzebruch_closed_forms(n, t, m, k):
     return k2 * m ** (k - 2), e * m ** (k - 2)
 
 
-FULL_KUMMER_5 = (5, [tuple(int(i == j) for j in range(5)) for i in range(5)] + [(4,) * 5])
+def full_kummer_rows(m):
+    """phi of the full (Z/m)^5 Kummer cover w_j^m = l_j / l_6 of the quadrilateral."""
+    return [tuple(int(i == j) for j in range(5)) for i in range(5)] + [(m - 1,) * 5]
+
+
+FULL_KUMMER_5 = (5, full_kummer_rows(5))
 
 
 @pytest.mark.parametrize(
@@ -304,6 +310,22 @@ def test_kummer_invariants_match_hirzebruch_closed_forms(cq, name):
     assert (rep.k2, rep.euler) == hirzebruch_closed_forms(6, {2: 3, 3: 4}, m, len(rows[0]))
     if name == "full_kummer_5":
         assert (rep.k2, rep.euler) == (5625, 1875)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_full_kummer_curves_lift_to_fermat_curves(cq, m):
+    # a second route to the per-curve genus: on the full Kummer cover of the
+    # quadrilateral each of the ten branch curves lifts to d disjoint Fermat
+    # curves of degree m, of genus (m - 1)(m - 2)/2 (Hirzebruch 1983), and a
+    # preimage of arithmetic genus p_a splits as p_a - 1 = d (g - 1)
+    from test_symmetry import quadrilateral_cover
+
+    cover = quadrilateral_cover(cq, m, full_kummer_rows(m))
+    rep = invariants(cover)
+    for c in rep.line_curves + rep.point_curves:
+        d = component_count(cover, c.label)
+        assert (c.genus - 1) % d == 0
+        assert (c.genus - 1) // d + 1 == (m - 1) * (m - 2) // 2
 
 
 
@@ -345,10 +367,10 @@ def test_chi_matches_pardinis_eigensheaf_sum(cq, name):
 
 @pytest.mark.parametrize("name, chi", [("quadrilateral_2_4", 1), ("quadrilateral_2_5", 2)])
 def test_pardini_chi_of_the_m2_covers(cq, name, chi):
-    # `invariants` refuses these covers at the per-curve genus; K^2 + e from
-    # the adjoint class and the stratified Euler characteristic agrees
+    # K^2 + e from the adjoint class and the stratified Euler characteristic
+    # agrees, and so does `invariants`
     cover = named_cover(name, cq)
-    assert pardini_chi(cover) == chi
+    assert pardini_chi(cover) == invariants(cover).chi == chi
     kadj = adjoint_branch_class(cq, cover.blown_ids, cover.m)
     k2 = Fraction(cover.m) ** cover.k * pairing(kadj, kadj)
     assert k2 + stratified_euler(cq, cover.blown_ids, cover.m, cover.k) == 12 * chi
@@ -371,11 +393,13 @@ def random_smooth_cover(arr, m, k, rng, tries=500):
 
 
 # (arrangement, m, k) with m^k <= 125 where random rows are often smooth.
-# Odd m only: `invariants` refuses smooth m = 2 covers at the per-curve
-# genus (test_pardini_chi_of_the_m2_covers).
+# The m = 2 covers have lines whose preimage is several rational curves
+# (p_a < 0), which `invariants` accepts by counting the components.
 RANDOM_COVER_SHAPES = [
+    (complete_quadrilateral, 2, 4), (complete_quadrilateral, 2, 5),
     (complete_quadrilateral, 3, 3), (complete_quadrilateral, 3, 4),
     (complete_quadrilateral, 5, 2), (complete_quadrilateral, 5, 3),
+    (dual_hesse, 2, 4), (dual_hesse, 2, 5), (dual_hesse, 2, 6),
     (dual_hesse, 3, 3), (dual_hesse, 3, 4), (dual_hesse, 5, 3),
 ]
 
@@ -398,8 +422,8 @@ def hesse_minus_axes():
 
 def as_if_smooth(cover):
     """The cover with its certificate forced ok, so that the number checks
-    behind it (integrality, the Noether quotient, adjunction) are reached on
-    covers that are not smooth, k = 1 among them."""
+    behind it (the Noether quotient, adjunction) are reached on covers that
+    are not smooth."""
     return cover._replace(certificate=SmoothnessCertificate((), True))
 
 
@@ -413,9 +437,10 @@ def outcome(fn, *args):
 
 def assert_matches_lattice(cover):
     """invariants equals the lattice route field for field, or raises the
-    same text, as built and as if smooth; the canonical route of the 3K
-    decomposition is taken iff the lattice identity holds."""
-    for c in (cover, as_if_smooth(cover)):
+    same text, as built and, for k >= 2, as if smooth; the canonical route
+    of the 3K decomposition is taken iff the lattice identity holds.  No
+    k = 1 cover is smooth, and `invariants` scales by the integer m^(k-2)."""
+    for c in [cover, as_if_smooth(cover)] if cover.k >= 2 else [cover]:
         assert outcome(invariants, c) == outcome(lattice_invariants, c)
     identity = lattice_canonical_route(cover.arrangement, cover.blown_ids)
     assert three_canonical_decomposition(as_if_smooth(cover)).canonical_route == identity
@@ -450,13 +475,24 @@ def test_invariants_match_the_lattice_on_named_covers(cq, name):
 
 
 def test_m2_refusals_and_blown_double_points(cq):
-    # the m = 2 covers fail adjunction on a curve; the quadrilateral with
-    # example3's phi stays smooth with its double points blown up, and each
-    # of them (e_p = 1) lifts to (-1)-curves: D^2 = (D, K) = -m^(k-2) e_p
-    for name in ("quadrilateral_2_4", "quadrilateral_2_5"):
-        assert outcome(invariants, named_cover(name, cq)).startswith(
-            "ValueError: adjunction gives no valid genus for"
-        )
+    # the smooth m = 2 covers: each line's preimage is d = 2 (d = 4) rational
+    # curves, of arithmetic genus 1 - d (Hirzebruch's (Z/2)^5 cover is a K3)
+    for name, numbers, p_a in (("quadrilateral_2_4", (0, 12, 1), -1),
+                               ("quadrilateral_2_5", (0, 24, 2), -3)):
+        cover = named_cover(name, cq)
+        rep = invariants(cover)
+        assert (rep.k2, rep.euler, rep.chi) == numbers
+        assert [c.genus for c in rep.line_curves] == [p_a] * 6
+        assert [component_count(cover, c.label) for c in rep.line_curves] == [1 - p_a] * 6
+    # phi(E_p) = 0 at a blown point: not smooth, and as if smooth C1 has
+    # p_a = -1 over d = 4 components, which fits no genus
+    rows = ((0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 1, 1), (1, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1))
+    cover = as_if_smooth(CoverModel.build(cq, Epimorphism(m=2, k=4, rows=rows)))
+    assert outcome(invariants, cover) == "ValueError: adjunction gives no valid genus for C1"
+    assert_matches_lattice(cover)
+    # the quadrilateral with example3's phi stays smooth with its double
+    # points blown up, and each of them (e_p = 1) lifts to (-1)-curves:
+    # D^2 = (D, K) = -m^(k-2) e_p
     cover = CoverModel.build(cq, PHI3, list(range(7)))
     rep = invariants(cover)
     assert rep == lattice_invariants(cover)
@@ -472,12 +508,10 @@ K1_COVERS = {
 
 @pytest.mark.parametrize("name", sorted(K1_COVERS))
 def test_k1_covers_match_the_lattice(name):
-    # no k = 1 cover is smooth: two line images are never independent in Z/m.
-    # As if smooth, m^(k-2) = 1/m and the integrality checks decide.
+    # no k = 1 cover is smooth: two line images are never independent in Z/m
     build, m, rows = K1_COVERS[name]
     cover = CoverModel.build(build(), Epimorphism(m=m, k=1, rows=tuple(rows)))
     assert outcome(invariants, cover).startswith("ValueError: cover is not certified smooth")
-    assert outcome(invariants, as_if_smooth(cover)).endswith("is not an integer")
     assert_matches_lattice(cover)
     assert_matches_lattice(every_point_blown(cover))
 
