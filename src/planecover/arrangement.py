@@ -5,11 +5,12 @@ so deduplication is an exact dictionary lookup, and a point is fixed by a
 realized line permutation exactly when the permutation keeps its lines.
 
 The incidence-preserving permutation search and the realization of a
-permutation by a projectivity or anti-projectivity live in `search`.  This
-module keeps their entry points (`combinatorial_automorphisms`,
-`realize_symmetry` and the cached properties of `Arrangement` that hold
-what they compute), which import `search` when they run: a command that
-reads only incidence, such as `cover smoothness`, never compiles it.
+permutation by a projectivity or anti-projectivity live in `search`, and
+so does what they keep per arrangement (`search.SearchState`).  This
+module reaches them through `Arrangement._search`, which builds that
+state on first use, and `combinatorial_automorphisms`; those are the only
+two places that import `search`, so a command that reads only incidence,
+such as `cover smoothness`, never compiles it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .cyclotomic import ONE, ZERO, ZETA, CycNumber, parse_cyc
-from .linalg import Mat3, Vec3, adjugate, canonical, conj_vec, cross
+from .linalg import Mat3, Vec3, canonical, cross
 
 Perm = tuple[int, ...]
 
@@ -83,47 +84,19 @@ class Arrangement(_ArrangementFields):
         )
 
     @cached_property
-    def _frame(self) -> tuple[tuple[int, ...], tuple[Mat3, Mat3]]:
-        """A general-position quadruple and adj of the scaled frame of its
-        lines, then of its conjugated lines (realize_symmetry)."""
-        from .search import _general_position_quadruple, _scaled_frame
+    def _search(self):
+        """What the search and the realizations keep for this arrangement
+        (`search.SearchState`), built the first time one of them runs."""
+        from .search import SearchState
 
-        quad = _general_position_quadruple(self)
-        vs = [self.lines[i].coeffs for i in quad]
-        return quad, tuple(adjugate(_scaled_frame(w)) for w in (vs, [conj_vec(v) for v in vs]))
+        return SearchState(self)
 
-    @cached_property
-    def _search_tables(self) -> tuple:
-        """What `incidence_automorphisms` reads besides phi: each point's
-        multiplicity and lines, the meet table and line profiles
-        (`_incidence`), each line's same-profile lines, and the line order
-        with its anchors (`_search_order`)."""
-        from .search import _incidence, _search_order
-
-        mult = [p.r for p in self.points]
-        meet, profiles = _incidence(self)
-        same_profile = [tuple(j for j in range(self.n) if profiles[j] == p) for p in profiles]
-        return (
-            mult, [p.incident for p in self.points], meet, profiles, same_profile,
-            *_search_order(meet, mult, profiles),
-        )
-
-    @cached_property
-    def _realizations(self) -> dict[tuple[Perm, bool], Mat3 | None]:
-        """`realize_symmetry`'s answers by (perm, anti), filled as they are
-        asked for: the commands ask only about incidence automorphisms, so
-        at most 2 |Aut_comb| entries, and each is solved once however many
-        covers of the arrangement ask."""
-        return {}
-
-    @cached_property
+    @property
     def automorphism_order(self) -> int:
-        """|Aut_comb|, counted once per arrangement (`count_automorphisms`)
-        and kept on it: `symmetry search`, `arrangement info --autos` and
-        `paper verify` print it, and nothing in the Klein model needs it."""
-        from .search import count_automorphisms
-
-        return count_automorphisms(self)
+        """|Aut_comb|, as the search state counts and keeps it: `symmetry
+        search`, `arrangement info --autos` and `paper verify` print it, and
+        nothing in the Klein model needs it."""
+        return self._search.automorphism_order
 
 
 def build_arrangement(lines: list[Line] | tuple[Line, ...], notes: tuple[str, ...] = ()) -> Arrangement:
@@ -254,18 +227,16 @@ def realize_symmetry(arr: Arrangement, perm: Perm, anti: bool) -> Mat3 | None:
     """Return a matrix realizing (perm, anti) on line coefficients, or None.
 
     The answer depends on the arrangement and (perm, anti) only, so it is
-    solved once (`_realize`) and kept on the arrangement
-    (`Arrangement._realizations`); only permutations enter the memo, so a
-    non-permutation raises ValueError every time.
+    solved once (`SearchState.realize`) and kept in the arrangement's search
+    state; only permutations enter the memo, so a non-permutation raises
+    ValueError every time.
     """
     perm = tuple(perm)
-    memo = arr._realizations
+    memo = arr._search.realizations
     if (perm, anti) not in memo:
         if sorted(perm) != list(range(arr.n)):
             raise ValueError("perm is not a permutation of the lines")
-        from .search import _realize
-
-        memo[perm, anti] = _realize(arr, perm, anti)
+        memo[perm, anti] = arr._search.realize(perm, anti)
     return memo[perm, anti]
 
 

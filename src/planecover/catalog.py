@@ -6,10 +6,8 @@ points of multiplicity at least 3.  A cover is resolved to a `CoverModel`.
 
 An arrangement is built once per process for each builtin name or tuple of
 line coefficient strings (`_arrangement`), and the one object is shared by
-every query that names it, with what it caches: the projective frame, the
-automorphism-search tables, |Aut_comb|, and each realization of a line
-permutation once asked for (at most 2 |Aut_comb| entries, since the
-commands ask only about incidence automorphisms).  It must not be mutated.
+every query that names it, with its search state (`search.SearchState`,
+built on first use).  It must not be mutated.
 """
 
 from __future__ import annotations

@@ -242,7 +242,8 @@ def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposit
     The line coefficients are spread as evenly as an integral distribution
     allows, trying the lines that get one more in lexicographic order, and
     the first distribution with every coefficient positive is reported;
-    otherwise the rational symmetric solution, with integral=False.  The
+    otherwise the rational symmetric solution, with integral=False, which
+    is the zero combination when K is numerically trivial (m K_adj = 0).  The
     search (`_extra_lines`) drops every prefix that leaves some blown point
     nonpositive, so it never lists the C(n, rem) subsets one by one.  When
     3*K_tilde equals minus the sum of strict transforms, that is when n = 9
@@ -289,7 +290,9 @@ def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposit
         integral=all(x.denominator == 1 for x in c_rat + d_rat),
         all_positive=all(x > 0 for x in c_rat + d_rat),
         canonical_route=False,
-        note="no positive integral distribution found; symmetric rational solution",
+        # m K_adj = 0: K is numerically trivial, and the zero combination is exact
+        note="K is numerically trivial, so 3K = 0" if not any(c_rat + d_rat)
+        else "no positive integral distribution found; symmetric rational solution",
     )
 
 

@@ -1,23 +1,24 @@
 """The incidence automorphism search and the projective realization of line
-permutations.
+permutations, and what they keep per arrangement (`SearchState`).
 
 Only `arrangement info --autos`, `symmetry search`, `real classify` and
-`paper verify` load this module.  `arrangement` imports it when one of
-its search or realization entry points runs (`Arrangement._frame`,
-`Arrangement._search_tables`, `Arrangement.automorphism_order`,
-`combinatorial_automorphisms` and `realize_symmetry`), so a command that
-reads only incidence never compiles it.
+`paper verify` load this module.  `arrangement` imports it when an
+arrangement's search state is first needed (`Arrangement._search`) and
+when `combinatorial_automorphisms` runs, so a command that reads only
+incidence never compiles it.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .arrangement import Arrangement, Perm
 from .homology import Vector, row_reduce
 from .linalg import (
     Mat3,
     Vec3,
+    adjugate,
     columns_to_matrix,
     conj_vec,
     det3,
@@ -27,6 +28,84 @@ from .linalg import (
     proportional,
     scale,
 )
+
+
+# -- what the search keeps per arrangement -----------------------------------
+
+
+class SearchState:
+    """What the search and the realizations keep for one arrangement.
+
+    `Arrangement._search` builds it the first time a search, a realization
+    or |Aut_comb| is asked for, and the arrangement keeps it, so every query
+    that shares the arrangement (`catalog`) shares it too.  It holds:
+
+    - the incidence tables, computed at once: each point's multiplicity
+      (`mult`) and lines (`through`), the point where lines i != j meet
+      (`meet`), each line's profile and its same-profile lines
+      (`profiles`, `same_profile`; `_incidence`), and the search's line
+      order with each position's anchor (`order`, `anchors`;
+      `_search_order`);
+    - the projective frame (`frame`), built when first read (`klein_model`
+      reads it before its search, to refuse early): a general-position
+      quadruple and adj of the scaled frame of its lines, then of its
+      conjugated lines.  An arrangement without 4 lines in general position
+      refuses it every time it is asked;
+    - the realization memo (`realizations`): `realize_symmetry`'s answers by
+      (perm, anti), filled as they are asked for.  The commands ask only
+      about incidence automorphisms, so it has at most 2 |Aut_comb|
+      entries, each solved once however many covers of the arrangement ask;
+    - |Aut_comb| (`automorphism_order`), counted on first use
+      (`count_automorphisms`).
+    """
+
+    def __init__(self, arr: Arrangement) -> None:
+        self.arr = arr
+        self.mult = [p.r for p in arr.points]
+        self.through = [p.incident for p in arr.points]
+        self.meet, self.profiles = _incidence(arr)
+        self.same_profile = [tuple(j for j, q in enumerate(self.profiles) if q == p) for p in self.profiles]
+        self.order, self.anchors = _search_order(self.meet, self.mult, self.profiles)
+        self.realizations: dict[tuple[Perm, bool], Mat3 | None] = {}
+
+    def candidates(self, k: int, perm: list[int] | range) -> tuple[int, ...]:
+        """The lines that order[k] may map to, given the images `perm` of
+        the lines before it: the lines through the point where its anchor
+        lines' images meet, or, if it has no anchor, its same-profile lines."""
+        anchor = self.anchors[k]
+        if anchor is None:
+            return self.same_profile[self.order[k]]
+        return self.through[self.meet[perm[anchor[0]]][perm[anchor[1]]]]
+
+    @cached_property
+    def frame(self) -> tuple[tuple[int, ...], tuple[Mat3, Mat3]]:
+        for quad in itertools.combinations(range(self.arr.n), 4):
+            vs = [self.arr.lines[i].coeffs for i in quad]
+            if all(det3(three) for three in itertools.combinations(vs, 3)):
+                return quad, tuple(adjugate(_scaled_frame(w)) for w in (vs, [conj_vec(v) for v in vs]))
+        raise ValueError(
+            "the symmetry model needs a finite projective stabilizer: "
+            "the arrangement has no 4 lines in general position"
+        )
+
+    @cached_property
+    def automorphism_order(self) -> int:
+        return count_automorphisms(self.arr)
+
+    def realize(self, perm: Perm, anti: bool) -> Mat3 | None:
+        """M = W adj(V), for the scaled frames V and W of a quadruple of
+        lines in general position and of its images, verified exactly on
+        every line (a degenerate image quadruple fails it); absence of a
+        matrix is a definite answer, not a failure.  Not memoized:
+        `realize_symmetry` keeps the answers in `realizations`."""
+        lines = self.arr.lines
+        quad, source_adjugates = self.frame
+        m = matmul(_scaled_frame([lines[perm[i]].coeffs for i in quad]), source_adjugates[anti])
+        sigma = conj_vec if anti else (lambda v: v)
+        for i, line in enumerate(lines):
+            if not proportional(matvec(m, sigma(line.coeffs)), lines[perm[i]].coeffs):
+                return None
+        return normalize_matrix(m)
 
 
 # -- combinatorial symmetry --------------------------------------------------
@@ -107,15 +186,15 @@ def count_automorphisms(arr: Arrangement) -> int:
     group, so there are at most log2 |Aut_comb| <= n log2 n generators, each
     followed by an O(n x generators) orbit update.
     """
-    _, through, meet, profiles, same_profile, order, anchors = arr._search_tables
+    state = arr._search
+    order, profiles = state.order, state.profiles
     gens: list[Perm] = []
     total = 1
     for j in reversed(range(arr.n)):
-        i, fixed, anchor = order[j], order[:j], anchors[j]
-        # with the prefix fixed, an anchored line's image lies on the anchor point
-        candidates = same_profile[i] if anchor is None else through[meet[anchor[0]][anchor[1]]]
+        i, fixed = order[j], order[:j]
         orbit = _orbit(i, gens)
-        for c in candidates:
+        # the listing's candidates with the prefix fixed line by line
+        for c in state.candidates(j, range(arr.n)):
             if c in orbit or c in fixed or profiles[c] != profiles[i]:
                 continue
             hit = incidence_automorphisms(arr, prefix=(*fixed, c), first=True)
@@ -152,14 +231,14 @@ def incidence_automorphisms(
     sending the line at position t of the search order to prefix[t]; with
     `first`, only the first one found (an empty list if there is none).
 
-    Backtracking over the static line order of `_search_order`, computed
-    once per arrangement (`Arrangement._search_tables`).  A line
-    anchored at two earlier lines a, b must map to a line through the point
-    where the images of a and b meet, so its candidates are the lines
-    through that one point; an unanchored line tries the lines of its
-    profile, and a line in the prefix tries its given image only.  Each
-    candidate must be unused, have the same profile, and for
-    every earlier line j send the point line ^ j to a point of the same
+    Backtracking over the static line order of `_search_order`, kept in
+    the arrangement's `SearchState`.  A line anchored at two earlier lines
+    a, b must map to a line through the point where the images of a and b
+    meet, so its candidates are the lines through that one point; an
+    unanchored line tries the lines of its profile
+    (`SearchState.candidates`), and a line in the prefix tries its given
+    image only.  Each candidate must be unused, have the same profile, and
+    for every earlier line j send the point line ^ j to a point of the same
     multiplicity, consistently with the partial point map, which stays
     injective; a permutation passing these checks at every line is an
     automorphism, and every automorphism passes them.  A blown point counts
@@ -186,7 +265,8 @@ def incidence_automorphisms(
     character-preserving automorphisms, even where Aut_comb is all of S_n.
     """
     n = arr.n
-    mult, through, meet, profiles, same_profile, order, anchors = arr._search_tables
+    state = arr._search
+    mult, meet, profiles, order = state.mult, state.meet, state.profiles, state.order
     if blown:
         # a point's multiplicity, negated if it is blown up
         blown_set = set(blown)
@@ -216,13 +296,7 @@ def incidence_automorphisms(
             results.append(tuple(perm))
             return first
         i = order[k]
-        anchor = anchors[k]
-        if k < forced:
-            candidates = prefix[k : k + 1]
-        elif anchor is None:
-            candidates = same_profile[i]
-        else:
-            candidates = through[meet[perm[anchor[0]]][perm[anchor[1]]]]
+        candidates = prefix[k : k + 1] if k < forced else state.candidates(k, perm)
         profile = profiles[i]
         row = meet[i]
         earlier = order[:k]
@@ -268,35 +342,9 @@ def incidence_automorphisms(
 # -- projective / anti-projective realizability ------------------------------
 
 
-def _general_position_quadruple(arr: Arrangement) -> tuple[int, int, int, int]:
-    for quad in itertools.combinations(range(arr.n), 4):
-        vs = [arr.lines[i].coeffs for i in quad]
-        if all(det3((vs[a], vs[b], vs[c])) for a, b, c in itertools.combinations(range(4), 3)):
-            return quad
-    raise ValueError(
-        "the symmetry model needs a finite projective stabilizer: "
-        "the arrangement has no 4 lines in general position"
-    )
-
-
 def _scaled_frame(vs: list[Vec3]) -> Mat3:
     """Columns c_i v_i (i < 3), c the Cramer numerators of v_3 in the basis
     v_0, v_1, v_2: the matrix maps (1, 1, 1) to det(v_0, v_1, v_2) v_3."""
     v0, v1, v2, v3 = vs
     c = (det3((v3, v1, v2)), det3((v0, v3, v2)), det3((v0, v1, v3)))
     return columns_to_matrix(*(scale(vs[i], c[i]) for i in range(3)))
-
-
-def _realize(arr: Arrangement, perm: Perm, anti: bool) -> Mat3 | None:
-    """M = W adj(V), for the scaled frames V and W of a quadruple of lines in
-    general position and of its images, verified exactly on every line (a
-    degenerate image quadruple fails it); absence of a matrix is a definite
-    answer, not a failure."""
-    quad, source_adjugates = arr._frame
-    m = matmul(_scaled_frame([arr.lines[perm[i]].coeffs for i in quad]), source_adjugates[anti])
-    sigma = conj_vec if anti else (lambda v: v)
-    for i in range(arr.n):
-        image = matvec(m, sigma(arr.lines[i].coeffs))
-        if not proportional(image, arr.lines[perm[i]].coeffs):
-            return None
-    return normalize_matrix(m)

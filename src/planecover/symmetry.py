@@ -146,7 +146,7 @@ def klein_model(cover: CoverModel) -> KleinModel:
     """Deck group plus every realizable character-preserving symmetry."""
     cover.require_smooth()
     arr, phi = cover.arrangement, cover.phi
-    arr._frame  # refuse before the search if no 4 lines are in general position
+    arr._search.frame  # refuse before the search if no 4 lines are in general position
     # a symmetry moving a blown point to an unblown one is only birational
     preserving = character_preserving_symmetries(arr, phi, cover.blown_ids)
     realized: list[RealizedSymmetry] = []

@@ -4,14 +4,21 @@ by conjugating each involution by every element of the group.
 
 This is O(|involutions| |G|) group products, so it serves as a test oracle
 for `classify_real_structures` on covers with |G| up to about 10^4.
+
+Each class record is built here too: the fixed lines from the permutation,
+the real blown points from the matrix route of `realize_oracle` on the
+class's realized matrix, and the real-part fields from that count through
+`_real_part_from_count`, the formula the library prints (which holds only
+when the deck action has no fixed vectors, ROADMAP item 12).
 """
 
 from __future__ import annotations
 
 import itertools
 
-from planecover.arrangement import compose_perms, invert_perm
-from planecover.symmetry import KleinModel, RealStructureClass, _fingerprint, _mat_apply
+import realize_oracle
+from planecover.arrangement import compose_perms, invert_perm, perm_cycles_str
+from planecover.symmetry import KleinModel, RealStructureClass, _mat_apply, _real_part_from_count
 
 Element = tuple[int, tuple[int, ...]]  # (symmetry index, deck vector)
 
@@ -69,6 +76,29 @@ def brute_force_classify(model: KleinModel) -> list[RealStructureClass]:
         seen |= orbit
         classes.append(sorted(orbit))
 
-    out = [_fingerprint(model, orbit[0], len(orbit)) for orbit in classes]
+    out = [class_record(model, orbit[0], len(orbit)) for orbit in classes]
     out.sort(key=lambda c: (-len(c.fixed_lines), c.perm_cycles))
     return out
+
+
+def class_record(model: KleinModel, rep: Element, size: int) -> RealStructureClass:
+    """The record of the class of `rep`: the lines its permutation fixes, and
+    the blown points its matrix fixes, each with its lines 1-based."""
+    r = model.realized[rep[0]]
+    arr = model.cover.arrangement
+    fixed = set(realize_oracle.fixed_points_of(arr, r.matrix, r.anti))
+    real_blown = tuple(
+        tuple(i + 1 for i in arr.points[pid].incident)
+        for pid in model.cover.blown_ids
+        if arr.points[pid] in fixed
+    )
+    euler, betti = _real_part_from_count(len(real_blown)) if model.m % 2 else (None, None)
+    return RealStructureClass(
+        representative=rep,
+        size=size,
+        perm_cycles=perm_cycles_str(r.perm),
+        fixed_lines=tuple(i + 1 for i, image in enumerate(r.perm) if image == i),
+        real_blown_points=real_blown,
+        real_part_euler=euler,
+        real_part_betti=betti,
+    )

@@ -1,16 +1,21 @@
 """Reference realization: the inverse-based `realize_symmetry` and
-`fixed_points_of` that rebuild the projective frame of the general-position
+`fixed_points_of` that rebuild the projective frame of a general-position
 quadruple for every permutation, solving for its scaling with 3x3 inverses.
+The quadruple is read here from the incidence points rather than from
+determinants; any quadruple of lines in general position gives the same
+normalized matrix.
 
-The library instead keeps one frame per arrangement and anti flag, works
-with adjugates and keeps each realization on the arrangement; the tests
-require the same matrix, or None, from both routes, cold and from the
-arrangement's memo.  The library reads fixed points from the line
+The library instead keeps one frame per arrangement and anti flag in its
+search state, works with adjugates and keeps each realization there; the
+tests require the same matrix, or None, from both routes, cold and from
+the arrangement's memo.  The library reads fixed points from the line
 permutation alone; the matrix route here, (M^T)^(-1) sigma(x) on every
 point, is the oracle its answer must equal for every realized (perm, anti).
 """
 
 from __future__ import annotations
+
+import itertools
 
 from planecover.arrangement import Arrangement, IncidencePoint, Perm
 from planecover.cyclotomic import ONE, ZERO
@@ -28,7 +33,6 @@ from planecover.linalg import (
     scale,
     transpose,
 )
-from planecover.search import _general_position_quadruple
 
 IDENTITY3: Mat3 = ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
 
@@ -38,10 +42,19 @@ def solve3(m: Mat3, rhs: Vec3) -> Vec3:
     return matvec(inverse(m), rhs)
 
 
+def general_position_quadruple(arr: Arrangement) -> tuple[int, ...]:
+    """Four lines no three of which pass through one incidence point."""
+    concurrent = {three for p in arr.points for three in itertools.combinations(p.incident, 3)}
+    for quad in itertools.combinations(range(arr.n), 4):
+        if not concurrent & set(itertools.combinations(quad, 3)):
+            return quad
+    raise ValueError("the arrangement has no 4 lines in general position")
+
+
 def realize_symmetry(arr: Arrangement, perm: Perm, anti: bool) -> Mat3 | None:
     if sorted(perm) != list(range(arr.n)):
         raise ValueError("perm is not a permutation of the lines")
-    quad = _general_position_quadruple(arr)
+    quad = general_position_quadruple(arr)
     sigma = conj_vec if anti else (lambda v: v)
     sources = [sigma(arr.lines[i].coeffs) for i in quad]
     targets = [arr.lines[perm[i]].coeffs for i in quad]

@@ -297,13 +297,13 @@ def test_realization_matches_inverse_based_reference(build, autos, realized):
         for anti in (False, True):
             matrix = realize_symmetry(arr, perm, anti)
             assert matrix == realize_oracle.realize_symmetry(arr, perm, anti)
-            # asked again, the answer is the one kept on the arrangement
-            assert realize_symmetry(arr, perm, anti) is arr._realizations[(perm, anti)] is matrix
+            # asked again, the answer is the one kept in the arrangement's search state
+            assert realize_symmetry(arr, perm, anti) is arr._search.realizations[(perm, anti)] is matrix
             if matrix is not None:
                 hits += 1
                 assert fixed_points_of(arr, perm) == realize_oracle.fixed_points_of(arr, matrix, anti)
     assert hits == realized
-    assert len(arr._realizations) == 2 * autos
+    assert len(arr._search.realizations) == 2 * autos
 
 
 @settings(max_examples=25, deadline=None)
@@ -315,7 +315,7 @@ def test_fixed_points_match_the_matrix_route_on_ceva_subsets(picked):
     full = ceva6_plus_3()
     arr = build_arrangement([full.lines[i] for i in picked])
     try:
-        arr._frame
+        arr._search.frame
     except ValueError:
         assume(False)
     for perm in combinatorial_automorphisms(arr):
@@ -481,7 +481,7 @@ def test_prefix_and_first_select_the_listings_permutations(lines, rng, first):
     """A forced prefix gives exactly the automorphisms with those images at
     the first positions of the search order, and `first` one of them."""
     arr = build_arrangement(lines)
-    order = arr._search_tables[5]
+    order = arr._search.order
     autos = combinatorial_automorphisms(arr)
     length = rng.randint(0, arr.n)
     prefix = tuple(rng.choice(autos)[i] for i in order[:length])

@@ -484,6 +484,12 @@ def test_m2_refusals_and_blown_double_points(cq):
         assert (rep.k2, rep.euler, rep.chi) == numbers
         assert [c.genus for c in rep.line_curves] == [p_a] * 6
         assert [component_count(cover, c.label) for c in rep.line_curves] == [1 - p_a] * 6
+        # K is numerically trivial (h = 0 and every e_p = 0), so 3K = 0
+        assert numerically_trivial_k(cover)
+        dec = three_canonical_decomposition(cover)
+        assert dec.line_coeffs == (0,) * 6 and dec.point_coeffs == (0,) * 4
+        assert (dec.integral, dec.all_positive, dec.canonical_route) == (True, False, False)
+        assert dec.note == "K is numerically trivial, so 3K = 0"
     # phi(E_p) = 0 at a blown point: not smooth, and as if smooth C1 has
     # p_a = -1 over d = 4 components, which fits no genus
     rows = ((0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 1, 1), (1, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1))
@@ -602,10 +608,20 @@ def enumerated_line_coeffs(cover):
     return None
 
 
+def numerically_trivial_k(cover):
+    """m K_adj = ((m-1)n - 3m) H + sum of (m - (m-1)(r_p - 1)) E_p is zero."""
+    arr, m = cover.arrangement, cover.m
+    points = [arr.points[pid] for pid in cover.blown_ids]
+    return (m - 1) * arr.n == 3 * m and all(m == (m - 1) * (p.r - 1) for p in points)
+
+
 def assert_3k_matches_enumeration(cover):
     dec = three_canonical_decomposition(cover)
     expected = enumerated_line_coeffs(cover)
-    if expected is None:
+    if expected is None and numerically_trivial_k(cover):
+        assert dec.note == "K is numerically trivial, so 3K = 0"
+        assert not any(dec.line_coeffs + dec.point_coeffs) and dec.integral
+    elif expected is None:
         assert dec.note == "no positive integral distribution found; symmetric rational solution"
     else:
         assert dec.line_coeffs == expected and dec.integral and dec.all_positive

@@ -1,13 +1,13 @@
 """The per-process arrangement memo behind `catalog.resolve_arrangement`.
 
 An arrangement is built once per builtin name or tuple of line strings and
-shared, with its cached frame, search tables, |Aut_comb| and realizations of
-line permutations, by every later query: reports from a warm process must
-equal those of cold runs byte for byte, a shared arrangement must equal a
-fresh build and its kept realizations the reference route's, and a later
-query must not rebuild or realize again what an earlier one did.  Fixed
-points are not kept: they are read from each permutation, and must equal
-the reference route's from the kept matrix.
+shared, with its search state (`search.SearchState`), by every later query:
+reports from a warm process must equal those of cold runs byte for byte, a
+shared arrangement and its state must equal a fresh build's and its kept
+realizations the reference route's, and a later query must not rebuild or
+realize again what an earlier one did.  Fixed points are not kept: they
+are read from each permutation, and must equal the reference route's from
+the kept matrix.
 """
 
 import importlib
@@ -99,6 +99,10 @@ def test_warm_reports_equal_cold_reports(tmp_path):
     assert warm == cold
 
 
+# what the search state holds besides the realizations and |Aut_comb|
+SEARCH_TABLES = ("mult", "through", "meet", "profiles", "same_profile", "order", "anchors", "frame")
+
+
 def test_shared_arrangement_equals_a_fresh_build_after_every_command(tmp_path):
     sweep(every_query(tmp_path), cold=False)
     fresh = {
@@ -115,13 +119,13 @@ def test_shared_arrangement_equals_a_fresh_build_after_every_command(tmp_path):
         assert resolve_arrangement(refs[name]) is shared
         assert shared == arr
         assert (shared.t, shared.notes) == (arr.t, arr.notes)
-        assert shared._search_tables == arr._search_tables
-        assert shared._frame == arr._frame
+        for table in SEARCH_TABLES:
+            assert getattr(shared._search, table) == getattr(arr._search, table), table
         assert shared.automorphism_order == arr.automorphism_order
         # every kept answer is the reference route's on the fresh build
-        if not shared._realizations:
+        if not shared._search.realizations:
             unasked.add(name)
-        for (perm, anti), matrix in shared._realizations.items():
+        for (perm, anti), matrix in shared._search.realizations.items():
             assert matrix == realize_oracle.realize_symmetry(arr, perm, anti)
             if matrix is not None:
                 assert fixed_points_of(shared, perm) == realize_oracle.fixed_points_of(arr, matrix, anti)
@@ -188,17 +192,18 @@ def test_memo_evicts_the_least_recently_used_arrangement():
     assert resolve_arrangement(docs[1]) is not kept[0]
 
 
-# name -> defining module
+# name -> defining module or class
 COUNTED = {
     "build_arrangement": arrangement, "combinatorial_automorphisms": arrangement,
     "count_automorphisms": search, "_incidence": search, "_search_order": search,
-    "_realize": search,
+    "realize": search.SearchState,
 }
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """The calls to COUNTED, under every name planecover holds them by."""
+    """The calls to COUNTED, under every name planecover holds them by, and
+    on the defining class."""
     calls = []
     modules = [planecover] + [
         importlib.import_module(f"planecover.{info.name}")
@@ -211,10 +216,10 @@ def calls(monkeypatch):
             calls.append(_name)
             return _original(*args, **kwargs)
 
-        for module in modules:
-            for key, value in list(vars(module).items()):
+        for owner in [*modules, defining]:
+            for key, value in list(vars(owner).items()):
                 if value is original:
-                    monkeypatch.setattr(module, key, counted)
+                    monkeypatch.setattr(owner, key, counted)
     return calls
 
 
@@ -230,7 +235,7 @@ NO_COUNT = ALL - {"count_automorphisms"}
         (["symmetry", "search", "COVER_JSON"], ALL, 1),
         (["real", "classify", "builtin:example2"], NO_COUNT, 0),
         (["real", "classify", "COVER_JSON"], NO_COUNT, 0),
-        (["arrangement", "info", "builtin:dual_hesse", "--autos"], ALL - {"_realize"}, 1),
+        (["arrangement", "info", "builtin:dual_hesse", "--autos"], ALL - {"realize"}, 1),
         # dual Hesse and the quadrilateral, each counted once for all its covers
         (["paper", "verify"], ALL, 2),
     ],
@@ -252,18 +257,22 @@ def test_a_repeated_query_builds_nothing_again(tmp_path, calls, argv, first, cou
 @pytest.fixture
 def realizations(monkeypatch):
     """The (lines, perm, anti) that `klein_model` asks `realize_symmetry`
-    about, and those the uncached `_realize` solves."""
+    about, and those the uncached `SearchState.realize` solves."""
     asked, solved = [], []
 
-    def count(log, original):
-        def counted(arr, perm, anti):
-            log.append((arr.lines, tuple(perm), anti))
-            return original(arr, perm, anti)
+    def count(log, original, arrangement_of):
+        def counted(owner, perm, anti):
+            log.append((arrangement_of(owner).lines, tuple(perm), anti))
+            return original(owner, perm, anti)
 
         return counted
 
-    monkeypatch.setattr(symmetry, "realize_symmetry", count(asked, symmetry.realize_symmetry))
-    monkeypatch.setattr(search, "_realize", count(solved, search._realize))
+    monkeypatch.setattr(
+        symmetry, "realize_symmetry", count(asked, symmetry.realize_symmetry, lambda arr: arr)
+    )
+    monkeypatch.setattr(
+        search.SearchState, "realize", count(solved, search.SearchState.realize, lambda state: state.arr)
+    )
     return asked, solved
 
 
@@ -298,13 +307,13 @@ def test_a_warm_arrangement_refuses_non_permutations_and_shares_no_list():
     assert run_captured(["real", "classify", "builtin:example2"])[0] == 0
     arr = resolve_arrangement("builtin:dual_hesse")
     identity = tuple(range(arr.n))
-    assert (identity, False) in arr._realizations
+    assert (identity, False) in arr._search.realizations
     for perm in ((0,) * arr.n, identity[:-1], (*identity, arr.n)):
         for _ in range(2):
             with pytest.raises(ValueError, match="not a permutation"):
                 realize_symmetry(arr, perm, False)
-        assert (perm, False) not in arr._realizations
-    (perm, anti), matrix = next((key, m) for key, m in arr._realizations.items() if m is not None)
+        assert (perm, False) not in arr._search.realizations
+    (perm, anti), matrix = next((key, m) for key, m in arr._search.realizations.items() if m is not None)
     fixed = fixed_points_of(arr, perm)
     assert isinstance(fixed, tuple)
     assert fixed == realize_oracle.fixed_points_of(dual_hesse(), matrix, anti)

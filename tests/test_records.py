@@ -100,8 +100,8 @@ def test_record_semantics(kind):
 def test_arrangement_is_equal_by_lines_points_and_notes():
     dh, warm = dual_hesse(), dual_hesse()
     assert Arrangement._fields == ("lines", "points", "notes")
-    # t and the search tables are derived on first use and are not compared
-    assert warm.t == {3: 12} and warm._search_tables
+    # t and the search state are derived on first use and are not compared
+    assert warm.t == {3: 12} and warm._search.order
     assert "t" in vars(warm) and "t" not in vars(dh)
     assert warm == dh and hash(warm) == hash(dh)
     assert {warm: 1}[dh] == 1

@@ -31,6 +31,12 @@ CASES = {
         "arrangement", "bounds", "catalog", "characters", "cli", "cover", "cyclotomic",
         "homology", "intersection", "jsonio", "linalg", "search", "symmetry", "verify",
     }),
+    # incidence only: `Arrangement._search` is never built, so no `search`
+    "arrangement info": (
+        ["arrangement", "info", "builtin:dual_hesse"],
+        {"arrangement"},
+        {"search", "symmetry", "cover", "intersection", "characters", "bounds", "verify"},
+    ),
     "arrangement info --autos": (
         ["arrangement", "info", "builtin:dual_hesse", "--autos"],
         {"arrangement", "search"},

@@ -2,6 +2,8 @@ import functools
 import itertools
 import json
 import random
+import re
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -22,11 +24,13 @@ from planecover.arrangement import (
     build_arrangement,
     combinatorial_automorphisms,
     complete_quadrilateral,
+    compose_perms,
     dual_hesse,
+    invert_perm,
     perm_cycles_str,
 )
 from planecover.bounds import hodge_from_surface, lefschetz_trace, smith_total
-from planecover.catalog import PHI1, PHI2, PHI3, builtin_cover
+from planecover.catalog import PHI1, PHI2, PHI3, builtin_arrangement, builtin_cover
 from planecover.characters import enumerate_characters, preserves_charset
 from planecover.cli import run
 from planecover.cyclotomic import ONE, ZERO, ZETA
@@ -124,8 +128,6 @@ def test_klein_model_example3(model3):
 def test_deck_action_homomorphism_on_models(model2, model3):
     for model in (model2, model3):
         for r1, r2 in itertools.product(model.realized, repeat=2):
-            from planecover.arrangement import compose_perms
-
             perm = compose_perms(r1.perm, r2.perm)
             anti = r1.anti != r2.anti
             idx = index_of(model, perm, anti)
@@ -372,6 +374,99 @@ def test_relabelled_deck_group_gives_the_same_cover(name, capsys, tmp_path):
         for check in [*old["checks"], *new["checks"]]:
             check["detail"] = None
         assert old == new
+
+
+# -- relabelling the lines: line k and phi row k of the relabelled cover are
+# old line s[k] and old row s[k] ---------------------------------------------
+
+
+def parse_cycles(text, n):
+    """The 0-based permutation of n lines written in 1-based cycle notation."""
+    perm = list(range(n))
+    for cycle in re.findall(r"\(([^)]*)\)", text):
+        lines = [int(x) - 1 for x in cycle.split()]
+        for a, b in zip(lines, lines[1:] + lines[:1]):
+            perm[a] = b
+    return tuple(perm)
+
+
+def relabelled_reports(capsys, path, name, s):
+    """`cover invariants`, `symmetry search` and `real classify` on the cover
+    relabelled by s, every line label written back in the old labels.  The
+    3K spread and the generator words depend on the line order by design,
+    and a class's representative is its least element in the new labels,
+    so a class is compared by the H-conjugacy class of its permutation."""
+    arrangement, m, rows = RELABELLED_COVERS[name]
+    lines = builtin_arrangement(arrangement.split(":")[1]).lines
+    n = len(lines)
+    path.write_text(json.dumps({
+        "arrangement": {"lines": [lines[i].as_strings() for i in s]},
+        "m": m, "k": len(rows[0]), "phi": [list(rows[i]) for i in s],
+    }))
+    reports = {}
+    for command in ("cover invariants", "symmetry search", "real classify"):
+        assert run(["--format", "json", *command.split(), str(path)]) == 0
+        reports[command] = json.loads(capsys.readouterr().out)
+
+    def old_lines(new):  # 1-based new labels -> sorted 1-based old labels
+        return tuple(sorted(s[i - 1] + 1 for i in new))
+
+    def old_perm(text):  # sigma(s[k]) = s[sigma'(k)]
+        new, perm = parse_cycles(text, n), [0] * n
+        for k in range(n):
+            perm[s[k]] = s[new[k]]
+        return tuple(perm)
+
+    def curves(entries):
+        return {
+            e["label"][0] + ",".join(map(str, old_lines(map(int, e["label"][1:].split(","))))):
+            (e["genus"], e["k_degree"], e["self_int"])
+            for e in entries
+        }
+
+    inv = reports["cover invariants"]
+    sym = reports["symmetry search"]
+    realized = sorted(
+        (old_perm(r["perm"]), r["anti"], r["matrix"], r["deck_action"]) for r in sym["realized"]
+    )
+    group = {perm for perm, *_ in realized}
+    classes = []
+    for c in reports["real classify"]["classes"]:
+        perm = old_perm(c["perm"])
+        fixed = {i for i in range(n) if perm[i] == i}
+        # the representative's fixed lines and real blown points are the
+        # ones its permutation keeps
+        assert old_lines(c["fixed_lines"]) == tuple(sorted(i + 1 for i in fixed))
+        for triple in c["real_blown_points"]:
+            assert {perm[i - 1] + 1 for i in old_lines(triple)} == set(old_lines(triple))
+        conjugates = frozenset(compose_perms(compose_perms(h, perm), invert_perm(h)) for h in group)
+        betti = None if c["real_part_betti"] is None else tuple(c["real_part_betti"])
+        classes.append((c["size"], c["real_part_euler"], betti, conjugates,
+                        len(fixed), len(c["real_blown_points"])))
+    return {
+        "invariants": ({key: inv[key] for key in ("k2", "euler", "chi", "my_defect")},
+                       curves(inv["line_curves"]), curves(inv["point_curves"])),
+        "symmetry": (
+            {key: sym[key] for key in ("klein_order", "has_anti", "conjugate_isomorphic",
+                                       "combinatorial_automorphisms")},
+            realized,
+            sorted(old_perm(p) for p in sym["character_preserving"]),
+            sorted((old_perm(r["perm"]), r["anti"]) for r in sym["combinatorial_only"]),
+        ),
+        "real": (reports["real classify"]["klein_order"], Counter(classes)),
+    }
+
+
+@pytest.mark.parametrize("name", list(RELABELLED_COVERS))
+def test_relabelled_lines_give_the_same_cover(name, capsys, tmp_path):
+    n = len(RELABELLED_COVERS[name][2])
+    path = tmp_path / "cover.json"
+    before = relabelled_reports(capsys, path, name, tuple(range(n)))
+    rng = random.Random(f"lines-{name}")
+    for _ in range(3):
+        s = list(range(n))
+        rng.shuffle(s)
+        assert relabelled_reports(capsys, path, name, tuple(s)) == before
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", *QUAD_COVERS])
