@@ -4,12 +4,18 @@ Hodge-theoretic inputs are plain integers: (h10, h20, h11), the 2-torsion
 rank nu of H_1, and optionally the splitting (p_plus, p_minus) of the
 primitive part of H^{1,1} under a real structure, with
 p_plus + p_minus = h11 - 1.  Real components enter as Z/2-Betti triples.
+
+`bounds_report` reads the hodge document of `bounds check` into a
+`HodgeData` and runs the arithmetic on it; with `jsonio`, this module is
+all of planecover that `bounds check` loads besides `cli`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import NamedTuple
+
+from .jsonio import _is_int, require_object
 
 Betti = tuple[int, int, int]
 
@@ -61,6 +67,104 @@ def hodge_from_surface(k2: int, euler: int, q: int = 0, nu: int = 0, **kw) -> Ho
     if pg < 0 or h11 < 0:
         raise ValueError("inconsistent surface data")
     return HodgeData(h10=q, h20=pg, h11=h11, nu=nu, **kw)
+
+
+# -- the hodge document `bounds check` reads ------------------------------------
+
+
+_REQUIRED = object()
+
+
+def _hodge_int(data: dict, name: str, default: object = _REQUIRED) -> int | None:
+    """An integer field of hodge JSON; a missing optional one (or null where
+    the default is None) gives the default."""
+    value = data.get(name, default)
+    if value is _REQUIRED:
+        raise ValueError(f"hodge JSON needs an integer {name!r}")
+    if value is not default and not _is_int(value):
+        raise ValueError(f"hodge JSON field {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _hodge_components(data: dict) -> tuple[Betti, ...]:
+    comps = data.get("components", [])
+    if not isinstance(comps, list):
+        raise ValueError(f"hodge JSON field 'components' must be a list, got {comps!r}")
+    for idx, c in enumerate(comps):
+        if not (
+            isinstance(c, list)
+            and len(c) == 3
+            and all(_is_int(b) and b >= 0 for b in c)
+        ):
+            raise ValueError(
+                f"hodge JSON field components[{idx}] must be 3 non-negative integer "
+                f"Betti numbers, got {c!r}"
+            )
+    return tuple(tuple(c) for c in comps)
+
+
+def bounds_report(data: dict, k3: int | None = None) -> dict:
+    """Bound arithmetic on hodge JSON: an object with integer k2 and euler
+    (and optional q), or integer h10, h20 and h11, never fields of both (any
+    of k2, euler or q selects the first form); optional integer nu, p_plus,
+    p_minus and k3 (the `--k3` argument overrides it), and components as
+    Betti triples."""
+    require_object(data, "hodge")
+    surface = [key for key in ("k2", "euler", "q") if key in data]
+    hodge = [key for key in ("h10", "h20", "h11") if key in data]
+    if surface and hodge:
+        raise ValueError(
+            "hodge JSON must use one form, k2/euler/q or h10/h20/h11, "
+            f"got {', '.join(surface + hodge)}"
+        )
+    optional = {
+        "nu": _hodge_int(data, "nu", 0),
+        "p_plus": _hodge_int(data, "p_plus", None),
+        "p_minus": _hodge_int(data, "p_minus", None),
+        "components": _hodge_components(data),
+    }
+    document_k3 = _hodge_int(data, "k3", None)
+    if k3 is None:
+        k3 = document_k3
+    for value in (k3, document_k3):
+        if value is not None and value < 0:
+            raise ValueError(f"k3 must be non-negative, got {value}")
+    if surface:
+        h = hodge_from_surface(
+            _hodge_int(data, "k2"),
+            _hodge_int(data, "euler"),
+            q=_hodge_int(data, "q", 0),
+            **optional,
+        )
+    else:
+        h = HodgeData(
+            h10=_hodge_int(data, "h10"),
+            h20=_hodge_int(data, "h20"),
+            h11=_hodge_int(data, "h11"),
+            **optional,
+        )
+    out: dict = {
+        "hodge": {"h10": h.h10, "h20": h.h20, "h11": h.h11, "nu": h.nu},
+        "smith_total": smith_total(h),
+        "my_identity": my_identity(h),
+    }
+    if h.components:
+        out["real_betti_total"] = real_betti_total(h.components)
+        out["maximal"] = is_maximal(h)
+        out["lefschetz_trace"] = lefschetz_trace(h)
+        out["component_exclusions"] = [
+            small_component_exclusion(c) for c in h.components
+        ]
+    if h.p_plus is not None and my_identity(h):
+        out["h20_lower_bound"] = prop_h20_lower_bound(h)
+    if k3 is not None and h.p_plus is not None:
+        verdict = component_count_bound(h, k3)
+        out["component_count"] = {
+            "k3": k3,
+            "feasible": verdict.feasible,
+            "note": verdict.note,
+        }
+    return out
 
 
 def smith_total(h: HodgeData) -> int:

@@ -31,16 +31,17 @@ if TYPE_CHECKING:
 #
 # Of planecover, this module imports only `jsonio` when it loads: the reader
 # every command that takes a document loads anyway, through `catalog` or
-# `verify`.  The resolvers below import `catalog` (and through it
+# `bounds`.  The resolvers below import `catalog` (and through it
 # `arrangement`, `homology` and `linalg`) when a handler resolves an
 # arrangement or a cover, so `bounds check` loads no geometry.  Each builder
 # imports the other pipeline modules its report needs when it runs, so a
 # command loads only those (only `cover invariants` and `paper verify` load
 # the invariants modules `cover` and `intersection`) and reads each name from
 # its defining module at call time.  The builders (and, for `bounds check`
-# and `paper verify`, `verify`) are the only place a record becomes a report
-# dict.  The symmetry and real builders take the Klein model, built once per
-# command (`_klein_model`), so `paper verify` builds one per example for both.
+# and `paper verify`, `bounds` and `verify`) are the only place a record
+# becomes a report dict.  The symmetry and real builders take the Klein
+# model, built once per command (`_klein_model`), so `paper verify` builds
+# one per example for both.
 
 
 def resolve_arrangement(ref: str) -> Arrangement:
@@ -194,18 +195,19 @@ def real_report(model: KleinModel, ref: str) -> dict:
     }
 
 
-# `bounds check` and `paper verify` run code no other command needs, kept in
-# `verify` and loaded only when one of them runs.  `verify` reads the report
-# builders and resolvers from this module's object at call time, so a patched
-# builder is the one run.  It takes the object rather than importing
-# `planecover.cli`: run as `python -m planecover.cli`, this module is
-# `__main__`, and importing it by name would compile and run it again.
+# `bounds check` reads its document in `bounds`, beside the arithmetic it
+# feeds.  `paper verify` runs code no other command needs, kept in `verify`
+# and loaded only when it runs.  `verify` reads the report builders and
+# resolvers (`bounds_report` included) from this module's object at call
+# time, so a patched builder is the one run.  It takes the object rather than
+# importing `planecover.cli`: run as `python -m planecover.cli`, this module
+# is `__main__`, and importing it by name would compile and run it again.
 
 
 def bounds_report(data: dict, k3: int | None = None) -> dict:
-    from . import verify
+    from . import bounds
 
-    return verify.bounds_report(data, k3)
+    return bounds.bounds_report(data, k3)
 
 
 def verify_report() -> tuple[dict, int]:

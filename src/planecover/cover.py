@@ -242,13 +242,15 @@ def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposit
     The line coefficients are spread as evenly as an integral distribution
     allows, trying the lines that get one more in lexicographic order, and
     the first distribution with every coefficient positive is reported;
-    otherwise the rational symmetric solution, with integral=False, which
-    is the zero combination when K is numerically trivial (m K_adj = 0).  The
-    search (`_extra_lines`) drops every prefix that leaves some blown point
-    nonpositive, so it never lists the C(n, rem) subsets one by one.  When
-    3*K_tilde equals minus the sum of strict transforms, that is when n = 9
-    and every blown point is 3-fold (`canonical_route`), the distribution
-    is the uniform (2m-3, 3(m-1)).
+    otherwise the rational symmetric solution, which `integral` marks when
+    every coefficient is an integer (3K = -3(C1 + C2 + C3) on the cover of
+    three lines by P^2, say), and which is the zero combination when K is
+    numerically trivial (m K_adj = 0).  The search (`_extra_lines`) drops
+    every prefix that leaves some blown point nonpositive, so it never
+    lists the C(n, rem) subsets one by one.  When 3*K_tilde equals minus
+    the sum of strict transforms, that is when n = 9 and every blown point
+    is 3-fold (`canonical_route`), the distribution is the uniform
+    (2m-3, 3(m-1)).
     """
     cover.require_smooth()
     arr, blown, m = cover.arrangement, cover.blown_ids, cover.m

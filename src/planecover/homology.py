@@ -275,8 +275,11 @@ class CoverModel(NamedTuple):
         return self.phi.k
 
     def require_smooth(self) -> None:
+        """Refuse a cover not certified smooth, naming each failing point by
+        its lines as `cover smoothness` prints them, say `(1 2 3)`."""
         if not self.certificate.ok:
-            bad = ", ".join(c.detail for c in self.certificate.failures())
+            bad = ", ".join(f"({' '.join(map(str, c.incident_1based))}): {c.detail}"
+                            for c in self.certificate.failures())
             raise ValueError(f"cover is not certified smooth: {bad}")
 
 

@@ -1,11 +1,11 @@
-"""What only `bounds check` and `paper verify` run: the hodge document
-reader behind `bounds check`, and the bundled reference values, recomputed
+"""What only `paper verify` runs: the bundled reference values, recomputed
 from the commands' own reports and diffed.
 
-`cli.bounds_report` and `cli.verify_report` import this module when they
-run, so no other command compiles it.  It never imports `planecover.cli`:
-`current_reference_values` and `verify_report` take the cli module object
-and read each report builder and resolver from it at call time.
+`cli.verify_report` imports this module when it runs, so no other command
+compiles it.  It never imports `planecover.cli`: `current_reference_values`
+and `verify_report` take the cli module object and read each report
+builder and resolver from it at call time, `cli.bounds_report` (which reads
+the hodge document in `bounds`) included.
 """
 
 from __future__ import annotations
@@ -13,111 +13,10 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from . import bounds as bounds_mod
-from .jsonio import _is_int, require_object
+from .bounds import fake_plane_involution_check
 
 if TYPE_CHECKING:
     from types import ModuleType
-
-    from .bounds import Betti
-
-
-# -- bounds check ----------------------------------------------------------------
-
-
-_REQUIRED = object()
-
-
-def _hodge_int(data: dict, name: str, default: object = _REQUIRED) -> int | None:
-    """An integer field of hodge JSON; a missing optional one (or null where
-    the default is None) gives the default."""
-    value = data.get(name, default)
-    if value is _REQUIRED:
-        raise ValueError(f"hodge JSON needs an integer {name!r}")
-    if value is not default and not _is_int(value):
-        raise ValueError(f"hodge JSON field {name!r} must be an integer, got {value!r}")
-    return value
-
-
-def _hodge_components(data: dict) -> tuple[Betti, ...]:
-    comps = data.get("components", [])
-    if not isinstance(comps, list):
-        raise ValueError(f"hodge JSON field 'components' must be a list, got {comps!r}")
-    for idx, c in enumerate(comps):
-        if not (
-            isinstance(c, list)
-            and len(c) == 3
-            and all(_is_int(b) and b >= 0 for b in c)
-        ):
-            raise ValueError(
-                f"hodge JSON field components[{idx}] must be 3 non-negative integer "
-                f"Betti numbers, got {c!r}"
-            )
-    return tuple(tuple(c) for c in comps)
-
-
-def bounds_report(data: dict, k3: int | None = None) -> dict:
-    """Bound arithmetic on hodge JSON: an object with integer k2 and euler
-    (and optional q), or integer h10, h20 and h11, never fields of both (any
-    of k2, euler or q selects the first form); optional integer nu, p_plus,
-    p_minus and k3 (the `--k3` argument overrides it), and components as
-    Betti triples."""
-    require_object(data, "hodge")
-    surface = [key for key in ("k2", "euler", "q") if key in data]
-    hodge = [key for key in ("h10", "h20", "h11") if key in data]
-    if surface and hodge:
-        raise ValueError(
-            "hodge JSON must use one form, k2/euler/q or h10/h20/h11, "
-            f"got {', '.join(surface + hodge)}"
-        )
-    optional = {
-        "nu": _hodge_int(data, "nu", 0),
-        "p_plus": _hodge_int(data, "p_plus", None),
-        "p_minus": _hodge_int(data, "p_minus", None),
-        "components": _hodge_components(data),
-    }
-    document_k3 = _hodge_int(data, "k3", None)
-    if k3 is None:
-        k3 = document_k3
-    for value in (k3, document_k3):
-        if value is not None and value < 0:
-            raise ValueError(f"k3 must be non-negative, got {value}")
-    if surface:
-        h = bounds_mod.hodge_from_surface(
-            _hodge_int(data, "k2"),
-            _hodge_int(data, "euler"),
-            q=_hodge_int(data, "q", 0),
-            **optional,
-        )
-    else:
-        h = bounds_mod.HodgeData(
-            h10=_hodge_int(data, "h10"),
-            h20=_hodge_int(data, "h20"),
-            h11=_hodge_int(data, "h11"),
-            **optional,
-        )
-    out: dict = {
-        "hodge": {"h10": h.h10, "h20": h.h20, "h11": h.h11, "nu": h.nu},
-        "smith_total": bounds_mod.smith_total(h),
-        "my_identity": bounds_mod.my_identity(h),
-    }
-    if h.components:
-        out["real_betti_total"] = bounds_mod.real_betti_total(h.components)
-        out["maximal"] = bounds_mod.is_maximal(h)
-        out["lefschetz_trace"] = bounds_mod.lefschetz_trace(h)
-        out["component_exclusions"] = [
-            bounds_mod.small_component_exclusion(c) for c in h.components
-        ]
-    if h.p_plus is not None and bounds_mod.my_identity(h):
-        out["h20_lower_bound"] = bounds_mod.prop_h20_lower_bound(h)
-    if k3 is not None and h.p_plus is not None:
-        verdict = bounds_mod.component_count_bound(h, k3)
-        out["component_count"] = {
-            "k3": k3,
-            "feasible": verdict.feasible,
-            "note": verdict.note,
-        }
-    return out
 
 
 # -- reference verification ----------------------------------------------------
@@ -208,7 +107,7 @@ def current_reference_values(cli: ModuleType) -> dict:
     split = {**surface, "p_plus": 0, "p_minus": h11 - 1}
     checks = [cli.bounds_report(split, k3) for k3 in (0, 1, 2)]
     b = checks[0]
-    fake = bounds_mod.fake_plane_involution_check()
+    fake = fake_plane_involution_check()
     out["bounds"] = {
         "nine_line_smith_total": b["smith_total"],
         "nine_line_hodge": [b["hodge"][h] for h in ("h10", "h20", "h11")],

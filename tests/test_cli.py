@@ -337,6 +337,34 @@ def test_cover_json_file_input(tmp_path, capsys):
 
 QUAD_PHI = [[1, 0], [1, 0], [1, 2], [0, 1], [0, 1], [2, 1]]
 
+UNBLOWN_QUADRILATERAL = (
+    "error: cover is not certified smooth: (1 2 3): 3-fold point left unblown, "
+    "(1 5 6): 3-fold point left unblown, (2 4 6): 3-fold point left unblown, "
+    "(3 4 5): 3-fold point left unblown\n"
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_non_smooth_refusal_names_each_point(tmp_path, capsys, fmt):
+    """example3's phi with no point blown up: each failing point is named by
+    its lines, as `cover smoothness` prints them."""
+    cover = {"arrangement": "builtin:complete_quadrilateral", "m": 5, "k": 2, "phi": QUAD_PHI,
+             "blow_up": []}
+    path = tmp_path / "unblown.json"
+    path.write_text(json.dumps(cover))
+    code, out = capture(capsys, ["--format", "json", "cover", "smoothness", str(path)])
+    report = json.loads(out)
+    assert code == 0 and report["smooth"] is False
+    labels = [
+        "(" + " ".join(map(str, c["point"])) + ")" for c in report["checks"] if not c["ok"]
+    ]
+    assert labels == ["(1 2 3)", "(1 5 6)", "(2 4 6)", "(3 4 5)"]
+    for command in (["cover", "invariants"], ["symmetry", "search"], ["real", "classify"]):
+        assert run(["--format", fmt, *command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == UNBLOWN_QUADRILATERAL
+
 
 @pytest.mark.parametrize(
     "field, value",

@@ -150,8 +150,12 @@ PHI_ROWS_FOR_DH = (
 
 def test_triangle_cover_reports_honest_decomposition():
     # three generic lines, nothing to blow up: the degree-25 cover is again
-    # a plane (K^2 = 9, e = 3) and no positive combination of branch curves
-    # can express the anti-ample 3K
+    # a plane, [x:y:z] -> [x^5:y^5:z^5], and no positive combination of
+    # branch curves can express the anti-ample 3K.  A closed-form second
+    # route: on P^2, K = -3H, e = 3 and chi = 1, and each C_i is a line
+    # {x_i = 0}, with C^2 = 1, K.C = -3 and genus 0, so 3K = -3(C1 + C2 + C3)
+    # is integral.  K^2 = 3e holds (my_defect 0) on a surface that is no ball
+    # quotient: here h = (m - 1) n - 3m = -3, and X is not of general type
     arr = build_arrangement(
         [
             Line.make(CycNumber(1), CycNumber(0), CycNumber(0)),
@@ -163,11 +167,16 @@ def test_triangle_cover_reports_honest_decomposition():
     cover = CoverModel.build(arr, phi)
     assert cover.certificate.ok
     rep = invariants(cover)
-    assert (rep.k2, rep.euler, rep.chi) == (9, 3, 1)
-    assert all(c.genus == 0 for c in rep.line_curves)
+    assert (rep.k2, rep.euler, rep.chi, rep.my_defect) == (9, 3, 1, 0)
+    assert [(c.label, c.self_int, c.k_degree, c.genus) for c in rep.line_curves] == [
+        (f"C{i}", 1, -3, 0) for i in (1, 2, 3)
+    ]
+    assert rep.point_curves == ()
+    assert adjoint_class(arr, frozenset(), 5).h == -3
     dec = three_canonical_decomposition(cover)
-    assert not dec.all_positive
-    assert sum(dec.line_coeffs) == -9
+    assert dec.line_coeffs == (-3, -3, -3) and dec.point_coeffs == ()
+    assert dec.integral and not dec.all_positive
+    assert dec.note == "no positive integral distribution found; symmetric rational solution"
 
 
 def test_invariants_require_smoothness(dh):

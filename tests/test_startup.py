@@ -24,8 +24,9 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(planecover.__file__)))
 # one command (or none: a bare `import planecover`), what it must load, and
 # what it must not load; of the cover commands only `cover invariants` loads
 # the invariants modules `cover` and `intersection`, only the commands that
-# search or realize line permutations load `search`, and only `bounds check`
-# (and `paper verify`) load `verify`, `bounds check` without any geometry
+# search or realize line permutations load `search`, only `paper verify`
+# loads `verify`, and `bounds check` loads `bounds` and `jsonio` without any
+# geometry and without `verify`
 CASES = {
     "import planecover": (None, set(), {
         "arrangement", "bounds", "catalog", "characters", "cli", "cover", "cyclotomic",
@@ -69,9 +70,9 @@ CASES = {
     ),
     "bounds check": (
         ["bounds", "check", "HODGE"],
-        {"bounds", "verify"},
+        {"bounds", "jsonio"},
         {"arrangement", "catalog", "cover", "cyclotomic", "homology", "intersection",
-         "characters", "linalg", "search", "symmetry"},
+         "characters", "linalg", "search", "symmetry", "verify"},
     ),
     # help is left to the whole parser tree
     "cover --help": (["cover", "--help"], {"argparse", "gettext"}, {"catalog", "arrangement"}),

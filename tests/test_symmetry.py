@@ -33,8 +33,18 @@ from planecover.bounds import hodge_from_surface, lefschetz_trace, smith_total
 from planecover.catalog import PHI1, PHI2, PHI3, builtin_arrangement, builtin_cover
 from planecover.characters import enumerate_characters, preserves_charset
 from planecover.cli import run
-from planecover.cyclotomic import ONE, ZERO, ZETA
+from planecover.cyclotomic import ONE, ZERO, ZETA, CycNumber, parse_cyc
 from planecover.homology import BLOW_ALL_TRIPLE, CoverModel, Epimorphism, rank_mod_p
+from planecover.linalg import (
+    adjugate,
+    conj_vec,
+    det3,
+    matmul,
+    matvec,
+    normalize_matrix,
+    proportional,
+    transpose,
+)
 from planecover.search import incidence_automorphisms
 from planecover.symmetry import (
     character_preserving_symmetries,
@@ -467,6 +477,93 @@ def test_relabelled_lines_give_the_same_cover(name, capsys, tmp_path):
         s = list(range(n))
         rng.shuffle(s)
         assert relabelled_reports(capsys, path, name, tuple(s)) == before
+
+
+# -- a projective change of coordinates g, and complex conjugation: lines map
+# by l -> g^{-T} l (the lines of the points x -> g x), or l -> conj l --------
+
+
+def coordinate_reports(capsys, tmp_path, name, lines):
+    """`arrangement info --autos` and every cover command's JSON report on
+    RELABELLED_COVERS[name] with these lines given inline, with the line and
+    point coordinates and the realized matrices taken out and returned
+    beside the rest, parsed."""
+    _, m, rows = RELABELLED_COVERS[name]
+    inline = {"lines": [line.as_strings() for line in lines]}
+    reports = json_reports(capsys, tmp_path / "cover.json", inline, m, [list(r) for r in rows])
+    path = tmp_path / "arrangement.json"
+    path.write_text(json.dumps(inline))
+    assert run(["--format", "json", "arrangement", "info", str(path), "--autos"]) == 0
+    reports = {c: json.loads(r) for c, r in reports.items()}
+    reports["arrangement info"] = info = json.loads(capsys.readouterr().out)
+
+    def parse(rows):
+        return tuple(tuple(parse_cyc(x) for x in row) for row in rows)
+
+    return (
+        reports,
+        parse(info.pop("lines")),
+        parse(p.pop("coords") for p in info["points"]),
+        [(r["anti"], parse(r.pop("matrix"))) for r in reports["symmetry search"]["realized"]],
+    )
+
+
+def small_cyc(rng):
+    return CycNumber(rng.randint(-1, 2)) + CycNumber(rng.randint(-1, 1)) * ZETA
+
+
+def coordinate_change(rng):
+    """A seeded g in GL_3(Q(zeta)) with small entries, not all rational."""
+    while True:
+        g = tuple(tuple(small_cyc(rng) for _ in range(3)) for _ in range(3))
+        if det3(g) and not all(x.is_real() for row in g for x in row):
+            return g
+
+
+def conj_mat(mat):
+    return tuple(conj_vec(row) for row in mat)
+
+
+def projective_change(g):
+    """The maps of lines, points and realized matrices (anti, M) under
+    x -> g x: l -> g^{-T} l and M -> g^{-T} M sigma(g)^T, sigma the
+    conjugation when anti.  g^{-T} is taken up to the scalar det g, which
+    no projective answer sees."""
+    g_inv_t = transpose(adjugate(g))
+
+    def matrix(anti, mat):
+        return matmul(matmul(g_inv_t, mat), transpose(conj_mat(g) if anti else g))
+
+    return functools.partial(matvec, g_inv_t), functools.partial(matvec, g), matrix
+
+
+# complex conjugation of every coefficient, which gives conj X
+CONJUGATION = (conj_vec, conj_vec, lambda anti, mat: conj_mat(mat))
+
+
+@pytest.mark.parametrize("name", list(RELABELLED_COVERS))
+def test_coordinate_change_and_conjugation_give_the_same_cover(name, capsys, tmp_path):
+    """Every report is equal except the lines and point coordinates, which
+    move with the map, and the realized matrices, which move as
+    `projective_change` and `CONJUGATION` say, up to normalization."""
+    lines = builtin_arrangement(RELABELLED_COVERS[name][0].split(":")[1]).lines
+    before, old_lines, old_coords, old_matrices = coordinate_reports(capsys, tmp_path, name, lines)
+    rng = random.Random(f"coordinates-{name}")
+    changes = [projective_change(coordinate_change(rng)) for _ in range(2)]
+    for line_map, point_map, matrix_map in [*changes, CONJUGATION]:
+        moved = [Line.make(*line_map(line.coeffs)) for line in lines]
+        after, new_lines, new_coords, new_matrices = coordinate_reports(
+            capsys, tmp_path, name, moved
+        )
+        assert after == before
+        for old, new, move in ((old_lines, new_lines, line_map),
+                               (old_coords, new_coords, point_map)):
+            assert len(old) == len(new)
+            assert all(proportional(move(u), v) for u, v in zip(old, new))
+        assert [anti for anti, _ in new_matrices] == [anti for anti, _ in old_matrices]
+        assert [normalize_matrix(matrix_map(anti, mat)) for anti, mat in old_matrices] == [
+            mat for _, mat in new_matrices
+        ]
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", *QUAD_COVERS])
