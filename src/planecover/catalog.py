@@ -8,15 +8,26 @@ An arrangement is built once per process for each builtin name or tuple of
 line coefficient strings (`_arrangement`), and the one object is shared by
 every query that names it, with its search state (`search.SearchState`,
 built on first use).  It must not be mutated.
+
+The last cover resolved is kept (`_kept`), builtin or from a file, with its
+Klein model once `klein_model` has built one, so the commands on one cover
+in a row certify smoothness once and build one model.  A cover is found
+again by its validated content: the shared arrangement, the normalized
+epimorphism and the blown point ids, never a file path.  One cover is kept:
+the commands on a cover come in a row, and a second cover replaces the first.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .arrangement import Arrangement, Line, build_arrangement, complete_quadrilateral, dual_hesse
-from .homology import BLOW_ALL_TRIPLE, CoverModel, Epimorphism
+from .homology import BLOW_ALL_TRIPLE, CoverModel, Epimorphism, blown_point_ids, smoothness_check
 from .jsonio import read_json, require_object
+
+if TYPE_CHECKING:
+    from .symmetry import KleinModel
 
 PHI1 = Epimorphism(
     m=5,
@@ -94,6 +105,41 @@ def _line_strings(data: dict) -> LineStrings:
     return tuple(tuple(row) for row in rows)
 
 
+# the last cover resolved, and its Klein model once built
+_kept: tuple[CoverModel, KleinModel | None] | None = None
+
+
+def _cover(arr: Arrangement, phi: Epimorphism, blow: str | list[int]) -> CoverModel:
+    """The cover of the shared arrangement arr, certified only if it is not
+    the kept cover.  The row count and the blow-up input are validated
+    first, so a malformed cover is refused the same way whether or not a
+    cover is kept."""
+    global _kept
+    blown = blown_point_ids(arr, phi, blow)
+    if _kept is not None:
+        kept = _kept[0]
+        # arr is the one object the arrangement memo holds for its key, so
+        # an evicted and rebuilt arrangement gives a new cover
+        if kept.arrangement is arr and kept.phi == phi and kept.blown_ids == blown:
+            return kept
+    cover = CoverModel(arr, phi, blown, smoothness_check(arr, phi, blown))
+    _kept = (cover, None)
+    return cover
+
+
+def klein_model(cover: CoverModel) -> KleinModel:
+    """`symmetry.klein_model(cover)`, built once while cover is the kept
+    cover.  A cover it refuses is refused again on every call."""
+    global _kept
+    from . import symmetry
+
+    if _kept is None or _kept[0] is not cover:
+        return symmetry.klein_model(cover)
+    if _kept[1] is None:
+        _kept = (cover, symmetry.klein_model(cover))
+    return _kept[1]
+
+
 def builtin_cover(name: str) -> CoverModel:
     try:
         arr_name, phi = _COVERS[name]
@@ -101,7 +147,7 @@ def builtin_cover(name: str) -> CoverModel:
         raise ValueError(
             f"unknown builtin cover {name!r}; available: {sorted(_COVERS)}"
         ) from None
-    return CoverModel.build(builtin_arrangement(arr_name), phi, BLOW_ALL_TRIPLE)
+    return _cover(builtin_arrangement(arr_name), phi, BLOW_ALL_TRIPLE)
 
 
 def resolve_arrangement(ref: str | dict) -> Arrangement:
@@ -125,11 +171,12 @@ def cover_from_json(data: dict) -> CoverModel:
         blow = data.get("blow_up", BLOW_ALL_TRIPLE)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed cover JSON: {exc}") from exc
-    return CoverModel.build(arr, phi, blow)
+    return _cover(arr, phi, blow)
 
 
 def resolve_cover(ref: str) -> CoverModel:
-    """Accept 'builtin:<name>' or a cover JSON file path."""
+    """Accept 'builtin:<name>' or a cover JSON file path; the last cover
+    resolved is kept (`_cover`)."""
     if ref.startswith("builtin:"):
         return builtin_cover(ref.split(":", 1)[1])
     return cover_from_json(read_json(ref))

@@ -40,8 +40,9 @@ if TYPE_CHECKING:
 # its defining module at call time.  The builders (and, for `bounds check`
 # and `paper verify`, `bounds` and `verify`) are the only place a record
 # becomes a report dict.  The symmetry and real builders take the Klein
-# model, built once per command (`_klein_model`), so `paper verify` builds
-# one per example for both.
+# model, which `catalog` keeps with the last cover it resolved
+# (`resolve_klein_model`), so the commands on one cover in a row, and
+# `paper verify` on each example, build one model for both.
 
 
 def resolve_arrangement(ref: str) -> Arrangement:
@@ -54,6 +55,12 @@ def resolve_cover(ref: str) -> CoverModel:
     from . import catalog
 
     return catalog.resolve_cover(ref)
+
+
+def resolve_klein_model(ref: str) -> KleinModel:
+    from . import catalog
+
+    return catalog.klein_model(resolve_cover(ref))
 
 
 def arrangement_report(arr: Arrangement, ref: str, with_autos: bool) -> dict:
@@ -137,12 +144,6 @@ def characters_report(cover: CoverModel, ref: str) -> dict:
         ],
         "profile_unique": [list(a) for a, p in zip(charset, profiles) if freq[p] == 1],
     }
-
-
-def _klein_model(cover: CoverModel) -> KleinModel:
-    from .symmetry import klein_model
-
-    return klein_model(cover)
 
 
 def symmetry_report(model: KleinModel, ref: str) -> dict:
@@ -309,13 +310,13 @@ COMMANDS = {
         "symmetry search",
         "realizable character-preserving symmetries",
         (_COVER_REF,),
-        lambda a: (symmetry_report(_klein_model(resolve_cover(a.ref)), a.ref), 0),
+        lambda a: (symmetry_report(resolve_klein_model(a.ref), a.ref), 0),
     ),
     ("real", "classify"): (
         "real structure classification",
         "conjugacy classes of real structures",
         (_COVER_REF,),
-        lambda a: (real_report(_klein_model(resolve_cover(a.ref)), a.ref), 0),
+        lambda a: (real_report(resolve_klein_model(a.ref), a.ref), 0),
     ),
     ("bounds", "check"): (
         "topological bound arithmetic",

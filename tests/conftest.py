@@ -9,10 +9,11 @@ from planecover.symmetry import klein_model
 
 
 @pytest.fixture(autouse=True)
-def cold_arrangement_memo():
-    """Each test resolves its arrangements afresh, so the counts of builds,
-    searches and table constructions it reads are its own."""
+def cold_memos():
+    """Each test resolves its arrangements and covers afresh, so the counts
+    of builds, searches, certificates and Klein models it reads are its own."""
     catalog._arrangement.cache_clear()
+    catalog._kept = None
 
 
 @pytest.fixture(scope="session")

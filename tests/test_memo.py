@@ -1,27 +1,32 @@
-"""The per-process arrangement memo behind `catalog.resolve_arrangement`.
+"""The per-process memos behind `catalog.resolve_arrangement` and
+`catalog.resolve_cover`.
 
 An arrangement is built once per builtin name or tuple of line strings and
-shared, with its search state (`search.SearchState`), by every later query:
-reports from a warm process must equal those of cold runs byte for byte, a
-shared arrangement and its state must equal a fresh build's and its kept
-realizations the reference route's, and a later query must not rebuild or
-realize again what an earlier one did.  Fixed points are not kept: they
-are read from each permutation, and must equal the reference route's from
-the kept matrix.
+shared, with its search state (`search.SearchState`), by every later query,
+and the last cover resolved is kept with its Klein model: reports from a
+warm process must equal those of cold runs byte for byte, a shared
+arrangement and its state must equal a fresh build's and its kept
+realizations the reference route's, and a later query must not rebuild,
+certify or realize again what an earlier one did.  Fixed points are not
+kept: they are read from each permutation, and must equal the reference
+route's from the kept matrix.
 """
 
 import importlib
 import io
 import json
 import pkgutil
+import random
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
 import planecover
 import realize_oracle
-from planecover import arrangement, catalog, search, symmetry
+from planecover import arrangement, catalog, homology, search, symmetry
 from planecover.arrangement import (
     Line,
     build_arrangement,
@@ -30,10 +35,18 @@ from planecover.arrangement import (
     fixed_points_of,
     realize_symmetry,
 )
-from planecover.catalog import ARRANGEMENT_MEMO_SIZE, resolve_arrangement
+from planecover.catalog import ARRANGEMENT_MEMO_SIZE, PHI1, resolve_arrangement, resolve_cover
 from planecover.cli import run
+from test_cover import RANDOM_COVER_SHAPES, random_smooth_cover
 from test_loader_fuzz import QUAD_COVER, QUAD_LINES
-from test_symmetry import CENSUS_COVERS, CENSUS_GENERIC_COVERS, QUAD_COVERS
+from test_symmetry import (
+    CENSUS_COVERS,
+    CENSUS_GENERIC_COVERS,
+    QUAD_COVERS,
+    assert_relabelled_deck_group,
+    invertible_mod,
+    mat_mul,
+)
 
 COVER_COMMANDS = (
     ["cover", "smoothness"], ["cover", "invariants"], ["characters", "list"],
@@ -78,12 +91,17 @@ def every_query(tmp_path):
     return queries + [["bounds", "check", hodge, "--k3", "0"], ["paper", "verify"]]
 
 
+def clear_memos():
+    catalog._arrangement.cache_clear()
+    catalog._kept = None
+
+
 def sweep(queries, cold):
     reports = []
     for argv in queries:
         for fmt in ("text", "json"):
             if cold:
-                catalog._arrangement.cache_clear()
+                clear_memos()
             reports.append(run_captured(["--format", fmt, *argv]))
     return reports
 
@@ -176,11 +194,16 @@ def test_malformed_arrangement_exits_2_on_every_repeat(tmp_path, lines, action, 
     assert results[1:] == [results[0]] * 2
 
 
-def test_memo_evicts_the_least_recently_used_arrangement():
-    docs = [
+def four_line_arrangements(count):
+    """count distinct arrangements of four lines, none the quadrilateral."""
+    return [
         {"lines": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", str(c)]]}
-        for c in range(1, ARRANGEMENT_MEMO_SIZE + 2)
+        for c in range(1, count + 1)
     ]
+
+
+def test_memo_evicts_the_least_recently_used_arrangement():
+    docs = four_line_arrangements(ARRANGEMENT_MEMO_SIZE + 1)
     first = resolve_arrangement(docs[0])
     assert resolve_arrangement(docs[0]) is first
     kept = [resolve_arrangement(doc) for doc in docs[1:]]
@@ -196,7 +219,7 @@ def test_memo_evicts_the_least_recently_used_arrangement():
 COUNTED = {
     "build_arrangement": arrangement, "combinatorial_automorphisms": arrangement,
     "count_automorphisms": search, "_incidence": search, "_search_order": search,
-    "realize": search.SearchState,
+    "realize": search.SearchState, "smoothness_check": homology, "klein_model": symmetry,
 }
 
 
@@ -226,32 +249,42 @@ def calls(monkeypatch):
 # no command lists Aut_comb; the commands that print |Aut_comb| count it
 ALL = set(COUNTED) - {"combinatorial_automorphisms"}
 NO_COUNT = ALL - {"count_automorphisms"}
+COVER_WORK = {"smoothness_check", "klein_model"}
 
 
 @pytest.mark.parametrize(
-    "argv, first, counts",
+    "queries, first, counts, again",
     [
-        (["symmetry", "search", "builtin:example3"], ALL, 1),
-        (["symmetry", "search", "COVER_JSON"], ALL, 1),
-        (["real", "classify", "builtin:example2"], NO_COUNT, 0),
-        (["real", "classify", "COVER_JSON"], NO_COUNT, 0),
-        (["arrangement", "info", "builtin:dual_hesse", "--autos"], ALL - {"realize"}, 1),
-        # dual Hesse and the quadrilateral, each counted once for all its covers
-        (["paper", "verify"], ALL, 2),
+        ([["symmetry", "search", "builtin:example3"]], ALL, (1, 1, 1), {}),
+        ([["symmetry", "search", "COVER_JSON"]], ALL, (1, 1, 1), {}),
+        ([["real", "classify", "builtin:example2"]], NO_COUNT, (0, 1, 1), {}),
+        ([["real", "classify", "COVER_JSON"]], NO_COUNT, (0, 1, 1), {}),
+        ([["arrangement", "info", "builtin:dual_hesse", "--autos"]], ALL - {"realize"} - COVER_WORK,
+         (1, 0, 0), {}),
+        # two commands on one cover file certify it once
+        ([["cover", "smoothness", "COVER_JSON"], ["real", "classify", "COVER_JSON"]], NO_COUNT,
+         (0, 1, 1), {}),
+        # dual Hesse and the quadrilateral, each counted once for all its
+        # covers; one cover is kept, so a second run certifies the three
+        # examples and builds their models again, and nothing else
+        ([["paper", "verify"]], ALL, (2, 3, 3), {"smoothness_check": 3, "klein_model": 3}),
     ],
-    ids=["symmetry-builtin", "symmetry-file", "real-builtin", "real-file", "info-autos", "paper-verify"],
+    ids=["symmetry-builtin", "symmetry-file", "real-builtin", "real-file", "info-autos",
+         "smoothness-then-real", "paper-verify"],
 )
-def test_a_repeated_query_builds_nothing_again(tmp_path, calls, argv, first, counts):
+def test_a_repeated_query_builds_nothing_again(tmp_path, calls, queries, first, counts, again):
+    """`counts` is what the first run counts |Aut_comb|, certifies
+    smoothness and builds a Klein model; `again` what a second run repeats."""
     # example3's cover, with its arrangement given by line strings
-    cover = {**QUAD_COVER, "arrangement": {"lines": QUAD_LINES}}
-    argv = [write(tmp_path / "cover.json", cover) if a == "COVER_JSON" else a for a in argv]
-    first_report = run_captured(argv)
-    assert first_report[0] == 0
+    cover = write(tmp_path / "cover.json", {**QUAD_COVER, "arrangement": {"lines": QUAD_LINES}})
+    queries = [[cover if a == "COVER_JSON" else a for a in argv] for argv in queries]
+    first_reports = [run_captured(argv) for argv in queries]
+    assert {code for code, _, _ in first_reports} == {0}
     assert set(calls) == first
-    assert calls.count("count_automorphisms") == counts
+    assert tuple(map(calls.count, ("count_automorphisms", "smoothness_check", "klein_model"))) == counts
     calls.clear()
-    assert run_captured(argv) == first_report
-    assert calls == []
+    assert [run_captured(argv) for argv in queries] == first_reports
+    assert Counter(calls) == again
 
 
 @pytest.fixture
@@ -291,6 +324,8 @@ def realizations(monkeypatch):
 def test_no_permutation_is_realized_twice(tmp_path, realizations, queries):
     # the quadrilateral covers name their arrangement by the same line strings
     covers = {"example3": (5, QUAD_COVER["phi"]), **QUAD_COVERS}
+    asked, solved = realizations
+    asked_after = []
     for argv in queries:
         *command, ref = argv
         if ref in covers:
@@ -298,8 +333,13 @@ def test_no_permutation_is_realized_twice(tmp_path, realizations, queries):
             doc = {"arrangement": {"lines": QUAD_LINES}, "m": m, "k": len(rows[0]), "phi": rows}
             ref = write(tmp_path / f"{ref}.json", doc)
         assert run_captured([*command, ref])[0] == 0
-    asked, solved = realizations
-    assert len(asked) > len(solved)
+        asked_after.append(len(asked))
+    if queries[0] == queries[1]:
+        # the second query on the kept cover reads its kept model
+        assert asked_after[1] == asked_after[0] > 0
+    else:
+        # a second cover of an arrangement asks again what the first asked
+        assert len(asked) > len(solved)
     assert Counter(solved) == Counter(set(asked))
 
 
@@ -317,3 +357,158 @@ def test_a_warm_arrangement_refuses_non_permutations_and_shares_no_list():
     fixed = fixed_points_of(arr, perm)
     assert isinstance(fixed, tuple)
     assert fixed == realize_oracle.fixed_points_of(dual_hesse(), matrix, anti)
+
+
+# -- the kept cover -------------------------------------------------------------
+
+
+def test_a_rewritten_cover_file_is_answered_anew(tmp_path):
+    path = tmp_path / "cover.json"
+    phi = QUAD_COVER["phi"]
+    # a new phi, or the same phi with another blow-up set (all seven points,
+    # or none: not smooth, so three of the commands refuse it)
+    specs = [(5, phi, "all_r_ge_3"), (5, phi, list(range(7))), (5, phi, []),
+             (*QUAD_COVERS["quadrilateral_5_3"], "all_r_ge_3"),
+             (*QUAD_COVERS["quadrilateral_2_4"], "all_r_ge_3"), (5, phi, "all_r_ge_3")]
+    for m, rows, blow in specs:
+        write(path, {**QUAD_COVER, "m": m, "k": len(rows[0]), "phi": rows, "blow_up": blow})
+        assert resolve_cover(str(path)).phi.rows == tuple(map(tuple, rows))
+        warm = [run_captured(["--format", "json", *command, str(path)]) for command in COVER_COMMANDS]
+        cold = []
+        for command in COVER_COMMANDS:
+            clear_memos()
+            cold.append(run_captured(["--format", "json", *command, str(path)]))
+        assert warm == cold
+        assert json.loads(warm[0][1])["k"] == len(rows[0])
+
+
+# unhashable and out-of-range fields are refused before the kept cover is
+# consulted, with the same line whether or not a cover is kept
+BLOW_UP_TEXT = "blow_up must be 'all_r_ge_3' or a list of integer point ids, got "
+UNHASHABLE_FIELDS = [
+    ({"blow_up": {}}, BLOW_UP_TEXT + "{}"),
+    ({"blow_up": {"a": [1]}}, BLOW_UP_TEXT + "{'a': [1]}"),
+    ({"blow_up": [[0]]}, BLOW_UP_TEXT + "[[0]]"),
+    ({"blow_up": [0, {}]}, BLOW_UP_TEXT + "[0, {}]"),
+    ({"blow_up": [0, 99]}, "blow-up id 99 out of range"),
+    ({"phi": [[{}, 0], *QUAD_COVER["phi"][1:]]}, "phi entries must be integers, got {}"),
+    ({"phi": [[[0], 0], *QUAD_COVER["phi"][1:]]}, "phi entries must be integers, got [0]"),
+    # the row count is refused before the blow-up input
+    ({"phi": [[1, 0], [0, 1], [4, 0], [0, 4], [0, 0]], "blow_up": {}},
+     "epimorphism has 5 rows but the arrangement has 6 lines"),
+    ({"m": {}}, "m must be an integer, got {}"),
+    ({"k": []}, "k must be an integer, got []"),
+    ({"arrangement": {"lines": {}}}, "arrangement JSON needs a 'lines' array"),
+]
+
+
+@pytest.mark.parametrize("fields, message", UNHASHABLE_FIELDS,
+                         ids=["-".join(f) + f"-{i}" for i, (f, _) in enumerate(UNHASHABLE_FIELDS)])
+def test_an_unhashable_cover_field_keeps_its_error_line(tmp_path, fields, message):
+    good = write(tmp_path / "good.json", QUAD_COVER)
+    bad = write(tmp_path / "bad.json", {**QUAD_COVER, **fields})
+    for command in COVER_COMMANDS:
+        for ref in (bad, good, bad):
+            code, out, err = run_captured([*command, ref])
+            if ref == good:
+                assert code == 0
+            else:
+                assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("doc", [
+    {**QUAD_COVER, "blow_up": []},
+    {"arrangement": {"lines": NEAR_PENCIL}, "m": 5, "k": 2, "phi": [[1, 0], [0, 1], [1, 2], [3, 2]]},
+], ids=["not-smooth", "near-pencil"])
+def test_a_refused_cover_is_refused_on_every_repeat_and_certified_once(tmp_path, calls, doc):
+    ref = write(tmp_path / "cover.json", doc)
+    smoothness = run_captured(["cover", "smoothness", ref])
+    assert smoothness[0] == 0
+    refusals = [run_captured([*command, ref]) for command in (["symmetry", "search"], ["real", "classify"])]
+    for code, out, err in refusals:
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    for _ in range(2):
+        assert run_captured(["cover", "smoothness", ref]) == smoothness
+        assert [run_captured([*command, ref]) for command in (["symmetry", "search"], ["real", "classify"])] == refusals
+    # a refusal keeps no model, so each of the six asks again
+    assert Counter(c for c in calls if c in COVER_WORK) == {"smoothness_check": 1, "klein_model": 6}
+
+
+def test_a_second_cover_replaces_the_kept_one(tmp_path, calls):
+    one = resolve_cover("builtin:example1")
+    assert resolve_cover("builtin:example1") is one
+    model = catalog.klein_model(one)
+    assert catalog.klein_model(one) is model
+    two = resolve_cover("builtin:example2")
+    assert resolve_cover("builtin:example2") is two
+    # a cover that is no longer kept gets a model built anew on each call
+    assert catalog.klein_model(one) is not catalog.klein_model(one)
+    again = resolve_cover("builtin:example1")
+    assert again is not one and again == one
+    # found by content: a file with example1's content is the kept cover
+    doc = {"arrangement": "builtin:dual_hesse", "m": 5, "k": 2, "phi": [list(r) for r in PHI1.rows]}
+    assert resolve_cover(write(tmp_path / "example1.json", doc)) is again
+    assert Counter(c for c in calls if c in COVER_WORK) == {"smoothness_check": 3, "klein_model": 3}
+
+
+def test_the_kept_cover_shares_the_arrangement_memos_object(tmp_path):
+    lines = {"lines": QUAD_LINES}
+    ref = write(tmp_path / "cover.json", {**QUAD_COVER, "arrangement": lines})
+    cover = resolve_cover(ref)
+    assert cover.arrangement is resolve_arrangement(lines)
+    assert resolve_cover(ref) is cover
+    for doc in four_line_arrangements(ARRANGEMENT_MEMO_SIZE):
+        resolve_arrangement(doc)
+    # the memo evicted the quadrilateral, so the cover is made anew on the
+    # rebuilt arrangement
+    rebuilt = resolve_cover(ref)
+    assert rebuilt is not cover and rebuilt == cover
+    assert rebuilt.arrangement is resolve_arrangement(lines)
+    assert rebuilt.arrangement is not cover.arrangement
+    assert resolve_cover(ref) is rebuilt
+
+
+# the quadrilateral shapes (n = 6, m^k <= 125) of the random smooth covers
+QUAD_SHAPES = [(m, k) for build, m, k in RANDOM_COVER_SHAPES if build is complete_quadrilateral]
+QUAD_REFS = ["builtin:complete_quadrilateral", {"lines": QUAD_LINES}]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(QUAD_SHAPES), st.integers(0, 2**32), st.data())
+def test_random_covers_interleaved_warm_equal_cold_and_keep_their_relabelling(
+    tmp_path_factory, shape, seed, data
+):
+    """A random smooth cover and the same cover with phi replaced by phi A,
+    for a random A in GL_k(F_m), through every cover command interleaved in
+    one warm process, give the reports of cold runs; and the two covers'
+    reports are related as `assert_relabelled_deck_group` requires."""
+    m, k = shape
+    rng = random.Random(seed)
+    cover = random_smooth_cover(complete_quadrilateral(), m, k, rng)
+    assume(cover is not None)
+    a = invertible_mod(rng, k, m)
+    rows = [list(r) for r in cover.phi.rows]
+    directory = tmp_path_factory.mktemp("random-cover")
+    refs = [
+        write(directory / f"{name}.json", {"arrangement": data.draw(st.sampled_from(QUAD_REFS)), "m": m, "k": k, "phi": phi})
+        for name, phi in (("cover", rows), ("relabelled", mat_mul(rows, a, m)))
+    ]
+    queries = [
+        (fmt, tuple(command), ref) for ref in refs for command in COVER_COMMANDS for fmt in ("text", "json")
+    ]
+    clear_memos()
+    warm = {}
+    for query in data.draw(st.permutations(queries)):
+        fmt, command, ref = query
+        warm[query] = run_captured(["--format", fmt, *command, ref])
+    cold = {}
+    for query in queries:
+        fmt, command, ref = query
+        clear_memos()
+        cold[query] = run_captured(["--format", fmt, *command, ref])
+    assert {code for code, _, _ in cold.values()} == {0}
+    assert warm == cold
+    before, after = (
+        {" ".join(command): cold["json", tuple(command), ref][1] for command in COVER_COMMANDS} for ref in refs
+    )
+    assert_relabelled_deck_group(before, after, a, m)

@@ -355,6 +355,33 @@ def is_scalar(d):
     return all(d[i][j] == d[0][0] * (i == j) for i in range(len(d)) for j in range(len(d)))
 
 
+def assert_relabelled_deck_group(before, after, a, m):
+    """The JSON reports (by command) of a cover and of the cover with phi
+    replaced by phi A, for A in GL_k(F_m), describe the same cover.  The
+    `cover` field, the file name, is not compared."""
+    old, new = ({c: {**json.loads(text), "cover": None} for c, text in r.items()} for r in (before, after))
+    # the character set is the column span of phi, which A keeps
+    assert new["characters list"] == old["characters list"]
+    if m == 2:
+        # the classes of one H-class of permutations come in the order of
+        # their least deck vectors, which A moves; for odd m an H-class has
+        # one class
+        for report in (old, new):
+            report["real classify"]["classes"].sort(key=lambda c: json.dumps(c, sort_keys=True))
+    assert new["real classify"] == old["real classify"]
+    assert {**old["cover invariants"], "generator_words": None} == {**new["cover invariants"], "generator_words": None}
+    # each deck action D becomes A^T D (A^T)^-1
+    at = [list(col) for col in zip(*a)]
+    for d, e in zip(old["symmetry search"]["realized"], new["symmetry search"]["realized"]):
+        assert mat_mul(e["deck_action"], at, m) == mat_mul(at, d["deck_action"], m)
+        d["deck_action"] = e["deck_action"] = None
+    assert new["symmetry search"] == old["symmetry search"]
+    # the detail strings print the rows of phi
+    for check in [*old["cover smoothness"]["checks"], *new["cover smoothness"]["checks"]]:
+        check["detail"] = None
+    assert new["cover smoothness"] == old["cover smoothness"]
+
+
 @pytest.mark.parametrize("name", list(RELABELLED_COVERS))
 def test_relabelled_deck_group_gives_the_same_cover(name, capsys, tmp_path):
     arrangement, m, rows = RELABELLED_COVERS[name]
@@ -367,23 +394,7 @@ def test_relabelled_deck_group_gives_the_same_cover(name, capsys, tmp_path):
     for _ in range(3):
         a = invertible_mod(rng, len(rows[0]), m)
         after = json_reports(capsys, path, arrangement, m, mat_mul(rows, a, m))
-        # the character set is the column span of phi, which A keeps
-        assert after["characters list"] == before["characters list"]
-        assert after["real classify"] == before["real classify"]
-        old, new = (json.loads(r["cover invariants"]) for r in (before, after))
-        assert {**old, "generator_words": None} == {**new, "generator_words": None}
-        # each deck action D becomes A^T D (A^T)^-1
-        old, new = (json.loads(r["symmetry search"]) for r in (before, after))
-        at = [list(col) for col in zip(*a)]
-        for d, e in zip(old["realized"], new["realized"]):
-            assert mat_mul(e["deck_action"], at, m) == mat_mul(at, d["deck_action"], m)
-            d["deck_action"] = e["deck_action"] = None
-        assert old == new
-        # the detail strings print the rows of phi
-        old, new = (json.loads(r["cover smoothness"]) for r in (before, after))
-        for check in [*old["checks"], *new["checks"]]:
-            check["detail"] = None
-        assert old == new
+        assert_relabelled_deck_group(before, after, a, m)
 
 
 # -- relabelling the lines: line k and phi row k of the relabelled cover are
