@@ -95,7 +95,9 @@ class KleinModel(NamedTuple):
     deck action A_s of s.  The model stores H and its deck actions only, never
     the m^k |H| elements: building it costs one search for the
     character-preserving automorphisms that keep the blow-up set, kept in
-    `character_preserving` for the reports, and two realizability tests per
+    `character_preserving` for the reports (a line maps only to a line of
+    its class under phi's rows, `incidence_automorphisms`: 19-99 nodes in
+    the median on the census covers), and two realizability tests per
     permutation, each solved once per arrangement and then read from it
     (`realize_symmetry`), so another cover of the same arrangement repeats
     no realization.  `catalog.klein_model` keeps the model of the last cover

@@ -18,14 +18,22 @@ from planecover.arrangement import (
     perm_cycles_str,
     realize_symmetry,
 )
+from planecover.catalog import PHI2
 from planecover.cyclotomic import ONE, ZERO, ZETA, CycNumber
+from planecover.homology import Epimorphism
 from planecover.linalg import conj_vec, dot, matmul, normalize_matrix
-from planecover.search import _incidence, _search_order, count_automorphisms, incidence_automorphisms
+from planecover.search import (
+    SearchState,
+    _incidence,
+    _search_order,
+    count_automorphisms,
+    incidence_automorphisms,
+)
 from planecover.symmetry import character_preserving_symmetries
 import realize_oracle
 from realize_oracle import IDENTITY3
 from test_homology import random_valid_phi
-from test_symmetry import ceva6_plus_3, invariant_phi
+from test_symmetry import CENSUS_GENERIC_COVERS, ceva6_plus_3, ceva_lines, invariant_phi, line_strategy
 
 CONJ_PERM = (0, 2, 1, 5, 4, 3, 7, 6, 8)  # (2 3)(4 6)(7 8), 0-based
 
@@ -244,14 +252,6 @@ def test_cycle_notation():
     assert perm_cycles_str((0, 1, 2)) == "id"
 
 
-small_coeff = st.builds(CycNumber, st.integers(-2, 2), st.integers(-1, 1))
-line_strategy = (
-    st.tuples(small_coeff, small_coeff, small_coeff)
-    .filter(lambda t: any(t))
-    .map(lambda t: Line.make(*t))
-)
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(line_strategy, min_size=2, max_size=6, unique_by=lambda l: l.coeffs)
@@ -395,6 +395,62 @@ def test_constrained_search_matches_annihilator_filter_random(lines, m, k, invar
     assert character_preserving_symmetries(arr, phi) == autos_oracle.annihilator_filter(autos, phi)
 
 
+def pooled_phi(rng, n, m, k, tries=50):
+    """A random epimorphism onto (Z/m)^k whose rows, but the last, are
+    multiples of two or three pool vectors, zero among them, so that equal,
+    proportional and zero rows are common; the last row restores the zero
+    sum.  None if `tries` draws find none of rank k."""
+    for _ in range(tries):
+        pool = [tuple(rng.randrange(m) for _ in range(k)) for _ in range(rng.randint(2, 3))]
+        rows = [tuple(rng.randrange(m) * x % m for x in rng.choice(pool)) for _ in range(n - 1)]
+        rows.append(tuple(-sum(r[j] for r in rows) % m for j in range(k)))
+        try:
+            return Epimorphism(m=m, k=k, rows=tuple(rows))
+        except ValueError:
+            continue
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.lists(line_strategy, min_size=2, max_size=7, unique_by=lambda l: l.coeffs),
+        st.lists(st.integers(0, 20), min_size=4, max_size=10, unique=True).map(ceva_lines),
+    ),
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_constrained_search_on_pooled_rows_matches_the_filters(lines, m, k, blow, rng):
+    """Random lines or a subset of Ceva(6)+3, phi with pooled rows, and a
+    random blown subset of the points or none: the search, which maps a
+    line only to a line of its row class, returns the annihilator filter's
+    and then the blow-up filter's list over the reference search's
+    Aut_comb."""
+    import autos_oracle
+
+    arr = build_arrangement(lines)
+    phi = pooled_phi(rng, arr.n, m, min(k, arr.n - 1))
+    assume(phi is not None)
+    blown = tuple(sorted(rng.sample(range(len(arr.points)), rng.randint(0, len(arr.points))))) if blow else ()
+    autos = autos_oracle.combinatorial_automorphisms(arr)
+    expected = autos_oracle.blow_up_filter(autos_oracle.annihilator_filter(autos, phi), arr, blown)
+    assert character_preserving_symmetries(arr, phi, blown) == expected
+
+
+def test_a_zero_row_is_a_class_of_its_own():
+    """Three coordinate lines, m = 2, k = 1: the zero row of the second line
+    has no leading entry to scale by, and the line is fixed."""
+    import autos_oracle
+
+    arr = build_arrangement([Line.make(ONE, ZERO, ZERO), Line.make(ZERO, ONE, ZERO), Line.make(ZERO, ZERO, ONE)])
+    phi = Epimorphism(m=2, k=1, rows=((1,), (0,), (1,)))
+    expected = [(0, 1, 2), (2, 1, 0)]
+    assert autos_oracle.annihilator_filter(autos_oracle.combinatorial_automorphisms(arr), phi) == expected
+    assert character_preserving_symmetries(arr, phi) == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 20), min_size=4, max_size=10, unique=True))
 def test_search_matches_oracles_on_ceva_subsets(picked):
@@ -469,6 +525,28 @@ def test_count_visits_at_most_n_times_the_listings_nodes(build):
     autos, listing_nodes = search_nodes(combinatorial_automorphisms, arr)
     assert count == len(autos)
     assert listing_nodes > 0 and nodes <= arr.n * listing_nodes
+
+
+@pytest.mark.parametrize(
+    "phi, nodes, profile_nodes",
+    [(PHI2, 29, 122),
+     (Epimorphism(m=5, k=2, rows=tuple(CENSUS_GENERIC_COVERS["census_generic_dual_hesse"][1])), 26, 95)],
+    ids=["example2", "census_generic_dual_hesse"],
+)
+def test_row_classes_prune_the_character_preserving_search(monkeypatch, phi, nodes, profile_nodes):
+    """One `SearchState.candidates` call per inner search node: on dual
+    Hesse, matching lines by phi's row classes visits at most `nodes`
+    nodes, where matching them by profile alone visited `profile_nodes`."""
+    calls = []
+    candidates = SearchState.candidates
+
+    def counted(state, k, perm):
+        calls.append(k)
+        return candidates(state, k, perm)
+
+    monkeypatch.setattr(SearchState, "candidates", counted)
+    assert len(character_preserving_symmetries(dual_hesse(), phi)) == (2 if phi is PHI2 else 1)
+    assert len(calls) <= nodes < profile_nodes
 
 
 @settings(max_examples=40, deadline=None)

@@ -40,6 +40,7 @@ from test_symmetry import (
     hesse,
     named_cover,
     odd_cover,
+    random_smooth_cover,
 )
 
 
@@ -383,22 +384,6 @@ def test_pardini_chi_of_the_m2_covers(cq, name, chi):
     kadj = adjoint_branch_class(cq, cover.blown_ids, cover.m)
     k2 = Fraction(cover.m) ** cover.k * pairing(kadj, kadj)
     assert k2 + stratified_euler(cq, cover.blown_ids, cover.m, cover.k) == 12 * chi
-
-
-def random_smooth_cover(arr, m, k, rng, tries=500):
-    """A cover of arr by a random epimorphism onto (Z/m)^k that is certified
-    smooth with every point of multiplicity >= 3 blown up, or None."""
-    for _ in range(tries):
-        rows = [tuple(rng.randrange(m) for _ in range(k)) for _ in range(arr.n - 1)]
-        rows.append(tuple((-sum(r[j] for r in rows)) % m for j in range(k)))
-        try:
-            phi = Epimorphism(m=m, k=k, rows=tuple(rows))
-        except ValueError:
-            continue
-        cover = CoverModel.build(arr, phi)
-        if cover.certificate.ok:
-            return cover
-    return None
 
 
 # (arrangement, m, k) with m^k <= 125 where random rows are often smooth.

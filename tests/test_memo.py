@@ -37,7 +37,7 @@ from planecover.arrangement import (
 )
 from planecover.catalog import ARRANGEMENT_MEMO_SIZE, PHI1, resolve_arrangement, resolve_cover
 from planecover.cli import run
-from test_cover import RANDOM_COVER_SHAPES, random_smooth_cover
+from test_cover import RANDOM_COVER_SHAPES
 from test_loader_fuzz import QUAD_COVER, QUAD_LINES
 from test_symmetry import (
     CENSUS_COVERS,
@@ -46,6 +46,7 @@ from test_symmetry import (
     assert_relabelled_deck_group,
     invertible_mod,
     mat_mul,
+    random_smooth_cover,
 )
 
 COVER_COMMANDS = (

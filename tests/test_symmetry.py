@@ -7,7 +7,7 @@ from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 
 from autos_oracle import annihilator_filter, blow_up_filter
 from klein_oracle import (
@@ -54,6 +54,13 @@ from planecover.symmetry import (
 )
 
 IDENTITY9 = tuple(range(9))
+
+small_coeff = st.builds(CycNumber, st.integers(-2, 2), st.integers(-1, 1))
+line_strategy = (
+    st.tuples(small_coeff, small_coeff, small_coeff)
+    .filter(lambda t: any(t))
+    .map(lambda t: Line.make(*t))
+)
 CONJ_PERM = (0, 2, 1, 5, 4, 3, 7, 6, 8)
 QUAD_SWAP = (1, 0, 2, 4, 3, 5)  # (1 2)(4 5)
 OPPOSITE_SWAP = (3, 4, 5, 0, 1, 2)  # (1 4)(2 5)(3 6)
@@ -411,14 +418,14 @@ def parse_cycles(text, n):
     return tuple(perm)
 
 
-def relabelled_reports(capsys, path, name, s):
+def relabelled_reports(capsys, path, cover, s):
     """`cover invariants`, `symmetry search` and `real classify` on the cover
-    relabelled by s, every line label written back in the old labels.  The
-    3K spread and the generator words depend on the line order by design,
-    and a class's representative is its least element in the new labels,
-    so a class is compared by the H-conjugacy class of its permutation."""
-    arrangement, m, rows = RELABELLED_COVERS[name]
-    lines = builtin_arrangement(arrangement.split(":")[1]).lines
+    (lines, m, rows of phi) relabelled by s, every line label written back
+    in the old labels.  The 3K spread and the generator words depend on the
+    line order by design, and a class's representative is its least
+    element in the new labels, so a class is compared by the H-conjugacy
+    class of its permutation."""
+    lines, m, rows = cover
     n = len(lines)
     path.write_text(json.dumps({
         "arrangement": {"lines": [lines[i].as_strings() for i in s]},
@@ -480,14 +487,77 @@ def relabelled_reports(capsys, path, name, s):
 
 @pytest.mark.parametrize("name", list(RELABELLED_COVERS))
 def test_relabelled_lines_give_the_same_cover(name, capsys, tmp_path):
-    n = len(RELABELLED_COVERS[name][2])
+    arrangement, m, rows = RELABELLED_COVERS[name]
+    cover = (builtin_arrangement(arrangement.split(":")[1]).lines, m, rows)
+    n = len(rows)
     path = tmp_path / "cover.json"
-    before = relabelled_reports(capsys, path, name, tuple(range(n)))
+    before = relabelled_reports(capsys, path, cover, tuple(range(n)))
     rng = random.Random(f"lines-{name}")
     for _ in range(3):
         s = list(range(n))
         rng.shuffle(s)
-        assert relabelled_reports(capsys, path, name, tuple(s)) == before
+        assert relabelled_reports(capsys, path, cover, tuple(s)) == before
+
+
+def random_smooth_cover(arr, m, k, rng, tries=500):
+    """A cover of arr by a random epimorphism onto (Z/m)^k that is certified
+    smooth with every point of multiplicity >= 3 blown up, or None."""
+    for _ in range(tries):
+        rows = [tuple(rng.randrange(m) for _ in range(k)) for _ in range(arr.n - 1)]
+        rows.append(tuple((-sum(r[j] for r in rows)) % m for j in range(k)))
+        try:
+            phi = Epimorphism(m=m, k=k, rows=tuple(rows))
+        except ValueError:
+            continue
+        cover = CoverModel.build(arr, phi)
+        if cover.certificate.ok:
+            return cover
+    return None
+
+
+def ceva_lines(picked):
+    """The lines of Ceva(6)+3 at the indices `picked`, in that order."""
+    full = PAPER_AND_CENSUS_ARRANGEMENTS["ceva6_plus_3"]()
+    return [full.lines[i] for i in picked]
+
+
+def has_frame(lines):
+    """Whether some 4 of the lines are in general position."""
+    return any(
+        all(det3(three) for three in itertools.combinations(quad, 3))
+        for quad in itertools.combinations([line.coeffs for line in lines], 4)
+    )
+
+
+# (m, k) with m^k <= 125
+RELABELLED_SHAPES = [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3)]
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 20), min_size=4, max_size=8, unique=True).map(ceva_lines),
+        st.lists(line_strategy, min_size=4, max_size=8, unique_by=lambda l: l.coeffs),
+    ),
+    st.sampled_from(RELABELLED_SHAPES),
+    st.integers(0, 2**32),
+)
+def test_relabelled_lines_give_the_same_random_cover(capsys, tmp_path, lines, shape, seed):
+    """A random smooth cover of a subset of Ceva(6)+3 or of random lines,
+    n <= 8 and m^k <= 125, relabelled by a random s: the reports agree as
+    in `test_relabelled_lines_give_the_same_cover`, so in particular the
+    character-preserving list is the conjugate group s^-1 H_comb s."""
+    m, k = shape
+    assume(k < len(lines) and has_frame(lines))
+    rng = random.Random(seed)
+    smooth = random_smooth_cover(build_arrangement(lines), m, k, rng, tries=50)
+    assume(smooth is not None)
+    cover = (lines, m, smooth.phi.rows)
+    path = tmp_path / "cover.json"
+    before = relabelled_reports(capsys, path, cover, tuple(range(len(lines))))
+    s = list(range(len(lines)))
+    rng.shuffle(s)
+    assert relabelled_reports(capsys, path, cover, tuple(s)) == before
 
 
 # -- a projective change of coordinates g, and complex conjugation: lines map
