@@ -9,25 +9,22 @@ line coefficient strings (`_arrangement`), and the one object is shared by
 every query that names it, with its search state (`search.SearchState`,
 built on first use).  It must not be mutated.
 
-The last cover resolved is kept (`_kept`), builtin or from a file, with its
-Klein model once `klein_model` has built one, so the commands on one cover
-in a row certify smoothness once and build one model.  A cover is found
-again by its validated content: the shared arrangement, the normalized
-epimorphism and the blown point ids, never a file path.  One cover is kept:
-the commands on a cover come in a row, and a second cover replaces the first.
+The last cover resolved is kept (`_kept`), builtin or from a file, so the
+commands on one cover in a row certify smoothness once and, since a cover
+keeps its own Klein model (`CoverModel.klein_model`), build one model.  A
+cover is found again by its validated content: the shared arrangement, the
+normalized epimorphism and the blown point ids, never a file path.  One
+cover is kept: the commands on a cover come in a row, and a second cover
+replaces the first.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .arrangement import Arrangement, Line, build_arrangement, complete_quadrilateral, dual_hesse
-from .homology import BLOW_ALL_TRIPLE, CoverModel, Epimorphism, blown_point_ids, smoothness_check
+from .homology import BLOW_ALL_TRIPLE, CoverModel, Epimorphism, blown_point_ids
 from .jsonio import read_json, require_object
-
-if TYPE_CHECKING:
-    from .symmetry import KleinModel
 
 PHI1 = Epimorphism(
     m=5,
@@ -105,8 +102,8 @@ def _line_strings(data: dict) -> LineStrings:
     return tuple(tuple(row) for row in rows)
 
 
-# the last cover resolved, and its Klein model once built
-_kept: tuple[CoverModel, KleinModel | None] | None = None
+# the last cover resolved
+_kept: CoverModel | None = None
 
 
 def _cover(arr: Arrangement, phi: Epimorphism, blow: str | list[int]) -> CoverModel:
@@ -116,28 +113,13 @@ def _cover(arr: Arrangement, phi: Epimorphism, blow: str | list[int]) -> CoverMo
     cover is kept."""
     global _kept
     blown = blown_point_ids(arr, phi, blow)
-    if _kept is not None:
-        kept = _kept[0]
-        # arr is the one object the arrangement memo holds for its key, so
-        # an evicted and rebuilt arrangement gives a new cover
-        if kept.arrangement is arr and kept.phi == phi and kept.blown_ids == blown:
-            return kept
-    cover = CoverModel(arr, phi, blown, smoothness_check(arr, phi, blown))
-    _kept = (cover, None)
-    return cover
-
-
-def klein_model(cover: CoverModel) -> KleinModel:
-    """`symmetry.klein_model(cover)`, built once while cover is the kept
-    cover.  A cover it refuses is refused again on every call."""
-    global _kept
-    from . import symmetry
-
-    if _kept is None or _kept[0] is not cover:
-        return symmetry.klein_model(cover)
-    if _kept[1] is None:
-        _kept = (cover, symmetry.klein_model(cover))
-    return _kept[1]
+    kept = _kept
+    # arr is the one object the arrangement memo holds for its key, so an
+    # evicted and rebuilt arrangement gives a new cover
+    if kept is not None and kept.arrangement is arr and kept.phi == phi and kept.blown_ids == blown:
+        return kept
+    _kept = CoverModel.build(arr, phi, blown)
+    return _kept
 
 
 def builtin_cover(name: str) -> CoverModel:

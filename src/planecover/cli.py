@@ -40,8 +40,8 @@ if TYPE_CHECKING:
 # its defining module at call time.  The builders (and, for `bounds check`
 # and `paper verify`, `bounds` and `verify`) are the only place a record
 # becomes a report dict.  The symmetry and real builders take the Klein
-# model, which `catalog` keeps with the last cover it resolved
-# (`resolve_klein_model`), so the commands on one cover in a row, and
+# model, which a cover keeps (`CoverModel.klein_model`), and `catalog` keeps
+# the last cover it resolved, so the commands on one cover in a row, and
 # `paper verify` on each example, build one model for both.
 
 
@@ -55,12 +55,6 @@ def resolve_cover(ref: str) -> CoverModel:
     from . import catalog
 
     return catalog.resolve_cover(ref)
-
-
-def resolve_klein_model(ref: str) -> KleinModel:
-    from . import catalog
-
-    return catalog.klein_model(resolve_cover(ref))
 
 
 def arrangement_report(arr: Arrangement, ref: str, with_autos: bool) -> dict:
@@ -310,13 +304,13 @@ COMMANDS = {
         "symmetry search",
         "realizable character-preserving symmetries",
         (_COVER_REF,),
-        lambda a: (symmetry_report(resolve_klein_model(a.ref), a.ref), 0),
+        lambda a: (symmetry_report(resolve_cover(a.ref).klein_model, a.ref), 0),
     ),
     ("real", "classify"): (
         "real structure classification",
         "conjugacy classes of real structures",
         (_COVER_REF,),
-        lambda a: (real_report(resolve_klein_model(a.ref), a.ref), 0),
+        lambda a: (real_report(resolve_cover(a.ref).klein_model, a.ref), 0),
     ),
     ("bounds", "check"): (
         "topological bound arithmetic",

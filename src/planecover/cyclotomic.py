@@ -189,7 +189,7 @@ ZETA = CycNumber(0, 1)
 
 _TERM = re.compile(
     r"""(?P<sign>[+-]?)
-        (?: (?P<coef>\d+(?:/(?!0+(?!\d))\d+)?) (?P<star>\*z)?  # no zero denominator
+        (?: (?P<coef>\d+(?:/\d+)?) (?P<star>\*z)?
           | (?P<barez>z) )""",
     re.VERBOSE,
 )
@@ -218,7 +218,7 @@ def parse_cyc(text: str) -> CycNumber:
         else:
             num, _, den = match.group("coef").partition("/")
             coef, d = sign * int(num), int(den or 1)
-            if d == 0:  # a zero written in non-ASCII digits, which _TERM lets through
+            if d == 0:  # refused at the slash, in ASCII or other digits
                 raise ValueError(
                     f"bad cyclotomic literal {text!r} at position {match.start('coef') + len(num)}"
                 )

@@ -10,6 +10,7 @@ a blow-up set and an epimorphism, certified smooth or not; `cover` reads it.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -17,6 +18,7 @@ from .jsonio import _is_int
 
 if TYPE_CHECKING:
     from .arrangement import Arrangement
+    from .symmetry import KleinModel
 
 Vector = tuple[int, ...]
 
@@ -168,7 +170,6 @@ def _independent(u: Vector, v: Vector, m: int) -> bool:
 
 
 class PointCheck(NamedTuple):
-    point_id: int
     incident_1based: tuple[int, ...]
     kind: str  # "blown" | "double" | "unresolved"
     ok: bool
@@ -211,24 +212,16 @@ def smoothness_check(
                 if ok
                 else f"phi(eps)={eps} dependent with line(s) {bad}"
             )
-            checks.append(PointCheck(pid, inc1, "blown", ok, detail))
+            checks.append(PointCheck(inc1, "blown", ok, detail))
         elif point.r == 2:
             i1, i2 = point.incident
             ok = _independent(phi.rows[i1], phi.rows[i2], phi.m)
             detail = f"({phi.rows[i1]}, {phi.rows[i2]}) " + (
                 "independent" if ok else "dependent"
             )
-            checks.append(PointCheck(pid, inc1, "double", ok, detail))
+            checks.append(PointCheck(inc1, "double", ok, detail))
         else:
-            checks.append(
-                PointCheck(
-                    pid,
-                    inc1,
-                    "unresolved",
-                    False,
-                    f"{point.r}-fold point left unblown",
-                )
-            )
+            checks.append(PointCheck(inc1, "unresolved", False, f"{point.r}-fold point left unblown"))
     return SmoothnessCertificate(tuple(checks), all(c.ok for c in checks))
 
 
@@ -260,11 +253,17 @@ def blown_point_ids(
     )
 
 
-class CoverModel(NamedTuple):
+class _CoverFields(NamedTuple):
     arrangement: Arrangement
     phi: Epimorphism
     blown_ids: tuple[int, ...]
     certificate: SmoothnessCertificate
+
+
+class CoverModel(_CoverFields):
+    """A cover, equal and hashed by its fields.  The subclass has no
+    `__slots__`, so an instance keeps a `__dict__` for its Klein model,
+    built on first use."""
 
     @classmethod
     def build(
@@ -283,6 +282,14 @@ class CoverModel(NamedTuple):
     @property
     def k(self) -> int:
         return self.phi.k
+
+    @cached_property
+    def klein_model(self) -> KleinModel:
+        """`symmetry.klein_model(self)`, built the first time it is read and
+        kept by this cover; a cover it refuses is refused on every read."""
+        from . import symmetry
+
+        return symmetry.klein_model(self)
 
     def require_smooth(self) -> None:
         """Refuse a cover not certified smooth, naming each failing point by

@@ -47,11 +47,11 @@ class SearchState:
       (`profiles`, `same_profile`; `_incidence`), and the search's line
       order with each position's anchor (`order`, `anchors`;
       `_search_order`);
-    - the projective frame (`frame`), built when first read (`klein_model`
-      reads it before its search, to refuse early): a general-position
-      quadruple and adj of the scaled frame of its lines, then of its
-      conjugated lines.  An arrangement without 4 lines in general position
-      refuses it every time it is asked;
+    - the projective frame (`frame`), built when first read
+      (`symmetry.klein_model` reads it before its search, to refuse
+      early): a general-position quadruple and adj of the scaled frame of
+      its lines, then of its conjugated lines.  An arrangement without 4
+      lines in general position refuses it every time it is asked;
     - the realization memo (`realizations`): `realize_symmetry`'s answers by
       (perm, anti), filled as they are asked for.  The commands ask only
       about incidence automorphisms, so it has at most 2 |Aut_comb|

@@ -100,14 +100,14 @@ class KleinModel(NamedTuple):
     the median on the census covers), and two realizability tests per
     permutation, each solved once per arrangement and then read from it
     (`realize_symmetry`), so another cover of the same arrangement repeats
-    no realization.  `catalog.klein_model` keeps the model of the last cover
-    resolved, so that cover's later commands do not build it again.  A
-    class's real blown points are read from its permutation
-    (`fixed_points_of`), in O(sum of r_p) up to a sort per point and with
-    nothing cached.  Every question about G asked here reduces to H and
-    linear algebra mod m on the A_s: the real-structure classes cost
-    O(|H|^2 n + k^3) per H-class of anti-holomorphic involutions for odd m
-    (`classify_real_structures`).
+    no realization.  A cover keeps its model (`CoverModel.klein_model`), and
+    `catalog` keeps the last cover resolved, so that cover's later commands
+    do not build it again.  A class's real blown points are read from its
+    permutation (`fixed_points_of`), in O(sum of r_p) up to a sort per
+    point and with nothing cached.  Every question about G asked here
+    reduces to H and linear algebra mod m on the A_s: the real-structure
+    classes cost O(|H|^2 n + k^3) per H-class of anti-holomorphic
+    involutions for odd m (`classify_real_structures`).
     """
 
     cover: CoverModel

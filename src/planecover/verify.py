@@ -5,9 +5,9 @@ from the commands' own reports and diffed.
 compiles it.  It never imports `planecover.cli`: `current_reference_values`
 and `verify_report` take the cli module object and read each report
 builder and resolver from it at call time, `cli.bounds_report` (which reads
-the hodge document in `bounds`) included.  An example's Klein model is
-`catalog.klein_model` of its cover, which `catalog` keeps with the cover,
-so the symmetry and real reports share one model.
+the hodge document in `bounds`) included.  An example's Klein model is the
+one its cover keeps (`CoverModel.klein_model`), so the symmetry and real
+reports share one model.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 from typing import TYPE_CHECKING
 
 from .bounds import fake_plane_involution_check
-from .catalog import klein_model
 
 if TYPE_CHECKING:
     from types import ModuleType
@@ -62,7 +61,7 @@ def current_reference_values(cli: ModuleType) -> dict:
     for i, name in enumerate(("example1", "example2", "example3"), 1):
         ref = f"builtin:{name}"
         cover = cli.resolve_cover(ref)
-        model = klein_model(cover)
+        model = cover.klein_model
         inv = cli.invariants_report(cover, ref)
         sym = cli.symmetry_report(model, ref)
         real = cli.real_report(model, ref)

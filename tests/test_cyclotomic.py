@@ -123,7 +123,7 @@ def test_parse_rejects_garbage():
     assert parse_cyc("1/10") == CycNumber(Fraction(1, 10))
 
 
-@pytest.mark.parametrize("zero", ["0", "\u0660", "0\u0660", "\u09e6"])
+@pytest.mark.parametrize("zero", ["0", "00", "\u0660", "0\u0660", "\u09e6"])
 def test_zero_denominator_in_any_digits_is_refused_at_the_slash(zero):
     # non-ASCII digits parse as numbers (int reads them), so a zero
     # denominator written in them is refused like an ASCII one
@@ -131,6 +131,8 @@ def test_zero_denominator_in_any_digits_is_refused_at_the_slash(zero):
         with pytest.raises(ValueError, match=f"bad cyclotomic literal .* at position {pos}$"):
             parse_cyc(text)
     assert parse_cyc("\u0661/\u0662") == CycNumber(Fraction(1, 2))
+    # a leading zero in a nonzero denominator is read as a number
+    assert parse_cyc("1/01") == 1
 
 
 def test_hashable_for_map_keys():

@@ -164,15 +164,15 @@ def eliminated_certificate(arr, phi, blown_ids):
                 if bad
                 else f"phi(eps)={eps} independent with each incident line image"
             )
-            checks.append(PointCheck(pid, inc1, "blown", not bad, detail))
+            checks.append(PointCheck(inc1, "blown", not bad, detail))
         elif point.r == 2:
             u, v = (phi.rows[i] for i in point.incident)
             ok = rank_mod_p([u, v], phi.m) == 2
             detail = f"({u}, {v}) " + ("independent" if ok else "dependent")
-            checks.append(PointCheck(pid, inc1, "double", ok, detail))
+            checks.append(PointCheck(inc1, "double", ok, detail))
         else:
             detail = f"{point.r}-fold point left unblown"
-            checks.append(PointCheck(pid, inc1, "unresolved", False, detail))
+            checks.append(PointCheck(inc1, "unresolved", False, detail))
     return SmoothnessCertificate(tuple(checks), all(c.ok for c in checks))
 
 

@@ -3,8 +3,8 @@
 
 An arrangement is built once per builtin name or tuple of line strings and
 shared, with its search state (`search.SearchState`), by every later query,
-and the last cover resolved is kept with its Klein model: reports from a
-warm process must equal those of cold runs byte for byte, a shared
+and the last cover resolved is kept, with the Klein model it keeps: reports
+from a warm process must equal those of cold runs byte for byte, a shared
 arrangement and its state must equal a fresh build's and its kept
 realizations the reference route's, and a later query must not rebuild,
 certify or realize again what an earlier one did.  Fixed points are not
@@ -438,18 +438,21 @@ def test_a_refused_cover_is_refused_on_every_repeat_and_certified_once(tmp_path,
 def test_a_second_cover_replaces_the_kept_one(tmp_path, calls):
     one = resolve_cover("builtin:example1")
     assert resolve_cover("builtin:example1") is one
-    model = catalog.klein_model(one)
-    assert catalog.klein_model(one) is model
+    model = one.klein_model
+    assert one.klein_model is model
     two = resolve_cover("builtin:example2")
     assert resolve_cover("builtin:example2") is two
-    # a cover that is no longer kept gets a model built anew on each call
-    assert catalog.klein_model(one) is not catalog.klein_model(one)
+    # a cover keeps its model whether or not it is still the kept cover
+    assert one.klein_model is model
     again = resolve_cover("builtin:example1")
     assert again is not one and again == one
     # found by content: a file with example1's content is the kept cover
     doc = {"arrangement": "builtin:dual_hesse", "m": 5, "k": 2, "phi": [list(r) for r in PHI1.rows]}
     assert resolve_cover(write(tmp_path / "example1.json", doc)) is again
-    assert Counter(c for c in calls if c in COVER_WORK) == {"smoothness_check": 3, "klein_model": 3}
+    # the new cover object builds its own model, once
+    assert again.klein_model is again.klein_model is not model
+    assert again.klein_model == model
+    assert Counter(c for c in calls if c in COVER_WORK) == {"smoothness_check": 3, "klein_model": 2}
 
 
 def test_the_kept_cover_shares_the_arrangement_memos_object(tmp_path):

@@ -93,8 +93,21 @@ def test_record_semantics(kind):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
         assert getattr(record, name) is record._asdict()[name]
-    # only the arrangement carries a __dict__, for its cached tables
-    assert hasattr(record, "__dict__") == (kind is Arrangement)
+    # only the arrangement and the cover carry a __dict__, for the
+    # arrangement's cached tables and the cover's Klein model
+    assert hasattr(record, "__dict__") == (kind in (Arrangement, CoverModel))
+
+
+def test_a_cover_keeps_its_klein_model_through_copy_and_pickle():
+    cover = builtin_cover("example2")
+    model = cover.klein_model
+    assert vars(cover) == {"klein_model": model} and cover.klein_model is model
+    assert copy.copy(cover).klein_model is model
+    for copied in (copy.deepcopy(cover), pickle.loads(pickle.dumps(cover))):
+        assert copied == cover and copied is not cover
+        # the cycle cover -> model -> cover closes on the copy
+        assert copied.klein_model.cover is copied
+        assert copied.klein_model == model
 
 
 def test_arrangement_is_equal_by_lines_points_and_notes():
