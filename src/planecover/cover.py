@@ -5,7 +5,10 @@ epimorphism phi onto (Z/mZ)^k.  All invariants are computed on the blown
 plane and scaled by the covering degree: the canonical class of the cover is
 the pullback of K_tilde + ((m-1)/m) B where B is the branch divisor class,
 the Euler characteristic comes from the stratification into the free part,
-the m^(k-1)-fold branch curves, and the m^(k-2)-fold crossing points.
+the m^(k-1)-fold branch curves, and the m^(k-2)-fold crossing points.  The
+crossings come from `homology.branch_curves`; `invariants` reads each
+curve's meeting images from the cover's table, built once by
+`CoverModel.build`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arrangement import Arrangement
-from .homology import CoverModel, Epimorphism, Vector, rank_mod_p
+from .homology import CoverModel, Epimorphism, Vector, branch_curves, rank_mod_p
 from .intersection import Blown, DivisorClass, exceptional, pairing, strict_transforms
 
 # -- canonical class -----------------------------------------------------------
@@ -44,21 +47,21 @@ def stratified_euler(
     Requires every unblown point to be 2-fold so that at most two branch
     components pass through any point, all transversally.  On the plane
     blown up at b points the n + b branch curves are rational and cross at
-    c = s + d points: s is the sum of r_p over the blown points and d the
-    number of unblown double points.  The free part has e = 3 + b - 2(n + b)
-    + c and the curves less their crossings 2(n + b) - 2c; the cover has
-    m^k, m^(k-1) and m^(k-2) points over a point of each stratum
-    (Hirzebruch, "Arrangements of lines and algebraic surfaces", 1983).
+    the c points that `homology.branch_curves` lists: r_p over each blown
+    point p and one over each unblown double point.  The free part has
+    e = 3 + b - 2(n + b) + c and the curves less their crossings
+    2(n + b) - 2c; the cover has m^k, m^(k-1) and m^(k-2) points over a
+    point of each stratum (Hirzebruch, "Arrangements of lines and algebraic
+    surfaces", 1983).
     """
-    blown = set(blown_ids)
-    for pid, p in enumerate(arr.points):
-        if pid not in blown and p.r != 2:
+    crossings = branch_curves(arr, blown_ids).crossings
+    for p, pairs in zip(arr.points, crossings):
+        if not pairs:
             raise ValueError(
                 f"unblown {p.r}-fold point {p.incident_1based()}: "
                 "more than two branch components would cross"
             )
-    n, b = arr.n, len(blown)
-    c = sum(arr.points[pid].r for pid in blown) + len(arr.points) - b
+    n, b, c = arr.n, len(blown_ids), sum(map(len, crossings))
     total = m * m * (3 - 2 * n - b + c) + 2 * m * (n + b - c) + c  # m^(2-k) e
     if k >= 2:
         return total * m ** (k - 2)
@@ -89,47 +92,6 @@ class InvariantReport(NamedTuple):
     point_curves: tuple[CurveInvariants, ...]
 
 
-def _curve_invariants(
-    label: str, cls: DivisorClass, mkadj: DivisorClass, scale: int, phi: Epimorphism, meeting
-) -> CurveInvariants:
-    """C^2, (C, K) and the arithmetic genus p_a of the preimage of a curve.
-
-    A preimage of d disjoint curves of genus g has p_a = d (g - 1) + 1, so
-    a negative p_a is valid only if d divides p_a - 1 and g >= 0.  d is
-    m^(k - r), r the rank mod m of `meeting()`: phi of the curve and of the
-    branch curves that meet it, computed only for a negative p_a.
-    """
-    self_int = scale * pairing(cls, cls)
-    k_degree = scale * pairing(cls, mkadj)
-    p_a, odd = divmod(self_int + k_degree + 2, 2)
-    valid = not odd
-    if valid and p_a < 0:
-        d = phi.m ** (phi.k - rank_mod_p(meeting(), phi.m))
-        valid = (p_a - 1) % d == 0 and p_a >= 1 - d
-    if not valid:
-        raise ValueError(f"adjunction gives no valid genus for {label}")
-    return CurveInvariants(label, self_int, k_degree, p_a)
-
-
-def _line_meeting(cover: CoverModel, i: int) -> list[Vector]:
-    """phi of C_i, of the E_p of the blown points on line i and of the lines
-    through its unblown points."""
-    phi, images = cover.phi, [cover.phi.rows[i]]
-    for pid, p in enumerate(cover.arrangement.points):
-        if i in p.incident:
-            if pid in cover.blown_ids:
-                images.append(phi.of_loops(p.incident))
-            else:
-                images.extend(phi.rows[j] for j in p.incident)
-    return images
-
-
-def _point_meeting(cover: CoverModel, pid: int) -> list[Vector]:
-    """phi of D_p and of the lines through p."""
-    phi, incident = cover.phi, cover.arrangement.points[pid].incident
-    return [phi.of_loops(incident), *(phi.rows[i] for i in incident)]
-
-
 def invariants(cover: CoverModel) -> InvariantReport:
     """K^2, e, chi and the per-curve data of a smooth cover.
 
@@ -137,7 +99,8 @@ def invariants(cover: CoverModel) -> InvariantReport:
     branch curve C over a curve D of the blown plane has m C = pi^* D, so
     C^2 = m^(k-2) D^2 and (C, K) = m^(k-1) (D, K_adj) = m^(k-2) (D, m K_adj);
     K^2 = m^k K_adj^2 = m^(k-2) (m K_adj)^2.  A smooth cover has k >= 2
-    (`homology._independent`), so m^(k-2) is an integer.
+    (`homology._independent`), so m^(k-2) is an integer.  Each curve's
+    meeting images are read from the cover's `branch_curves` table.
     """
     cover.require_smooth()
     arr, m, k = cover.arrangement, cover.m, cover.k
@@ -149,23 +112,26 @@ def invariants(cover: CoverModel) -> InvariantReport:
     chi = (k2 + euler) // 12
     if (k2 + euler) % 12:
         raise ValueError(f"K^2 + e = {k2 + euler} violates the Noether quotient")
-    lines = tuple(
-        _curve_invariants(
-            f"C{i + 1}", line, mkadj, scale, cover.phi, lambda i=i: _line_meeting(cover, i)
-        )
-        for i, line in enumerate(strict_transforms(arr, blown))
+    labels = (
+        *(f"C{i + 1}" for i in range(arr.n)),
+        *("D" + ",".join(map(str, arr.points[pid].incident_1based())) for pid in cover.blown_ids),
     )
-    points = tuple(
-        _curve_invariants(
-            "D" + ",".join(str(x) for x in arr.points[pid].incident_1based()),
-            exceptional(pid, blown),
-            mkadj,
-            scale,
-            cover.phi,
-            lambda pid=pid: _point_meeting(cover, pid),
-        )
-        for pid in cover.blown_ids
-    )
+    classes = (*strict_transforms(arr, blown), *(exceptional(pid, blown) for pid in cover.blown_ids))
+    found, meeting = [], None
+    for c, (label, cls) in enumerate(zip(labels, classes)):
+        self_int, k_degree = scale * pairing(cls, cls), scale * pairing(cls, mkadj)
+        # p_a of a preimage of d disjoint curves of genus g is d (g - 1) + 1:
+        # a negative p_a needs d | p_a - 1 and g >= 0, where d = m^(k - r)
+        # and r is the rank of phi of the curve and of the curves crossing it
+        p_a, odd = divmod(self_int + k_degree + 2, 2)
+        valid = not odd
+        if valid and p_a < 0:
+            meeting = meeting or cover.curves.meeting()
+            d = m ** (k - rank_mod_p(meeting[c], m))
+            valid = (p_a - 1) % d == 0 and p_a >= 1 - d
+        if not valid:
+            raise ValueError(f"adjunction gives no valid genus for {label}")
+        found.append(CurveInvariants(label, self_int, k_degree, p_a))
     return InvariantReport(
         m=m,
         k=k,
@@ -173,8 +139,8 @@ def invariants(cover: CoverModel) -> InvariantReport:
         euler=euler,
         chi=chi,
         my_defect=k2 - 3 * euler,
-        line_curves=lines,
-        point_curves=points,
+        line_curves=tuple(found[: arr.n]),
+        point_curves=tuple(found[arr.n :]),
     )
 
 

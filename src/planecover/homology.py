@@ -1,17 +1,24 @@
 """First homology of the arrangement complement, mod-m epimorphisms, exceptional
-loop classes, smoothness certificates, covers, and the covering kernel.
+loop classes, the branch-curve table, smoothness certificates, covers, and the
+covering kernel.
 
 Loops lambda_1..lambda_n around the lines generate H_1 subject to the single
 relation sum(lambda_i) = 0.  A branched abelian cover is encoded by the n x k
 residue matrix phi with phi(lambda_i) = rows[i] in (Z/mZ)^k.  Only prime m is
 supported; every bundled example has m = 5.  A `CoverModel` is an arrangement,
-a blow-up set and an epimorphism, certified smooth or not; `cover` reads it.
+a blow-up set and an epimorphism, with the table of its branch curves on the
+blown plane (`branch_curves`: phi of each curve and the pairs of curves that
+cross over each point), certified smooth or not from that table; `cover`
+reads it.  `smoothness_check`, `cover.stratified_euler` and the meeting
+images of `cover.invariants` take the crossings from the table;
+`intersection.strict_transforms` and the 3K search's setup in `cover`
+still find the blown points on each line from `arr.points` themselves.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import combinations
+from functools import cache, cached_property
+from itertools import chain, combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .jsonio import _is_int
@@ -163,10 +170,64 @@ class Epimorphism(_EpimorphismFields):
 # -- smoothness ----------------------------------------------------------------
 
 
+@cache
+def _minors(k: int) -> tuple[tuple[int, int], ...]:
+    """The column pairs of the 2x2 minors of k columns, built once per k:
+    `_independent` runs for every crossing of every cover built."""
+    return tuple(combinations(range(k), 2))
+
+
 def _independent(u: Vector, v: Vector, m: int) -> bool:
     """u, v in (Z/mZ)^k, m prime, span (Z/mZ)^2 iff some 2x2 minor is nonzero
     mod m; with k = 1 there is no minor and the pair is dependent."""
-    return any((u[a] * v[b] - u[b] * v[a]) % m for a, b in combinations(range(len(u)), 2))
+    for a, b in _minors(len(u)):
+        if (u[a] * v[b] - u[b] * v[a]) % m:
+            return True
+    return False
+
+
+class BranchCurves(NamedTuple):
+    """The branch curves of the blown plane Y and where they cross.
+
+    Curve c < n is the strict transform of line c, curve n + j the
+    exceptional curve E_p of the j-th blown point.  `crossings[pid]` lists
+    the pairs of curves that cross over arrangement point pid: (E_p, i) for
+    each line i through a blown p, the two lines at an unblown double point,
+    and none at an unblown point of multiplicity >= 3, which Y leaves
+    unresolved.  `images[c]` is phi of curve c's loop: the row of a line,
+    and for E_p the sum of the rows of the lines through p.
+    """
+
+    crossings: tuple[tuple[tuple[int, int], ...], ...]
+    images: tuple[Vector, ...]
+
+    def meeting(self) -> list[list[Vector]]:
+        """For each curve, its image and then those of the curves crossing it."""
+        meeting = [[image] for image in self.images]
+        for a, b in chain.from_iterable(self.crossings):
+            meeting[a].append(self.images[b])
+            meeting[b].append(self.images[a])
+        return meeting
+
+
+def branch_curves(
+    arr: Arrangement, blown_ids: tuple[int, ...], phi: Epimorphism | None = None
+) -> BranchCurves:
+    """The table of a cover's branch curves, built once per cover by
+    `CoverModel.build` and read by `smoothness_check` and `cover.invariants`;
+    without phi the crossings alone, with no images, as
+    `cover.stratified_euler` counts them."""
+    curve = {pid: arr.n + j for j, pid in enumerate(blown_ids)}
+    crossings = tuple(
+        tuple((curve[pid], i) for i in p.incident) if pid in curve
+        else (p.incident,) if p.r == 2
+        else ()
+        for pid, p in enumerate(arr.points)
+    )
+    images = () if phi is None else (
+        *phi.rows, *(phi.of_loops(arr.points[pid].incident) for pid in blown_ids)
+    )
+    return BranchCurves(crossings, images)
 
 
 class PointCheck(NamedTuple):
@@ -184,44 +245,33 @@ class SmoothnessCertificate(NamedTuple):
         return tuple(c for c in self.checks if not c.ok)
 
 
-def smoothness_check(
-    arr: Arrangement, phi: Epimorphism, blown_ids: tuple[int, ...]
-) -> SmoothnessCertificate:
-    """Certify the cover smooth over every arrangement point.
+def smoothness_check(arr: Arrangement, phi: Epimorphism, curves: BranchCurves) -> SmoothnessCertificate:
+    """Certify the cover smooth over every arrangement point, reading the
+    crossings and images of `curves`, the cover's `branch_curves` table.
 
-    Blown points need each pair (phi(eps_p), phi(lambda_i)) independent for
-    every incident line; unblown 2-fold points need the two line images
-    independent; unblown points of higher multiplicity are failures.
+    Each crossing needs the images of its two curves independent: at a
+    blown point phi(eps_p) with each incident line's image, at an unblown
+    double point the two line images.  An unblown point of higher
+    multiplicity has no crossing pairs and is a failure.
     """
     if phi.n != arr.n:
         raise ValueError("epimorphism size does not match the arrangement")
-    blown = set(blown_ids)
+    images, m = curves.images, phi.m
     checks: list[PointCheck] = []
-    for pid, point in enumerate(arr.points):
+    for point, pairs in zip(arr.points, curves.crossings):
         inc1 = point.incident_1based()
-        if pid in blown:
-            eps = phi.of_loops(point.incident)
-            bad = [
-                i + 1
-                for i in point.incident
-                if not _independent(eps, phi.rows[i], phi.m)
-            ]
-            ok = not bad
-            detail = (
-                f"phi(eps)={eps} independent with each incident line image"
-                if ok
-                else f"phi(eps)={eps} dependent with line(s) {bad}"
-            )
-            checks.append(PointCheck(inc1, "blown", ok, detail))
-        elif point.r == 2:
-            i1, i2 = point.incident
-            ok = _independent(phi.rows[i1], phi.rows[i2], phi.m)
-            detail = f"({phi.rows[i1]}, {phi.rows[i2]}) " + (
-                "independent" if ok else "dependent"
-            )
-            checks.append(PointCheck(inc1, "double", ok, detail))
-        else:
+        if not pairs:
             checks.append(PointCheck(inc1, "unresolved", False, f"{point.r}-fold point left unblown"))
+        elif pairs[0][0] >= arr.n:  # E_p crosses each line through p
+            eps = images[pairs[0][0]]
+            bad = [i + 1 for _, i in pairs if not _independent(eps, images[i], m)]
+            detail = f"dependent with line(s) {bad}" if bad else "independent with each incident line image"
+            checks.append(PointCheck(inc1, "blown", not bad, f"phi(eps)={eps} {detail}"))
+        else:
+            ((i1, i2),) = pairs
+            ok = _independent(images[i1], images[i2], m)
+            detail = f"({images[i1]}, {images[i2]}) " + ("independent" if ok else "dependent")
+            checks.append(PointCheck(inc1, "double", ok, detail))
     return SmoothnessCertificate(tuple(checks), all(c.ok for c in checks))
 
 
@@ -257,6 +307,7 @@ class _CoverFields(NamedTuple):
     arrangement: Arrangement
     phi: Epimorphism
     blown_ids: tuple[int, ...]
+    curves: BranchCurves
     certificate: SmoothnessCertificate
 
 
@@ -273,7 +324,8 @@ class CoverModel(_CoverFields):
         blow: str | list[int] | tuple[int, ...] = BLOW_ALL_TRIPLE,
     ) -> CoverModel:
         blown = blown_point_ids(arr, phi, blow)
-        return cls(arr, phi, blown, smoothness_check(arr, phi, blown))
+        curves = branch_curves(arr, blown, phi)
+        return cls(arr, phi, blown, curves, smoothness_check(arr, phi, curves))
 
     @property
     def m(self) -> int:

@@ -199,9 +199,12 @@ def classify_real_structures(model: KleinModel) -> list[RealStructureClass]:
     C_H(s)-orbit on H^1 is a class of size |s^H| |orbit| m^rank(1 - A_s).
 
     A class is represented by its least element: s the least index in s^H
-    and d the least deck vector of the class in that coset; classes are
-    ordered by representative, then stably by the number of real lines
-    (descending) and the cycle label.  Cost: O(|H|^2 n) permutation products
+    and d the least deck vector of the class in that coset.  Classes are
+    ordered by the number of real lines (descending), the cycle label and
+    the size, so the order does not depend on the basis of the deck group:
+    phi -> phi A moves the representatives but keeps every printed field,
+    and classes that tie on all three print the same row.  Ties keep the
+    order of the representatives.  Cost: O(|H|^2 n) permutation products
     for the H-classes and centralizers, O(k^3) elimination mod m per class
     of s, and m^dim H^1 |C_H(s)| k^2 for the orbits on H^1; no element of G
     other than the representatives is formed.
@@ -230,7 +233,7 @@ def classify_real_structures(model: KleinModel) -> list[RealStructureClass]:
             found.append(((i, rep), len(conjugates) * orbit_size * m**image_rank))
 
     out = [_fingerprint(model, rep, size) for rep, size in found]
-    out.sort(key=lambda c: (-len(c.fixed_lines), c.perm_cycles))
+    out.sort(key=lambda c: (-len(c.fixed_lines), c.perm_cycles, c.size))
     return out
 
 

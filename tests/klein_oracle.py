@@ -77,7 +77,7 @@ def brute_force_classify(model: KleinModel) -> list[RealStructureClass]:
         classes.append(sorted(orbit))
 
     out = [class_record(model, orbit[0], len(orbit)) for orbit in classes]
-    out.sort(key=lambda c: (-len(c.fixed_lines), c.perm_cycles))
+    out.sort(key=lambda c: (-len(c.fixed_lines), c.perm_cycles, c.size))
     return out
 
 

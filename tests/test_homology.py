@@ -11,9 +11,11 @@ from planecover.catalog import PHI1, PHI2, PHI3
 from planecover.characters import enumerate_characters
 from planecover.cyclotomic import CycNumber
 from planecover.homology import (
+    CoverModel,
     Epimorphism,
     PointCheck,
     SmoothnessCertificate,
+    branch_curves,
     galois_kernel,
     is_prime,
     rank_mod_p,
@@ -138,7 +140,7 @@ def double_point_check(u, v, m=5):
     ])
     rows = [u, v, (1, 0)]
     rows.append(tuple(-sum(col) % m for col in zip(*rows)))
-    cert = smoothness_check(four_lines, Epimorphism(m=m, k=2, rows=tuple(rows)), ())
+    cert = CoverModel.build(four_lines, Epimorphism(m=m, k=2, rows=tuple(rows)), ()).certificate
     return next(c for c in cert.checks if c.incident_1based == (1, 2))
 
 
@@ -195,7 +197,8 @@ def test_minor_certificate_matches_elimination(name, m, k, rng):
         blown = tuple(pid for pid, p in enumerate(arr.points) if p.r >= 3)
     else:
         blown = tuple(sorted(rng.sample(range(len(arr.points)), rng.randint(0, len(arr.points)))))
-    assert smoothness_check(arr, phi, blown) == eliminated_certificate(arr, phi, blown)
+    curves = branch_curves(arr, blown, phi)
+    assert smoothness_check(arr, phi, curves) == eliminated_certificate(arr, phi, blown)
 
 
 def blown_ids(arr):
@@ -203,14 +206,14 @@ def blown_ids(arr):
 
 
 def test_example1_smooth(dh):
-    cert = smoothness_check(dh, PHI1, blown_ids(dh))
+    cert = CoverModel.build(dh, PHI1, blown_ids(dh)).certificate
     assert cert.ok
     assert len(cert.checks) == 12
     assert all(c.kind == "blown" for c in cert.checks)
 
 
 def test_example3_smooth_including_unblown_doubles(cq):
-    cert = smoothness_check(cq, PHI3, blown_ids(cq))
+    cert = CoverModel.build(cq, PHI3, blown_ids(cq)).certificate
     assert cert.ok
     kinds = sorted(c.kind for c in cert.checks)
     assert kinds.count("double") == 3
@@ -224,16 +227,48 @@ def test_dependent_epsilon_fails(dh):
     p123 = next(
         pid for pid, p in enumerate(dh.points) if p.incident_1based() == (1, 2, 3)
     )
-    cert = smoothness_check(dh, phi, (p123,))
+    cert = CoverModel.build(dh, phi, (p123,)).certificate
     failing = [c for c in cert.checks if not c.ok and c.kind == "blown"]
     assert any(c.incident_1based == (1, 2, 3) for c in failing)
     assert not cert.ok
 
 
 def test_unblown_triple_point_is_a_failure(dh):
-    cert = smoothness_check(dh, PHI1, ())
+    cert = CoverModel.build(dh, PHI1, ()).certificate
     assert not cert.ok
     assert all(c.kind == "unresolved" for c in cert.checks)
+
+
+def test_branch_curve_table_of_example3(cq):
+    """Curves 0-5 are the lines, 6-9 the E_p of the four triple points; a
+    blown point's lines each cross its E_p, an unblown double point's two
+    lines cross each other."""
+    cover = CoverModel.build(cq, PHI3)
+    assert cover.curves == branch_curves(cq, cover.blown_ids, PHI3)
+    by_point = {p.incident_1based(): pairs for p, pairs in zip(cq.points, cover.curves.crossings)}
+    assert by_point == {
+        (1, 2, 3): ((6, 0), (6, 1), (6, 2)), (1, 4): ((0, 3),), (1, 5, 6): ((7, 0), (7, 4), (7, 5)),
+        (2, 4, 6): ((8, 1), (8, 3), (8, 5)), (2, 5): ((1, 4),), (3, 4, 5): ((9, 2), (9, 3), (9, 4)),
+        (3, 6): ((2, 5),),
+    }
+    # E_p's image is the sum of the rows of the lines through p
+    assert cover.curves.images == (*PHI3.rows, (3, 2), (3, 2), (3, 2), (1, 4))
+    # without phi, the same crossings and no images
+    assert branch_curves(cq, cover.blown_ids) == (cover.curves.crossings, ())
+    # with nothing blown, each triple point is left without a crossing
+    assert [len(pairs) for pairs in branch_curves(cq, ()).crossings] == [0, 1, 0, 0, 1, 0, 1]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
+def test_a_cover_with_an_unbranched_exceptional_curve_is_smooth(cq):
+    """phi(E_p) = 0 at p = (1 2 3): E_p is not a branch curve, so each point
+    of E_p lies on at most one branch curve and the cover is smooth there.
+    The certificate still asks phi(E_p) to be independent of each line's
+    image, and refuses the cover."""
+    phi = Epimorphism(m=5, k=2, rows=((0, 1), (0, 1), (0, 3), (1, 0), (1, 0), (3, 0)))
+    cover = CoverModel.build(cq, phi)
+    assert cover.curves.images[cq.n] == (0, 0)
+    assert cover.certificate.ok
 
 
 def test_smoothness_monotone_under_more_blowups(dh):
@@ -242,11 +277,11 @@ def test_smoothness_monotone_under_more_blowups(dh):
     small = (0,)
     large = blown_ids(dh)
     fail_small = {
-        c.incident_1based for c in smoothness_check(dh, phi, small).checks
+        c.incident_1based for c in CoverModel.build(dh, phi, small).certificate.checks
         if not c.ok and c.kind == "blown"
     }
     fail_large = {
-        c.incident_1based for c in smoothness_check(dh, phi, large).checks
+        c.incident_1based for c in CoverModel.build(dh, phi, large).certificate.checks
         if not c.ok and c.kind == "blown"
     }
     assert fail_small <= fail_large

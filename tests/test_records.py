@@ -26,6 +26,7 @@ from planecover.cover import (
     three_canonical_decomposition,
 )
 from planecover.homology import (
+    BranchCurves,
     CoverModel,
     Epimorphism,
     PointCheck,
@@ -57,6 +58,7 @@ def samples():
         ComponentBoundVerdict: component_count_bound(hodge, 3),
         FakePlaneReport: fake_plane_involution_check(),
         CoverModel: cover,
+        BranchCurves: cover.curves,
         CurveInvariants: report.line_curves[0],
         InvariantReport: report,
         ThreeCanonicalDecomposition: three_canonical_decomposition(cover),
