@@ -16,6 +16,15 @@ cover is found again by its validated content: the shared arrangement, the
 normalized epimorphism and the blown point ids, never a file path.  One
 cover is kept: the commands on a cover come in a row, and a second cover
 replaces the first.
+
+Before that, a cover file is matched by its text: a document whose text is
+that of the kept cover's document, and whose arrangement the memo still
+holds as the kept cover's object, is the kept cover, with no parse and no
+check.  The text is kept only for a document that names its arrangement
+builtin or inline; one that names an arrangement file is read and checked
+anew every time, since that file can change under the same text.  The key
+is the text and not the parsed document, since `1 == 1.0 == True` while
+only the first is a valid entry.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from functools import lru_cache
 
 from .arrangement import Arrangement, Line, build_arrangement, complete_quadrilateral, dual_hesse
 from .homology import BLOW_ALL_TRIPLE, CoverModel, Epimorphism, blown_point_ids
-from .jsonio import read_json, require_object
+from .jsonio import parse_json, read_json, read_text, require_object
 
 PHI1 = Epimorphism(
     m=5,
@@ -84,12 +93,16 @@ def _arrangement(key: str | LineStrings) -> Arrangement:
 
 
 def builtin_arrangement(name: str) -> Arrangement:
+    return _arrangement(_builtin_name(name))
+
+
+def _builtin_name(name: str) -> str:
     if name not in _ARRANGEMENTS:
         raise ValueError(
             f"unknown builtin arrangement {name!r}; "
             f"available: {sorted(_ARRANGEMENTS)}"
         )
-    return _arrangement(name)
+    return name
 
 
 def _line_strings(data: dict) -> LineStrings:
@@ -102,24 +115,42 @@ def _line_strings(data: dict) -> LineStrings:
     return tuple(tuple(row) for row in rows)
 
 
-# the last cover resolved
-_kept: CoverModel | None = None
+def _arrangement_key(ref: str | dict) -> str | LineStrings:
+    """The memo key of an arrangement reference: the builtin name, or the
+    line strings of a JSON file or an inline JSON object."""
+    if isinstance(ref, str) and ref.startswith("builtin:"):
+        return _builtin_name(ref.split(":", 1)[1])
+    return _line_strings(read_json(ref) if isinstance(ref, str) else ref)
 
 
-def _cover(arr: Arrangement, phi: Epimorphism, blow: str | list[int]) -> CoverModel:
+# the last cover resolved, with the text of the cover document it came from
+# and that document's arrangement key; no text for a builtin cover or a
+# document that names an arrangement file
+_kept: tuple[CoverModel, str | None, str | LineStrings | None] | None = None
+
+
+def _cover(
+    arr: Arrangement,
+    phi: Epimorphism,
+    blow: str | list[int],
+    text: str | None = None,
+    key: str | LineStrings | None = None,
+) -> CoverModel:
     """The cover of the shared arrangement arr, certified only if it is not
-    the kept cover.  The row count and the blow-up input are validated
-    first, so a malformed cover is refused the same way whether or not a
-    cover is kept."""
+    the kept cover, and kept with its document's text and arrangement key.
+    The row count and the blow-up input are validated first, so a malformed
+    cover is refused the same way whether or not a cover is kept."""
     global _kept
     blown = blown_point_ids(arr, phi, blow)
-    kept = _kept
+    cover = _kept[0] if _kept is not None else None
     # arr is the one object the arrangement memo holds for its key, so an
     # evicted and rebuilt arrangement gives a new cover
-    if kept is not None and kept.arrangement is arr and kept.phi == phi and kept.blown_ids == blown:
-        return kept
-    _kept = CoverModel.build(arr, phi, blown)
-    return _kept
+    if cover is None or not (
+        cover.arrangement is arr and cover.phi == phi and cover.blown_ids == blown
+    ):
+        cover = CoverModel.build(arr, phi, blown)
+    _kept = (cover, text, key)
+    return cover
 
 
 def builtin_cover(name: str) -> CoverModel:
@@ -135,17 +166,18 @@ def builtin_cover(name: str) -> CoverModel:
 def resolve_arrangement(ref: str | dict) -> Arrangement:
     """Accept 'builtin:<name>', a JSON file path, or an inline JSON object;
     the arrangement is shared (`_arrangement`)."""
-    if isinstance(ref, str) and ref.startswith("builtin:"):
-        return builtin_arrangement(ref.split(":", 1)[1])
-    return _arrangement(_line_strings(read_json(ref) if isinstance(ref, str) else ref))
+    return _arrangement(_arrangement_key(ref))
 
 
-def cover_from_json(data: dict) -> CoverModel:
+def cover_from_json(data: dict, text: str | None = None) -> CoverModel:
     """Schema: {"arrangement": ref, "m": int, "k": int, "phi": [[..],..],
-    "blow_up": "all_r_ge_3" | [point ids]}."""
+    "blow_up": "all_r_ge_3" | [point ids]}.  text is the document's own
+    text, kept with the cover unless the arrangement is a file."""
     require_object(data, "cover")
     try:
-        arr = resolve_arrangement(data["arrangement"])
+        ref = data["arrangement"]
+        key = _arrangement_key(ref)
+        arr = _arrangement(key)
         rows = data["phi"]
         if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
             raise ValueError("cover JSON field 'phi' must be an array of arrays, one per line")
@@ -153,12 +185,21 @@ def cover_from_json(data: dict) -> CoverModel:
         blow = data.get("blow_up", BLOW_ALL_TRIPLE)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed cover JSON: {exc}") from exc
-    return _cover(arr, phi, blow)
+    if isinstance(ref, str) and not ref.startswith("builtin:"):
+        text = None  # the arrangement file can change under the same text
+    return _cover(arr, phi, blow, text, key)
 
 
 def resolve_cover(ref: str) -> CoverModel:
     """Accept 'builtin:<name>' or a cover JSON file path; the last cover
-    resolved is kept (`_cover`)."""
+    resolved is kept (`_cover`).  A file whose text is the kept cover's
+    document is that cover, before any parse or check, as long as the
+    arrangement memo holds the kept cover's arrangement for its key."""
     if ref.startswith("builtin:"):
         return builtin_cover(ref.split(":", 1)[1])
-    return cover_from_json(read_json(ref))
+    text = read_text(ref)
+    if _kept is not None:
+        cover, kept_text, key = _kept
+        if kept_text == text and _arrangement(key) is cover.arrangement:
+            return cover
+    return cover_from_json(parse_json(text, ref), text)

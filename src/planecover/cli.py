@@ -11,13 +11,12 @@ Exit codes: 0 success, 1 verification mismatch, 2 input error.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from collections import Counter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .jsonio import read_json
+from .jsonio import dumps, read_json
 
 if TYPE_CHECKING:
     import argparse
@@ -31,13 +30,13 @@ if TYPE_CHECKING:
 #
 # Of planecover, this module imports only `jsonio` when it loads: the reader
 # every command that takes a document loads anyway, through `catalog` or
-# `bounds`.  The resolvers below import `catalog` (and through it
-# `arrangement`, `homology` and `linalg`) when a handler resolves an
-# arrangement or a cover, so `bounds check` loads no geometry.  Each builder
-# imports the other pipeline modules its report needs when it runs, so a
-# command loads only those (only `cover invariants` and `paper verify` load
-# the invariants modules `cover` and `intersection`) and reads each name from
-# its defining module at call time.  The builders (and, for `bounds check`
+# `bounds`, and the JSON report writer (`_emit`).  The resolvers below import
+# `catalog` (and through it `arrangement`, `homology` and `linalg`) when a
+# handler resolves an arrangement or a cover, so `bounds check` loads no
+# geometry.  Each builder imports the other pipeline modules its report needs
+# when it runs, so a command loads only those (only `cover invariants` and
+# `paper verify` load the invariants modules `cover` and `intersection`) and
+# reads each name from its defining module at call time.  The builders (and, for `bounds check`
 # and `paper verify`, `bounds` and `verify`) are the only place a record
 # becomes a report dict.  The symmetry and real builders take the Klein
 # model, which a cover keeps (`CoverModel.klein_model`), and `catalog` keeps
@@ -250,7 +249,7 @@ def _short(value) -> str:
 
 def _emit(report: dict, command: str, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = dumps(report) + "\n"
     else:
         text = _render_text(command, report)
     if out:

@@ -64,11 +64,13 @@ def _charset_matrix(perm: Perm, phi: Epimorphism) -> Matrix:
 
 def deck_action_of(perm: Perm, anti: bool, phi: Epimorphism) -> Matrix:
     """Automorphism of the deck group induced by conjugation: eps * P^T."""
-    p = _charset_matrix(perm, phi)
+    return _deck_action(_charset_matrix(perm, phi), anti, phi.m)
+
+
+def _deck_action(p: Matrix, anti: bool, m: int) -> Matrix:
+    """eps * P^T mod m, eps = -1 iff anti."""
     eps = -1 if anti else 1
-    return tuple(
-        tuple((eps * p[j][i]) % phi.m for j in range(phi.k)) for i in range(phi.k)
-    )
+    return tuple(tuple((eps * row[i]) % m for row in p) for i in range(len(p)))
 
 
 def _mat_apply(mat: Matrix, v: Vector, m: int) -> Vector:
@@ -97,12 +99,14 @@ class KleinModel(NamedTuple):
     character-preserving automorphisms that keep the blow-up set, kept in
     `character_preserving` for the reports (a line maps only to a line of
     its class under phi's rows, `incidence_automorphisms`: 19-99 nodes in
-    the median on the census covers), and two realizability tests per
+    the median on the census covers), two realizability tests per
     permutation, each solved once per arrangement and then read from it
     (`realize_symmetry`), so another cover of the same arrangement repeats
-    no realization.  A cover keeps its model (`CoverModel.klein_model`), and
-    `catalog` keeps the last cover resolved, so that cover's later commands
-    do not build it again.  A class's real blown points are read from its
+    no realization, and one k x k elimination mod m per realized
+    permutation (`_charset_matrix`), whose solution P gives both deck
+    actions, P^T and -P^T.  A cover keeps its model
+    (`CoverModel.klein_model`), and `catalog` keeps the last cover
+    resolved, so that cover's later commands do not build it again.  A class's real blown points are read from its
     permutation (`fixed_points_of`), in O(sum of r_p) up to a sort per
     point and with nothing cached.  Every question about G asked here
     reduces to H and linear algebra mod m on the A_s: the real-structure
@@ -156,14 +160,15 @@ def klein_model(cover: CoverModel) -> KleinModel:
     realized: list[RealizedSymmetry] = []
     rejected: list[tuple[Perm, bool]] = []
     for perm in preserving:  # sorted, so `realized` is sorted by (perm, anti)
+        p = None  # the permutation's charset matrix, solved once for both actions
         for anti in (False, True):
             matrix = realize_symmetry(arr, perm, anti)
             if matrix is None:
                 rejected.append((perm, anti))
-            else:
-                realized.append(
-                    RealizedSymmetry(perm, anti, matrix, deck_action_of(perm, anti, phi))
-                )
+                continue
+            if p is None:
+                p = _charset_matrix(perm, phi)
+            realized.append(RealizedSymmetry(perm, anti, matrix, _deck_action(p, anti, phi.m)))
     return KleinModel(
         cover=cover,
         realized=tuple(realized),

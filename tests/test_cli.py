@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,8 +11,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from planecover import cli
+from planecover import cli, jsonio
 from planecover.cli import run
+from test_symmetry import QUAD_COVERS, hesse, random_smooth_cover
 
 
 def capture(capsys, argv):
@@ -816,3 +818,77 @@ def test_reproduce_examples_prints_only_the_cli_reports(capsys):
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "".join(out for _, out in expected).encode()
+
+
+# -- the JSON writer -------------------------------------------------------------
+
+def stdlib_json(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+# nested dicts, lists and tuples, empty ones at every depth; any text; ints
+# of up to 30 digits; lists of ints or of strings, which the writer joins in
+# one call; and lists mixing bools and None with ints, which it must not
+big_ints = st.integers(-(10**30), 10**30)
+json_values = st.recursive(
+    st.none() | st.booleans() | big_ints | st.text()
+    | st.lists(big_ints)
+    | st.lists(st.text())
+    | st.lists(st.sampled_from([None, True, False, 0, 1, -1])),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example({"q\"b\\s\n\x00\x1f\x7f": ["é", " ", "\U0001f600", "'\"\\/"], "": {}})
+@example([True, 1, False, 0, None, -(10**29) - 7, 12345678901234567890123456789])
+@example([[], {}, (), [[], [{}]], {"a": [], "b": {"c": ()}}])
+@example((1, (2, "3"), [True], {"z": 1, "a": -1, "m": (None,)}))
+def test_the_json_writer_writes_what_json_dumps_writes(value):
+    assert jsonio.dumps(value) == stdlib_json(value)
+
+
+def test_every_report_is_written_as_json_dumps_writes_it(tmp_path, capsys, monkeypatch):
+    """Each report of example1-3, the Kummer rungs over the quadrilateral and
+    a random census-shaped cover (Hesse, inline lines, onto (Z/5)^3), in
+    every command, and the text the command prints."""
+    reports = []
+
+    def recording(value):
+        reports.append(value)
+        return jsonio.dumps(value)
+
+    monkeypatch.setattr(cli, "dumps", recording)
+    covers = [f"builtin:example{i}" for i in (1, 2, 3)]
+    for name in ("quadrilateral_5_3", "quadrilateral_5_4", "kummer_3_5"):
+        m, rows = QUAD_COVERS[name]
+        doc = {"arrangement": "builtin:complete_quadrilateral", "m": m, "k": len(rows[0]), "phi": rows}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        covers.append(str(path))
+    census = random_smooth_cover(hesse(), 5, 3, random.Random(1))
+    census_lines = {"lines": [line.as_strings() for line in census.arrangement.lines]}
+    doc = {"arrangement": census_lines, "m": 5, "k": 3, "phi": [list(r) for r in census.phi.rows]}
+    path = tmp_path / "census.json"
+    path.write_text(json.dumps(doc))
+    covers.append(str(path))
+    (tmp_path / "census-arrangement.json").write_text(json.dumps(census_lines))
+    hodge = tmp_path / "hodge.json"
+    hodge.write_text(json.dumps(HODGE))
+    commands = [[*command, ref] for ref in covers for command in (
+        ["cover", "smoothness"], ["cover", "invariants"], ["characters", "list"],
+        ["symmetry", "search"], ["real", "classify"],
+    )]
+    commands += [["arrangement", "info", ref, "--autos"] for ref in (
+        "builtin:dual_hesse", "builtin:complete_quadrilateral", str(tmp_path / "census-arrangement.json"),
+    )]
+    commands += [["bounds", "check", str(hodge), "--k3", "1"], ["paper", "verify"]]
+    for argv in commands:
+        code, out = capture(capsys, ["--format", "json", *argv])
+        assert code == 0
+        assert out == stdlib_json(reports[-1]) + "\n"
+    assert len(reports) == len(commands)

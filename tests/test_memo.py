@@ -35,7 +35,7 @@ from planecover.arrangement import (
     fixed_points_of,
     realize_symmetry,
 )
-from planecover.catalog import ARRANGEMENT_MEMO_SIZE, PHI1, resolve_arrangement, resolve_cover
+from planecover.catalog import ARRANGEMENT_MEMO_SIZE, PHI1, PHI2, resolve_arrangement, resolve_cover
 from planecover.cli import run
 from test_cover import RANDOM_COVER_SHAPES
 from test_loader_fuzz import QUAD_COVER, QUAD_LINES
@@ -471,6 +471,84 @@ def test_the_kept_cover_shares_the_arrangement_memos_object(tmp_path):
     assert rebuilt.arrangement is not cover.arrangement
     assert resolve_cover(ref) is rebuilt
 
+
+
+# -- the kept cover found by its document's text ---------------------------------
+
+
+def test_a_builtin_cover_between_two_reads_of_a_document_replaces_its_text(tmp_path):
+    # example2's cover: the same shared arrangement as example1
+    doc = write(tmp_path / "a.json", {"arrangement": "builtin:dual_hesse", "m": 5, "k": 2,
+                                      "phi": [list(r) for r in PHI2.rows]})
+    first = resolve_cover(doc)
+    example1 = resolve_cover("builtin:example1")
+    assert example1.arrangement is first.arrangement
+    again = resolve_cover(doc)
+    assert again == first != example1
+    assert again.phi == PHI2
+
+
+def test_a_document_naming_an_arrangement_file_is_resolved_anew(tmp_path):
+    lines = tmp_path / "lines.json"
+    write(lines, {"lines": QUAD_LINES})
+    doc = write(tmp_path / "cover.json", {**QUAD_COVER, "arrangement": str(lines)})
+    first = resolve_cover(doc)
+    assert first.arrangement is resolve_arrangement({"lines": QUAD_LINES})
+    # the same cover document, byte for byte, over the lines in another order
+    write(lines, {"lines": QUAD_LINES[::-1]})
+    second = resolve_cover(doc)
+    assert second.arrangement is resolve_arrangement({"lines": QUAD_LINES[::-1]})
+    # and over five lines, which phi's six rows do not fit
+    write(lines, {"lines": QUAD_LINES[:5]})
+    with pytest.raises(ValueError, match="6 rows but the arrangement has 5 lines"):
+        resolve_cover(doc)
+
+
+@pytest.fixture
+def parses_and_epimorphisms(monkeypatch):
+    """The calls to `json.loads` and to `Epimorphism`'s constructor."""
+    calls = []
+    loads, new = json.loads, homology.Epimorphism.__new__
+
+    def counted_loads(*args, **kwargs):
+        calls.append("loads")
+        return loads(*args, **kwargs)
+
+    def counted_new(cls, *args, **kwargs):
+        calls.append("Epimorphism")
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted_loads)
+    monkeypatch.setattr(homology.Epimorphism, "__new__", counted_new)
+    return calls
+
+
+@pytest.mark.parametrize("arrangement_ref", ["builtin:complete_quadrilateral", {"lines": QUAD_LINES}],
+                         ids=["builtin", "inline"])
+def test_a_repeated_document_is_neither_parsed_nor_checked(
+    tmp_path, parses_and_epimorphisms, arrangement_ref
+):
+    doc = {**QUAD_COVER, "arrangement": arrangement_ref}
+    one, two = (write(tmp_path / name, doc) for name in ("one.json", "two.json"))
+    first = resolve_cover(one)
+    assert parses_and_epimorphisms == ["loads", "Epimorphism"]
+    parses_and_epimorphisms.clear()
+    assert resolve_cover(two) is first
+    assert resolve_cover(one) is first
+    assert parses_and_epimorphisms == []
+
+
+def test_a_document_with_other_whitespace_finds_the_kept_cover_by_content(
+    tmp_path, parses_and_epimorphisms
+):
+    doc = {**QUAD_COVER, "arrangement": {"lines": QUAD_LINES}}
+    first = resolve_cover(write(tmp_path / "one.json", doc))
+    spaced = tmp_path / "spaced.json"
+    spaced.write_text(json.dumps(doc, indent=4))
+    assert resolve_cover(str(spaced)) is first
+    assert parses_and_epimorphisms == ["loads", "Epimorphism"] * 2
+    assert resolve_cover(str(spaced)) is first
+    assert len(parses_and_epimorphisms) == 4
 
 # the quadrilateral shapes (n = 6, m^k <= 125) of the random smooth covers
 QUAD_SHAPES = [(m, k) for build, m, k in RANDOM_COVER_SHAPES if build is complete_quadrilateral]

@@ -19,6 +19,7 @@ from klein_oracle import (
     is_involution,
 )
 from realize_oracle import IDENTITY3
+from planecover import symmetry
 from planecover.arrangement import (
     Line,
     build_arrangement,
@@ -34,7 +35,7 @@ from planecover.catalog import PHI1, PHI2, PHI3, builtin_arrangement, builtin_co
 from planecover.characters import enumerate_characters, preserves_charset
 from planecover.cli import run
 from planecover.cyclotomic import ONE, ZERO, ZETA, CycNumber, parse_cyc
-from planecover.homology import BLOW_ALL_TRIPLE, CoverModel, Epimorphism, rank_mod_p
+from planecover.homology import BLOW_ALL_TRIPLE, CoverModel, Epimorphism, rank_mod_p, solve_mod_p
 from planecover.linalg import (
     adjugate,
     conj_vec,
@@ -105,6 +106,24 @@ def test_deck_action_of_opposite_swap_exchanges_generators():
 def test_deck_action_rejects_non_preserving_permutation():
     with pytest.raises(ValueError, match="does not preserve"):
         deck_action_of((1, 0) + tuple(range(2, 9)), False, PHI2)
+
+
+def test_klein_model_solves_each_charset_matrix_once(cq, monkeypatch):
+    """Both deck actions of a permutation come from one elimination: 24
+    character-preserving permutations, 48 realized symmetries, 24 solves."""
+    cover = named_cover("kummer_3_5", cq)
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return solve_mod_p(*args)
+
+    monkeypatch.setattr(symmetry, "solve_mod_p", counted)
+    model = klein_model(cover)
+    assert (len(model.character_preserving), len(model.realized), len(solves)) == (24, 48, 24)
+    monkeypatch.undo()
+    for r in model.realized:
+        assert r.deck_aut == deck_action_of(r.perm, r.anti, cover.phi)
 
 
 def test_klein_model_example1(model1):
