@@ -59,6 +59,8 @@ def hodge_from_surface(k2: int, euler: int, q: int = 0, nu: int = 0, **kw) -> Ho
     chi = (K^2 + e)/12 must be an integer (Noether); then p_g = chi - 1 + q
     and h11 = e - 2 + 4q - 2 p_g.
     """
+    if q < 0:
+        raise ValueError(f"q must be non-negative, got {q}")
     if (k2 + euler) % 12:
         raise ValueError(f"K^2 + e = {k2 + euler} is not divisible by 12")
     chi = (k2 + euler) // 12

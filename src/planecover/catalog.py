@@ -9,30 +9,25 @@ line coefficient strings (`_arrangement`), and the one object is shared by
 every query that names it, with its search state (`search.SearchState`,
 built on first use).  It must not be mutated.
 
-The last cover resolved is kept (`_kept`), builtin or from a file, so the
-commands on one cover in a row certify smoothness once and, since a cover
-keeps its own Klein model (`CoverModel.klein_model`), build one model.  A
-cover is found again by its validated content: the shared arrangement, the
-normalized epimorphism and the blown point ids, never a file path.  One
-cover is kept: the commands on a cover come in a row, and a second cover
-replaces the first.
-
-Before that, a cover file is matched by its text: a document whose text is
-that of the kept cover's document, and whose arrangement the memo still
-holds as the kept cover's object, is the kept cover, with no parse and no
-check.  The text is kept only for a document that names its arrangement
-builtin or inline; one that names an arrangement file is read and checked
-anew every time, since that file can change under the same text.  The key
-is the text and not the parsed document, since `1 == 1.0 == True` while
-only the first is a valid entry.
+The last cover resolved is kept (`_kept`) under one key, so the commands on
+one cover in a row certify smoothness once and, since a cover keeps its own
+Klein model (`CoverModel.klein_model`), build one model.  A builtin cover's
+key is its name in a 1-tuple; a cover file's is its document's text, never
+its path, so a repeated document is the kept cover with no parse and no
+check.  The key is the text and not the parsed document, since
+`1 == 1.0 == True` while only the first is a valid entry.  A document that
+names its arrangement by a file path is never kept, since that file can
+change under the same text.  One cover is kept: the commands on a cover
+come in a row, and a second cover replaces the first.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
 
 from .arrangement import Arrangement, Line, build_arrangement, complete_quadrilateral, dual_hesse
-from .homology import BLOW_ALL_TRIPLE, CoverModel, Epimorphism, blown_point_ids
+from .homology import BLOW_ALL_TRIPLE, CoverModel, Epimorphism
 from .jsonio import parse_json, read_json, read_text, require_object
 
 PHI1 = Epimorphism(
@@ -123,33 +118,25 @@ def _arrangement_key(ref: str | dict) -> str | LineStrings:
     return _line_strings(read_json(ref) if isinstance(ref, str) else ref)
 
 
-# the last cover resolved, with the text of the cover document it came from
-# and that document's arrangement key; no text for a builtin cover or a
-# document that names an arrangement file
-_kept: tuple[CoverModel, str | None, str | LineStrings | None] | None = None
+# the last cover resolved: its key, a builtin cover's (name,) or a cover
+# file's text, its arrangement's memo key, and the cover
+_kept: tuple[tuple[str] | str, str | LineStrings, CoverModel] | None = None
 
 
-def _cover(
-    arr: Arrangement,
-    phi: Epimorphism,
-    blow: str | list[int],
-    text: str | None = None,
-    key: str | LineStrings | None = None,
+def _kept_or_made(
+    key: tuple[str] | str, make: Callable[[], tuple[str | LineStrings | None, CoverModel]]
 ) -> CoverModel:
-    """The cover of the shared arrangement arr, certified only if it is not
-    the kept cover, and kept with its document's text and arrangement key.
-    The row count and the blow-up input are validated first, so a malformed
-    cover is refused the same way whether or not a cover is kept."""
+    """The kept cover if its key is key, else the cover make() builds with
+    its arrangement's memo key, kept unless that key is None."""
     global _kept
-    blown = blown_point_ids(arr, phi, blow)
-    cover = _kept[0] if _kept is not None else None
-    # arr is the one object the arrangement memo holds for its key, so an
-    # evicted and rebuilt arrangement gives a new cover
-    if cover is None or not (
-        cover.arrangement is arr and cover.phi == phi and cover.blown_ids == blown
-    ):
-        cover = CoverModel.build(arr, phi, blown)
-    _kept = (cover, text, key)
+    if _kept is not None:
+        kept_key, arr_key, cover = _kept
+        # the memo's object for the key: an evicted and rebuilt arrangement
+        # gives a new cover
+        if kept_key == key and _arrangement(arr_key) is cover.arrangement:
+            return cover
+    arr_key, cover = make()
+    _kept = None if arr_key is None else (key, arr_key, cover)
     return cover
 
 
@@ -160,7 +147,9 @@ def builtin_cover(name: str) -> CoverModel:
         raise ValueError(
             f"unknown builtin cover {name!r}; available: {sorted(_COVERS)}"
         ) from None
-    return _cover(builtin_arrangement(arr_name), phi, BLOW_ALL_TRIPLE)
+    return _kept_or_made(
+        (name,), lambda: (arr_name, CoverModel.build(_arrangement(arr_name), phi))
+    )
 
 
 def resolve_arrangement(ref: str | dict) -> Arrangement:
@@ -169,10 +158,10 @@ def resolve_arrangement(ref: str | dict) -> Arrangement:
     return _arrangement(_arrangement_key(ref))
 
 
-def cover_from_json(data: dict, text: str | None = None) -> CoverModel:
+def cover_from_json(data: dict) -> tuple[str | LineStrings | None, CoverModel]:
     """Schema: {"arrangement": ref, "m": int, "k": int, "phi": [[..],..],
-    "blow_up": "all_r_ge_3" | [point ids]}.  text is the document's own
-    text, kept with the cover unless the arrangement is a file."""
+    "blow_up": "all_r_ge_3" | [point ids]}.  The cover, after the memo key
+    of its arrangement, None for an arrangement file, which can change."""
     require_object(data, "cover")
     try:
         ref = data["arrangement"]
@@ -186,20 +175,15 @@ def cover_from_json(data: dict, text: str | None = None) -> CoverModel:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed cover JSON: {exc}") from exc
     if isinstance(ref, str) and not ref.startswith("builtin:"):
-        text = None  # the arrangement file can change under the same text
-    return _cover(arr, phi, blow, text, key)
+        key = None
+    return key, CoverModel.build(arr, phi, blow)
 
 
 def resolve_cover(ref: str) -> CoverModel:
     """Accept 'builtin:<name>' or a cover JSON file path; the last cover
-    resolved is kept (`_cover`).  A file whose text is the kept cover's
-    document is that cover, before any parse or check, as long as the
-    arrangement memo holds the kept cover's arrangement for its key."""
+    resolved is kept (`_kept_or_made`), and a file whose text is the kept
+    cover's document is that cover, before any parse or check."""
     if ref.startswith("builtin:"):
         return builtin_cover(ref.split(":", 1)[1])
     text = read_text(ref)
-    if _kept is not None:
-        cover, kept_text, key = _kept
-        if kept_text == text and _arrangement(key) is cover.arrangement:
-            return cover
-    return cover_from_json(parse_json(text, ref), text)
+    return _kept_or_made(text, lambda: cover_from_json(parse_json(text, ref)))

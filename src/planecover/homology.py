@@ -278,31 +278,6 @@ def smoothness_check(arr: Arrangement, phi: Epimorphism, curves: BranchCurves) -
 BLOW_ALL_TRIPLE = "all_r_ge_3"
 
 
-def blown_point_ids(
-    arr: Arrangement, phi: Epimorphism, blow: str | list[int] | tuple[int, ...]
-) -> tuple[int, ...]:
-    """The sorted point ids that `blow` names on arr, all points of
-    multiplicity at least 3 for `BLOW_ALL_TRIPLE`; refuses phi with a row
-    count other than arr's first, then a blow-up input that is not
-    `BLOW_ALL_TRIPLE` or a list of point ids of arr."""
-    if phi.n != arr.n:
-        raise ValueError(
-            f"epimorphism has {phi.n} rows but the arrangement has {arr.n} lines"
-        )
-    if blow == BLOW_ALL_TRIPLE:
-        return tuple(pid for pid, p in enumerate(arr.points) if p.r >= 3)
-    if isinstance(blow, (list, tuple)) and all(_is_int(b) for b in blow):
-        blown = tuple(sorted(set(blow)))
-        for pid in blown:
-            if not 0 <= pid < len(arr.points):
-                raise ValueError(f"blow-up id {pid} out of range")
-        return blown
-    raise ValueError(
-        f"blow_up must be {BLOW_ALL_TRIPLE!r} or a list of integer point ids, "
-        f"got {blow!r}"
-    )
-
-
 class _CoverFields(NamedTuple):
     arrangement: Arrangement
     phi: Epimorphism
@@ -323,7 +298,26 @@ class CoverModel(_CoverFields):
         phi: Epimorphism,
         blow: str | list[int] | tuple[int, ...] = BLOW_ALL_TRIPLE,
     ) -> CoverModel:
-        blown = blown_point_ids(arr, phi, blow)
+        """The cover with the points `blow` names blown up: all points of
+        multiplicity at least 3 for `BLOW_ALL_TRIPLE`, else a list of point
+        ids of arr.  Refuses phi with a row count other than arr's first,
+        then any other blow-up input."""
+        if phi.n != arr.n:
+            raise ValueError(
+                f"epimorphism has {phi.n} rows but the arrangement has {arr.n} lines"
+            )
+        if blow == BLOW_ALL_TRIPLE:
+            blown = tuple(pid for pid, p in enumerate(arr.points) if p.r >= 3)
+        elif isinstance(blow, (list, tuple)) and all(_is_int(b) for b in blow):
+            blown = tuple(sorted(set(blow)))
+            for pid in blown:
+                if not 0 <= pid < len(arr.points):
+                    raise ValueError(f"blow-up id {pid} out of range")
+        else:
+            raise ValueError(
+                f"blow_up must be {BLOW_ALL_TRIPLE!r} or a list of integer point ids, "
+                f"got {blow!r}"
+            )
         curves = branch_curves(arr, blown, phi)
         return cls(arr, phi, blown, curves, smoothness_check(arr, phi, curves))
 

@@ -148,6 +148,8 @@ HODGE = {"k2": 333, "euler": 111, "p_plus": 0, "p_minus": 36, "components": [[1,
         ({**HODGE, "k3": -1}, "k3 must be non-negative, got -1", []),
         ({**HODGE, "k3": "x"}, "'k3' must be an integer", ["--k3", "0"]),
         ({**HODGE, "k3": -1}, "k3 must be non-negative, got -1", ["--k3", "0"]),
+        # q is h10 of the derived numbers, refused under its own name
+        ({"k2": 333, "euler": 111, "q": -1}, "q must be non-negative, got -1", []),
         # one form only: k2, euler and optional q, or h10, h20 and h11
         ({"k2": 333, "euler": 111, "h10": 5, "h20": 1, "h11": 1},
          "must use one form, k2/euler/q or h10/h20/h11, got k2, euler, h10, h20, h11", []),
@@ -162,7 +164,7 @@ HODGE = {"k2": 333, "euler": 111, "p_plus": 0, "p_minus": 36, "components": [[1,
         "list", "string", "component-str", "component-pair", "component-negative",
         "components-object", "h11-float", "h11-bool", "h10-missing", "euler-missing",
         "k2-str", "p-plus-float", "nu-null", "k3-bool", "k3-negative",
-        "k3-str-under-argument", "k3-negative-under-argument",
+        "k3-str-under-argument", "k3-negative-under-argument", "q-negative",
         "mixed-forms", "q-beside-hodge-numbers", "h11-beside-surface",
         "q-only", "q-and-nu",
     ],

@@ -383,8 +383,8 @@ def test_a_rewritten_cover_file_is_answered_anew(tmp_path):
         assert json.loads(warm[0][1])["k"] == len(rows[0])
 
 
-# unhashable and out-of-range fields are refused before the kept cover is
-# consulted, with the same line whether or not a cover is kept
+# unhashable and out-of-range fields are refused with the same line whether
+# or not a cover is kept
 BLOW_UP_TEXT = "blow_up must be 'all_r_ge_3' or a list of integer point ids, got "
 UNHASHABLE_FIELDS = [
     ({"blow_up": {}}, BLOW_UP_TEXT + "{}"),
@@ -446,13 +446,15 @@ def test_a_second_cover_replaces_the_kept_one(tmp_path, calls):
     assert one.klein_model is model
     again = resolve_cover("builtin:example1")
     assert again is not one and again == one
-    # found by content: a file with example1's content is the kept cover
+    # a file with example1's content has another key, its text, so it is
+    # certified again as a new cover
     doc = {"arrangement": "builtin:dual_hesse", "m": 5, "k": 2, "phi": [list(r) for r in PHI1.rows]}
-    assert resolve_cover(write(tmp_path / "example1.json", doc)) is again
+    from_file = resolve_cover(write(tmp_path / "example1.json", doc))
+    assert from_file is not again and from_file == again
     # the new cover object builds its own model, once
     assert again.klein_model is again.klein_model is not model
     assert again.klein_model == model
-    assert Counter(c for c in calls if c in COVER_WORK) == {"smoothness_check": 3, "klein_model": 2}
+    assert Counter(c for c in calls if c in COVER_WORK) == {"smoothness_check": 4, "klein_model": 2}
 
 
 def test_the_kept_cover_shares_the_arrangement_memos_object(tmp_path):
@@ -538,17 +540,38 @@ def test_a_repeated_document_is_neither_parsed_nor_checked(
     assert parses_and_epimorphisms == []
 
 
-def test_a_document_with_other_whitespace_finds_the_kept_cover_by_content(
-    tmp_path, parses_and_epimorphisms
+def test_a_document_with_other_whitespace_is_parsed_and_certified_again(
+    tmp_path, calls, parses_and_epimorphisms
 ):
     doc = {**QUAD_COVER, "arrangement": {"lines": QUAD_LINES}}
-    first = resolve_cover(write(tmp_path / "one.json", doc))
+    one = write(tmp_path / "one.json", doc)
     spaced = tmp_path / "spaced.json"
     spaced.write_text(json.dumps(doc, indent=4))
-    assert resolve_cover(str(spaced)) is first
+    first = resolve_cover(one)
+    second = resolve_cover(str(spaced))
+    assert second is not first and second == first
+    assert resolve_cover(str(spaced)) is second
     assert parses_and_epimorphisms == ["loads", "Epimorphism"] * 2
-    assert resolve_cover(str(spaced)) is first
-    assert len(parses_and_epimorphisms) == 4
+    assert calls.count("smoothness_check") == 2
+    # each command on the re-spaced document, right after the same command
+    # on the first, reports as a cold run does
+    for command in COVER_COMMANDS:
+        clear_memos()
+        cold = run_captured(["--format", "json", *command, str(spaced)])
+        run_captured(["--format", "json", *command, one])
+        assert run_captured(["--format", "json", *command, str(spaced)]) == cold
+
+
+def test_a_file_whose_text_is_a_builtin_name_is_not_the_builtin_cover(tmp_path):
+    path = tmp_path / "example1.json"
+    path.write_text("builtin:example1")
+    for command in COVER_COMMANDS:
+        clear_memos()
+        code, out, err = cold = run_captured([*command, str(path)])
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert run_captured([*command, "builtin:example1"])[0] == 0
+        assert run_captured([*command, str(path)]) == cold
+
 
 # the quadrilateral shapes (n = 6, m^k <= 125) of the random smooth covers
 QUAD_SHAPES = [(m, k) for build, m, k in RANDOM_COVER_SHAPES if build is complete_quadrilateral]
