@@ -10,7 +10,8 @@ so does what they keep per arrangement (`search.SearchState`).  This
 module reaches them through `Arrangement._search`, which builds that
 state on first use, and `combinatorial_automorphisms`; those are the only
 two places that import `search`, so a command that reads only incidence,
-such as `cover smoothness`, never compiles it.
+such as `cover smoothness`, never compiles it.  An arrangement keeps its
+blown planes too (`Arrangement._planes`), which `homology` makes.
 """
 
 from __future__ import annotations
@@ -90,6 +91,13 @@ class Arrangement(_ArrangementFields):
         from .search import SearchState
 
         return SearchState(self)
+
+    @cached_property
+    def _planes(self) -> dict:
+        """The blown planes kept for this arrangement (`homology.BlownPlane`)
+        by (blown_ids, m, k), each made when a cover of that shape is first
+        built (`homology.blown_plane`): what its covers share reads no phi."""
+        return {}
 
     @property
     def automorphism_order(self) -> int:

@@ -7,7 +7,9 @@ points of multiplicity at least 3.  A cover is resolved to a `CoverModel`.
 An arrangement is built once per process for each builtin name or tuple of
 line coefficient strings (`_arrangement`), and the one object is shared by
 every query that names it, with its search state (`search.SearchState`,
-built on first use).  It must not be mutated.
+built on first use) and its blown planes (`homology.BlownPlane`, one per
+blow-up set, m and k, with the invariants and 3K records that read no
+phi).  It must not be mutated.
 
 The last cover resolved is kept (`_kept`) under one key, so the commands on
 one cover in a row certify smoothness once and, since a cover keeps its own

@@ -5,10 +5,16 @@ epimorphism phi onto (Z/mZ)^k.  All invariants are computed on the blown
 plane and scaled by the covering degree: the canonical class of the cover is
 the pullback of K_tilde + ((m-1)/m) B where B is the branch divisor class,
 the Euler characteristic comes from the stratification into the free part,
-the m^(k-1)-fold branch curves, and the m^(k-2)-fold crossing points.  The
-crossings come from `homology.branch_curves`; `invariants` reads each
-curve's meeting images from the cover's table, built once by
-`CoverModel.build`.
+the m^(k-1)-fold branch curves, and the m^(k-2)-fold crossing points.
+
+None of these numbers reads phi: they depend on the arrangement, the blown
+points, m and k alone.  So `invariants` and `three_canonical_decomposition`
+make their records once per blown plane and keep them on it
+(`homology.BlownPlane`, kept on the arrangement with its crossings), and
+every cover of that shape reads them.  What reads phi runs for each cover:
+its smoothness certificate (`CoverModel.require_smooth`), and, for each
+curve with p_a < 0, the count of the curve's preimages, from the meeting
+images of the cover's `branch_curves` table.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arrangement import Arrangement
-from .homology import CoverModel, Epimorphism, Vector, branch_curves, rank_mod_p
+from .homology import BlownPlane, CoverModel, Epimorphism, Vector, blown_plane, rank_mod_p
 from .intersection import Blown, DivisorClass, exceptional, pairing, strict_transforms
 
 # -- canonical class -----------------------------------------------------------
@@ -47,14 +53,14 @@ def stratified_euler(
     Requires every unblown point to be 2-fold so that at most two branch
     components pass through any point, all transversally.  On the plane
     blown up at b points the n + b branch curves are rational and cross at
-    the c points that `homology.branch_curves` lists: r_p over each blown
-    point p and one over each unblown double point.  The free part has
-    e = 3 + b - 2(n + b) + c and the curves less their crossings
+    the c points that the kept plane lists (`homology.BlownPlane`): r_p over
+    each blown point p and one over each unblown double point.  The free
+    part has e = 3 + b - 2(n + b) + c and the curves less their crossings
     2(n + b) - 2c; the cover has m^k, m^(k-1) and m^(k-2) points over a
     point of each stratum (Hirzebruch, "Arrangements of lines and algebraic
     surfaces", 1983).
     """
-    crossings = branch_curves(arr, blown_ids).crossings
+    crossings = blown_plane(arr, blown_ids, m, k).crossings
     for p, pairs in zip(arr.points, crossings):
         if not pairs:
             raise ValueError(
@@ -92,47 +98,38 @@ class InvariantReport(NamedTuple):
     point_curves: tuple[CurveInvariants, ...]
 
 
-def invariants(cover: CoverModel) -> InvariantReport:
-    """K^2, e, chi and the per-curve data of a smooth cover.
+class _KeptInvariants(NamedTuple):
+    """What `invariants` keeps per blown plane: the report, and the curves
+    whose genus each cover checks, in curve order, with p_a, None for an
+    odd C^2 + (C, K) that fits no genus."""
 
-    K^2 and the per-curve numbers take O(n + sum of r_p) integer steps: a
-    branch curve C over a curve D of the blown plane has m C = pi^* D, so
-    C^2 = m^(k-2) D^2 and (C, K) = m^(k-1) (D, K_adj) = m^(k-2) (D, m K_adj);
-    K^2 = m^k K_adj^2 = m^(k-2) (m K_adj)^2.  A smooth cover has k >= 2
-    (`homology._independent`), so m^(k-2) is an integer.  Each curve's
-    meeting images are read from the cover's `branch_curves` table.
-    """
-    cover.require_smooth()
-    arr, m, k = cover.arrangement, cover.m, cover.k
-    blown = frozenset(cover.blown_ids)
+    report: InvariantReport
+    checks: tuple[tuple[int, int | None], ...]
+
+
+def _plane_invariants(plane: BlownPlane) -> _KeptInvariants:
+    arr, m, k, blown_ids = plane.arrangement, plane.m, plane.k, plane.blown_ids
+    blown = frozenset(blown_ids)
     mkadj = adjoint_class(arr, blown, m)
     scale = m ** (k - 2)
     k2 = scale * pairing(mkadj, mkadj)
-    euler = stratified_euler(arr, cover.blown_ids, m, k)
+    euler = stratified_euler(arr, blown_ids, m, k)
     chi = (k2 + euler) // 12
     if (k2 + euler) % 12:
         raise ValueError(f"K^2 + e = {k2 + euler} violates the Noether quotient")
     labels = (
         *(f"C{i + 1}" for i in range(arr.n)),
-        *("D" + ",".join(map(str, arr.points[pid].incident_1based())) for pid in cover.blown_ids),
+        *("D" + ",".join(map(str, arr.points[pid].incident_1based())) for pid in blown_ids),
     )
-    classes = (*strict_transforms(arr, blown), *(exceptional(pid, blown) for pid in cover.blown_ids))
-    found, meeting = [], None
+    classes = (*strict_transforms(arr, blown), *(exceptional(pid, blown) for pid in blown_ids))
+    found, checks = [], []
     for c, (label, cls) in enumerate(zip(labels, classes)):
         self_int, k_degree = scale * pairing(cls, cls), scale * pairing(cls, mkadj)
-        # p_a of a preimage of d disjoint curves of genus g is d (g - 1) + 1:
-        # a negative p_a needs d | p_a - 1 and g >= 0, where d = m^(k - r)
-        # and r is the rank of phi of the curve and of the curves crossing it
         p_a, odd = divmod(self_int + k_degree + 2, 2)
-        valid = not odd
-        if valid and p_a < 0:
-            meeting = meeting or cover.curves.meeting()
-            d = m ** (k - rank_mod_p(meeting[c], m))
-            valid = (p_a - 1) % d == 0 and p_a >= 1 - d
-        if not valid:
-            raise ValueError(f"adjunction gives no valid genus for {label}")
+        if odd or p_a < 0:
+            checks.append((c, None if odd else p_a))
         found.append(CurveInvariants(label, self_int, k_degree, p_a))
-    return InvariantReport(
+    report = InvariantReport(
         m=m,
         k=k,
         k2=k2,
@@ -142,6 +139,35 @@ def invariants(cover: CoverModel) -> InvariantReport:
         line_curves=tuple(found[: arr.n]),
         point_curves=tuple(found[arr.n :]),
     )
+    return _KeptInvariants(report, tuple(checks))
+
+
+def invariants(cover: CoverModel) -> InvariantReport:
+    """K^2, e, chi and the per-curve data of a smooth cover.
+
+    K^2 and the per-curve numbers take O(n + sum of r_p) integer steps: a
+    branch curve C over a curve D of the blown plane has m C = pi^* D, so
+    C^2 = m^(k-2) D^2 and (C, K) = m^(k-1) (D, K_adj) = m^(k-2) (D, m K_adj);
+    K^2 = m^k K_adj^2 = m^(k-2) (m K_adj)^2.  A smooth cover has k >= 2
+    (`homology._independent`), so m^(k-2) is an integer.  None of this reads
+    phi, so the report is made once per blown plane and kept there
+    (`BlownPlane.record`); each cover checks only the genus of the curves
+    with p_a < 0, reading their meeting images from its `branch_curves`
+    table.
+    """
+    cover.require_smooth()
+    report, checks = cover.plane.record(_plane_invariants)
+    m, k = cover.m, cover.k
+    meeting = cover.curves.meeting() if checks else None
+    for c, p_a in checks:
+        # p_a of a preimage of d disjoint curves of genus g is d (g - 1) + 1:
+        # a negative p_a needs d | p_a - 1 and g >= 0, where d = m^(k - r)
+        # and r is the rank of phi of the curve and of the curves crossing it
+        d = None if p_a is None else m ** (k - rank_mod_p(meeting[c], m))
+        if d is None or (p_a - 1) % d or p_a < 1 - d:
+            curve = (report.line_curves + report.point_curves)[c]
+            raise ValueError(f"adjunction gives no valid genus for {curve.label}")
+    return report
 
 
 # -- tri-canonical decomposition ---------------------------------------------------
@@ -216,10 +242,15 @@ def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposit
     lists the C(n, rem) subsets one by one.  When 3*K_tilde equals minus
     the sum of strict transforms, that is when n = 9 and every blown point
     is 3-fold (`canonical_route`), the distribution is the uniform
-    (2m-3, 3(m-1)).
+    (2m-3, 3(m-1)).  The decomposition reads no phi, so it is made once per
+    blown plane and kept there (`BlownPlane.record`).
     """
     cover.require_smooth()
-    arr, blown, m = cover.arrangement, cover.blown_ids, cover.m
+    return cover.plane.record(_plane_three_k)
+
+
+def _plane_three_k(plane: BlownPlane) -> ThreeCanonicalDecomposition:
+    arr, blown, m = plane.arrangement, plane.blown_ids, plane.m
     n = arr.n
     mkadj = adjoint_class(arr, frozenset(blown), m)
     blown_points = [arr.points[pid] for pid in blown]

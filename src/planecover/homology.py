@@ -9,17 +9,21 @@ supported; every bundled example has m = 5.  A `CoverModel` is an arrangement,
 a blow-up set and an epimorphism, with the table of its branch curves on the
 blown plane (`branch_curves`: phi of each curve and the pairs of curves that
 cross over each point), certified smooth or not from that table; `cover`
-reads it.  `smoothness_check`, `cover.stratified_euler` and the meeting
-images of `cover.invariants` take the crossings from the table;
-`intersection.strict_transforms` and the 3K search's setup in `cover`
-still find the blown points on each line from `arr.points` themselves.
+reads it.  The crossings read no phi: they are built once per arrangement,
+blow-up set, m and k and kept on the arrangement (`BlownPlane`, with the
+records `cover` makes from the plane alone), and `smoothness_check`,
+`cover.stratified_euler` and the meeting images of `cover.invariants` read
+them.  `intersection.strict_transforms` and the 3K search's setup in
+`cover` still find the blown points on each line from `arr.points`
+themselves.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import cache, cached_property
 from itertools import chain, combinations
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
 from .jsonio import _is_int
 
@@ -28,6 +32,7 @@ if TYPE_CHECKING:
     from .symmetry import KleinModel
 
 Vector = tuple[int, ...]
+T = TypeVar("T")
 
 
 def is_prime(n: int) -> bool:
@@ -210,24 +215,53 @@ class BranchCurves(NamedTuple):
         return meeting
 
 
-def branch_curves(
-    arr: Arrangement, blown_ids: tuple[int, ...], phi: Epimorphism | None = None
-) -> BranchCurves:
+class BlownPlane:
+    """The plane Y blown up at `blown_ids`, as every cover of one arrangement
+    with that blow-up set and deck group (Z/mZ)^k sees it: nothing here
+    reads phi.  `blown_plane` keeps one per (blown_ids, m, k) on the
+    arrangement, so the covers of one shape share it.
+
+    `crossings[pid]` lists the pairs of branch curves that cross over point
+    pid, as `BranchCurves` numbers them, built at once.  `record(make)` is
+    make(plane), made the first time it is asked for and kept: `cover`'s
+    invariants and 3K records, which read the plane alone.
+    """
+
+    def __init__(self, arr: Arrangement, blown_ids: tuple[int, ...], m: int, k: int) -> None:
+        self.arrangement, self.blown_ids, self.m, self.k = arr, blown_ids, m, k
+        curve = {pid: arr.n + j for j, pid in enumerate(blown_ids)}
+        self.crossings = tuple(
+            tuple((curve[pid], i) for i in p.incident) if pid in curve
+            else (p.incident,) if p.r == 2
+            else ()
+            for pid, p in enumerate(arr.points)
+        )
+        self._records: dict[Callable, object] = {}
+
+    def record(self, make: Callable[[BlownPlane], T]) -> T:
+        """make(self), kept from its first call; a plane that make refuses
+        is refused again on every call, since a refusal is not kept."""
+        if make not in self._records:
+            self._records[make] = make(self)
+        return self._records[make]
+
+
+def blown_plane(arr: Arrangement, blown_ids: tuple[int, ...], m: int, k: int) -> BlownPlane:
+    """The blown plane that `arr` keeps for (blown_ids, m, k), made on first
+    use (`Arrangement._planes`)."""
+    key = (tuple(blown_ids), m, k)
+    planes = arr._planes
+    if key not in planes:
+        planes[key] = BlownPlane(arr, *key)
+    return planes[key]
+
+
+def branch_curves(arr: Arrangement, blown_ids: tuple[int, ...], phi: Epimorphism) -> BranchCurves:
     """The table of a cover's branch curves, built once per cover by
-    `CoverModel.build` and read by `smoothness_check` and `cover.invariants`;
-    without phi the crossings alone, with no images, as
-    `cover.stratified_euler` counts them."""
-    curve = {pid: arr.n + j for j, pid in enumerate(blown_ids)}
-    crossings = tuple(
-        tuple((curve[pid], i) for i in p.incident) if pid in curve
-        else (p.incident,) if p.r == 2
-        else ()
-        for pid, p in enumerate(arr.points)
-    )
-    images = () if phi is None else (
-        *phi.rows, *(phi.of_loops(arr.points[pid].incident) for pid in blown_ids)
-    )
-    return BranchCurves(crossings, images)
+    `CoverModel.build` and read by `smoothness_check` and `cover.invariants`:
+    the crossings its blown plane keeps and phi's images."""
+    images = (*phi.rows, *(phi.of_loops(arr.points[pid].incident) for pid in blown_ids))
+    return BranchCurves(blown_plane(arr, blown_ids, phi.m, phi.k).crossings, images)
 
 
 class PointCheck(NamedTuple):
@@ -320,6 +354,11 @@ class CoverModel(_CoverFields):
             )
         curves = branch_curves(arr, blown, phi)
         return cls(arr, phi, blown, curves, smoothness_check(arr, phi, curves))
+
+    @property
+    def plane(self) -> BlownPlane:
+        """The blown plane under this cover, kept on its arrangement."""
+        return blown_plane(self.arrangement, self.blown_ids, self.m, self.k)
 
     @property
     def m(self) -> int:

@@ -15,6 +15,7 @@ from planecover.homology import (
     Epimorphism,
     PointCheck,
     SmoothnessCertificate,
+    blown_plane,
     branch_curves,
     galois_kernel,
     is_prime,
@@ -253,10 +254,13 @@ def test_branch_curve_table_of_example3(cq):
     }
     # E_p's image is the sum of the rows of the lines through p
     assert cover.curves.images == (*PHI3.rows, (3, 2), (3, 2), (3, 2), (1, 4))
-    # without phi, the same crossings and no images
-    assert branch_curves(cq, cover.blown_ids) == (cover.curves.crossings, ())
+    # the crossings read no phi: they are the blown plane's, kept on the
+    # arrangement, and every cover of the shape shares them
+    plane = blown_plane(cq, cover.blown_ids, 5, 2)
+    assert cover.plane is plane and cover.curves.crossings is plane.crossings
+    assert blown_plane(cq, cover.blown_ids, 5, 2) is plane and cq._planes[cover.blown_ids, 5, 2] is plane
     # with nothing blown, each triple point is left without a crossing
-    assert [len(pairs) for pairs in branch_curves(cq, ()).crossings] == [0, 1, 0, 0, 1, 0, 1]
+    assert [len(pairs) for pairs in blown_plane(cq, (), 5, 2).crossings] == [0, 1, 0, 0, 1, 0, 1]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 15")

@@ -2,18 +2,21 @@
 `catalog.resolve_cover`.
 
 An arrangement is built once per builtin name or tuple of line strings and
-shared, with its search state (`search.SearchState`), by every later query,
-and the last cover resolved is kept, with the Klein model it keeps: reports
-from a warm process must equal those of cold runs byte for byte, a shared
-arrangement and its state must equal a fresh build's and its kept
-realizations the reference route's, and a later query must not rebuild,
-certify or realize again what an earlier one did.  Fixed points are not
+shared, with its search state (`search.SearchState`) and its blown planes
+(`homology.BlownPlane`, with the records of `cover invariants`), by every
+later query, and the last cover resolved is kept, with the Klein model it
+keeps: reports from a warm process must equal those of cold runs byte for
+byte, a shared arrangement and its state must equal a fresh build's and its
+kept realizations the reference route's, and a later query must not
+rebuild, certify or realize again what an earlier one did, nor skip a
+check that reads the cover's phi.  Fixed points are not
 kept: they are read from each permutation, and must equal the reference
 route's from the kept matrix.
 """
 
 import importlib
 import io
+import itertools
 import json
 import pkgutil
 import random
@@ -27,6 +30,7 @@ from hypothesis import assume, given, settings
 import planecover
 import realize_oracle
 from planecover import arrangement, catalog, homology, search, symmetry
+from planecover import cover as cover_module
 from planecover.arrangement import (
     Line,
     build_arrangement,
@@ -37,6 +41,8 @@ from planecover.arrangement import (
 )
 from planecover.catalog import ARRANGEMENT_MEMO_SIZE, PHI1, PHI2, resolve_arrangement, resolve_cover
 from planecover.cli import run
+from planecover.cover import invariants, three_canonical_decomposition
+from planecover.homology import CoverModel, Epimorphism
 from test_cover import RANDOM_COVER_SHAPES
 from test_loader_fuzz import QUAD_COVER, QUAD_LINES
 from test_symmetry import (
@@ -617,3 +623,150 @@ def test_random_covers_interleaved_warm_equal_cold_and_keep_their_relabelling(
         {" ".join(command): cold["json", tuple(command), ref][1] for command in COVER_COMMANDS} for ref in refs
     )
     assert_relabelled_deck_group(before, after, a, m)
+
+
+# -- the blown planes kept on a shared arrangement --------------------------------
+
+# the shapes whose covers share one blown plane: dual Hesse and the
+# quadrilateral over (Z/5)^2 and (Z/5)^3, and the quadrilateral's m = 2,
+# (Z/2)^4 shape, whose curves have p_a < 0
+PLANE_SHAPES = {
+    "dual_hesse_5_2": ("dual_hesse", 5, 2), "dual_hesse_5_3": ("dual_hesse", 5, 3),
+    "quadrilateral_5_2": ("complete_quadrilateral", 5, 2),
+    "quadrilateral_5_3": ("complete_quadrilateral", 5, 3),
+    "quadrilateral_2_4": ("complete_quadrilateral", 2, 4),
+}
+
+
+BUILTIN_ARRANGEMENTS = {"dual_hesse": dual_hesse, "complete_quadrilateral": complete_quadrilateral}
+
+
+def smooth_phis(name, m, k, count=3):
+    """count distinct epimorphisms of the builtin arrangement `name` onto
+    (Z/m)^k whose covers are certified smooth, drawn from a seeded stream
+    row by row: a row is drawn again while a point whose lines all have rows
+    has two dependent images crossing there (the certificate decides)."""
+    arr = BUILTIN_ARRANGEMENTS[name]()
+    rng, phis = random.Random(f"{name}-{m}-{k}"), []
+    vectors = [v for v in itertools.product(range(m), repeat=k) if any(v)]
+
+    def independent(u, v):
+        return any((u[a] * v[b] - u[b] * v[a]) % m for a in range(k) for b in range(a + 1, k))
+
+    def crossings_ok(rows, p):
+        if p.r == 2:
+            return independent(rows[p.incident[0]], rows[p.incident[1]])
+        eps = tuple(sum(rows[i][j] for i in p.incident) % m for j in range(k))
+        return all(independent(eps, rows[i]) for i in p.incident)
+
+    def extend(rows):
+        i = len(rows)
+        if i == arr.n - 1:
+            options = [tuple(-sum(r[j] for r in rows) % m for j in range(k))]
+        else:
+            options = rng.sample(vectors, len(vectors))
+        for row in options:
+            rows.append(row)
+            done = [p for p in arr.points if p.incident[-1] == i]
+            if all(crossings_ok(rows, p) for p in done) and (i == arr.n - 1 or extend(rows)):
+                return True
+            rows.pop()
+        return False
+
+    while len(phis) < count:
+        rows = []
+        assert extend(rows)
+        try:
+            phi = Epimorphism(m=m, k=k, rows=tuple(rows))
+        except ValueError:
+            continue
+        assert CoverModel.build(arr, phi).certificate.ok
+        if phi not in phis:
+            phis.append(phi)
+    return phis
+
+
+@pytest.mark.parametrize("shape", sorted(PLANE_SHAPES))
+def test_a_kept_blown_plane_gives_every_cover_its_cold_report(tmp_path, shape):
+    """Each cover's `cover invariants` report, text and JSON, read from a
+    plane that earlier covers of the shape filled, equals the one from an
+    empty store (a freshly built arrangement), in either order; so does its
+    3K decomposition."""
+    name, m, k = PLANE_SHAPES[shape]
+    phis = smooth_phis(name, m, k)
+    refs = [
+        write(tmp_path / f"cover{i}.json",
+              {"arrangement": f"builtin:{name}", "m": m, "k": k, "phi": [list(r) for r in phi.rows]})
+        for i, phi in enumerate(phis)
+    ]
+    cold = {}
+    for ref in refs:
+        for fmt in ("text", "json"):
+            clear_memos()
+            cold[ref, fmt] = run_captured(["--format", fmt, "cover", "invariants", ref])
+    assert {code for code, _, _ in cold.values()} == {0}
+    for order in (refs, refs[::-1]):
+        clear_memos()
+        warm = {(ref, fmt): run_captured(["--format", fmt, "cover", "invariants", ref])
+                for ref in order for fmt in ("text", "json")}
+        assert warm == cold
+        # one plane, filled by the first cover and read by the others
+        assert list(resolve_arrangement(f"builtin:{name}")._planes) == [(resolve_cover(ref).blown_ids, m, k)]
+    build = BUILTIN_ARRANGEMENTS[name]
+    for order in (phis, phis[::-1]):
+        shared = build()
+        decompositions = [three_canonical_decomposition(CoverModel.build(shared, phi)) for phi in order]
+        fresh = [three_canonical_decomposition(CoverModel.build(build(), phi)) for phi in order]
+        assert decompositions == fresh
+        assert all(dec is decompositions[0] for dec in decompositions)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The meeting-image ranks `cover.invariants` computes, one per call."""
+    ranks = []
+    original = cover_module.rank_mod_p
+
+    def counted(rows, p):
+        ranks.append(len(rows))
+        return original(rows, p)
+
+    monkeypatch.setattr(cover_module, "rank_mod_p", counted)
+    return ranks
+
+
+def test_a_kept_plane_skips_no_check_of_a_cover(tmp_path, eliminations):
+    # a cover of the shape a smooth one has filled, not smooth at the double
+    # point (1 4) since lines 1 and 4 have one image, is refused with the
+    # cold error line
+    smooth = write(tmp_path / "smooth.json", QUAD_COVER)
+    rows = [[1, 0], [1, 0], [1, 2], [1, 0], [0, 1], [1, 2]]
+    refused = write(tmp_path / "refused.json", {**QUAD_COVER, "phi": rows})
+    for fmt in ("text", "json"):
+        for command in (["cover", "invariants"], ["cover", "smoothness"]):
+            clear_memos()
+            cold = run_captured(["--format", fmt, *command, refused])
+            assert run_captured(["--format", fmt, *command, smooth])[0] == 0
+            assert run_captured(["--format", fmt, *command, refused]) == cold
+    code, out, err = run_captured(["cover", "invariants", refused])
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith("error: cover is not certified smooth: (1 4): ")
+    # on the (Z/2)^4 shape every curve has p_a < 0, and each cover runs the
+    # rank test of each curve, whether it fills the plane or reads it
+    arr = complete_quadrilateral()
+    for phi in smooth_phis("complete_quadrilateral", 2, 4, count=4):
+        eliminations.clear()
+        rep = invariants(CoverModel.build(arr, phi))
+        curves = rep.line_curves + rep.point_curves
+        assert [c.genus for c in curves] == [-1] * 10
+        assert len(eliminations) == 10
+    assert len(arr._planes) == 1
+    # and the test refuses a cover as if smooth with phi(E_p) = 0 at (1 2 3):
+    # C1 has p_a = -1 over d = 4 components
+    rows = ((0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 1, 1), (1, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1))
+    cover = CoverModel.build(arr, Epimorphism(m=2, k=4, rows=rows))
+    assert not cover.certificate.ok
+    eliminations.clear()
+    with pytest.raises(ValueError, match="^adjunction gives no valid genus for C1$"):
+        invariants(cover._replace(certificate=homology.SmoothnessCertificate((), True)))
+    assert len(eliminations) == 1
