@@ -105,13 +105,18 @@ def _hodge_components(data: dict) -> tuple[Betti, ...]:
     return tuple(tuple(c) for c in comps)
 
 
+HODGE_KEYS = frozenset(
+    {"k2", "euler", "q", "h10", "h20", "h11", "nu", "p_plus", "p_minus", "components", "k3"}
+)
+
+
 def bounds_report(data: dict, k3: int | None = None) -> dict:
     """Bound arithmetic on hodge JSON: an object with integer k2 and euler
     (and optional q), or integer h10, h20 and h11, never fields of both (any
     of k2, euler or q selects the first form); optional integer nu, p_plus,
     p_minus and k3 (the `--k3` argument overrides it), and components as
-    Betti triples."""
-    require_object(data, "hodge")
+    Betti triples.  Any other key is refused."""
+    require_object(data, "hodge", HODGE_KEYS)
     surface = [key for key in ("k2", "euler", "q") if key in data]
     hodge = [key for key in ("h10", "h20", "h11") if key in data]
     if surface and hodge:

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .arrangement import Arrangement, Line, build_arrangement, complete_quadrilateral, dual_hesse
 from .homology import BLOW_ALL_TRIPLE, CoverModel, Epimorphism
-from .jsonio import parse_json, read_json, read_text, require_object
+from .jsonio import parse_json, read_json, read_text, require_keys, require_object
 
 PHI1 = Epimorphism(
     m=5,
@@ -102,8 +102,15 @@ def _builtin_name(name: str) -> str:
     return name
 
 
+ARRANGEMENT_KEYS = frozenset({"lines"})
+COVER_KEYS = frozenset({"arrangement", "m", "k", "phi", "blow_up"})
+
+
 def _line_strings(data: dict) -> LineStrings:
-    rows = data.get("lines") if isinstance(data, dict) else None
+    rows = None
+    if isinstance(data, dict):
+        require_keys(data, "arrangement", ARRANGEMENT_KEYS)
+        rows = data.get("lines")
     if not isinstance(rows, list):
         raise ValueError("arrangement JSON needs a 'lines' array")
     for idx, row in enumerate(rows):
@@ -162,9 +169,10 @@ def resolve_arrangement(ref: str | dict) -> Arrangement:
 
 def cover_from_json(data: dict) -> tuple[str | LineStrings | None, CoverModel]:
     """Schema: {"arrangement": ref, "m": int, "k": int, "phi": [[..],..],
-    "blow_up": "all_r_ge_3" | [point ids]}.  The cover, after the memo key
-    of its arrangement, None for an arrangement file, which can change."""
-    require_object(data, "cover")
+    "blow_up": "all_r_ge_3" | [point ids]}, and no other key.  The cover,
+    after the memo key of its arrangement, None for an arrangement file,
+    which can change."""
+    require_object(data, "cover", COVER_KEYS)
     try:
         ref = data["arrangement"]
         key = _arrangement_key(ref)

@@ -85,10 +85,7 @@ def smoothness_report(cover: CoverModel, ref: str) -> dict:
         "cover": ref,
         "m": cover.m,
         "k": cover.k,
-        "blown_points": [
-            list(cover.arrangement.points[pid].incident_1based())
-            for pid in cover.blown_ids
-        ],
+        "blown_points": [list(p.incident_1based()) for p in cover.plane.blown_points],
         "smooth": cert.ok,
         "checks": [
             {

@@ -8,13 +8,15 @@ the Euler characteristic comes from the stratification into the free part,
 the m^(k-1)-fold branch curves, and the m^(k-2)-fold crossing points.
 
 None of these numbers reads phi: they depend on the arrangement, the blown
-points, m and k alone.  So `invariants` and `three_canonical_decomposition`
-make their records once per blown plane and keep them on it
-(`homology.BlownPlane`, kept on the arrangement with its crossings), and
-every cover of that shape reads them.  What reads phi runs for each cover:
-its smoothness certificate (`CoverModel.require_smooth`), and, for each
-curve with p_a < 0, the count of the curve's preimages, from the meeting
-images of the cover's `branch_curves` table.
+points, m and k alone.  So they are read from one record, the blown plane
+(`homology.BlownPlane`, kept on the arrangement): its blown points, the
+blown points on each line and the crossings give the classes, the Euler
+count and the 3K search's setup, and `invariants` and
+`three_canonical_decomposition` keep their records on it, which every
+cover of that shape reads.  What reads phi runs for each cover: its
+smoothness certificate (`CoverModel.require_smooth`), and, for each curve
+with p_a < 0, the count of the curve's preimages, from phi's images of the
+curves that meet it (`BlownPlane.meeting`).
 """
 
 from __future__ import annotations
@@ -25,20 +27,21 @@ from typing import NamedTuple
 
 from .arrangement import Arrangement
 from .homology import BlownPlane, CoverModel, Epimorphism, Vector, blown_plane, rank_mod_p
-from .intersection import Blown, DivisorClass, exceptional, pairing, strict_transforms
+from .intersection import DivisorClass, exceptional, pairing, strict_transforms
 
 # -- canonical class -----------------------------------------------------------
 
 
-def adjoint_class(arr: Arrangement, blown: Blown, m: int) -> DivisorClass:
+def adjoint_class(plane: BlownPlane) -> DivisorClass:
     """m K_adj, where K_adj = K_tilde + ((m-1)/m) B pulls back to the cover's
     canonical class.  With K_tilde = -3H + sum E_p and the branch class
     B = nH + sum (1 - r_p) E_p it is the integral class
     ((m-1)n - 3m) H + sum e_p E_p, e_p = m - (m-1)(r_p - 1)."""
+    m, ids = plane.m, plane.blown_ids
     return DivisorClass(
-        (m - 1) * arr.n - 3 * m,
-        {pid: m - (m - 1) * (arr.points[pid].r - 1) for pid in blown},
-        blown,
+        (m - 1) * plane.arrangement.n - 3 * m,
+        {pid: m - (m - 1) * (p.r - 1) for pid, p in zip(ids, plane.blown_points)},
+        frozenset(ids),
     )
 
 
@@ -109,8 +112,7 @@ class _KeptInvariants(NamedTuple):
 
 def _plane_invariants(plane: BlownPlane) -> _KeptInvariants:
     arr, m, k, blown_ids = plane.arrangement, plane.m, plane.k, plane.blown_ids
-    blown = frozenset(blown_ids)
-    mkadj = adjoint_class(arr, blown, m)
+    mkadj = adjoint_class(plane)
     scale = m ** (k - 2)
     k2 = scale * pairing(mkadj, mkadj)
     euler = stratified_euler(arr, blown_ids, m, k)
@@ -119,9 +121,9 @@ def _plane_invariants(plane: BlownPlane) -> _KeptInvariants:
         raise ValueError(f"K^2 + e = {k2 + euler} violates the Noether quotient")
     labels = (
         *(f"C{i + 1}" for i in range(arr.n)),
-        *("D" + ",".join(map(str, arr.points[pid].incident_1based())) for pid in blown_ids),
+        *("D" + ",".join(map(str, p.incident_1based())) for p in plane.blown_points),
     )
-    classes = (*strict_transforms(arr, blown), *(exceptional(pid, blown) for pid in blown_ids))
+    classes = (*strict_transforms(plane), *(exceptional(pid, mkadj.blown) for pid in blown_ids))
     found, checks = [], []
     for c, (label, cls) in enumerate(zip(labels, classes)):
         self_int, k_degree = scale * pairing(cls, cls), scale * pairing(cls, mkadj)
@@ -152,13 +154,14 @@ def invariants(cover: CoverModel) -> InvariantReport:
     (`homology._independent`), so m^(k-2) is an integer.  None of this reads
     phi, so the report is made once per blown plane and kept there
     (`BlownPlane.record`); each cover checks only the genus of the curves
-    with p_a < 0, reading their meeting images from its `branch_curves`
-    table.
+    with p_a < 0, reading their meeting images from the plane and phi
+    (`BlownPlane.meeting`).
     """
     cover.require_smooth()
-    report, checks = cover.plane.record(_plane_invariants)
+    plane = cover.plane
+    report, checks = plane.record(_plane_invariants)
     m, k = cover.m, cover.k
-    meeting = cover.curves.meeting() if checks else None
+    meeting = plane.meeting(cover.phi) if checks else None
     for c, p_a in checks:
         # p_a of a preimage of d disjoint curves of genus g is d (g - 1) + 1:
         # a negative p_a needs d | p_a - 1 and g >= 0, where d = m^(k - r)
@@ -182,11 +185,12 @@ class ThreeCanonicalDecomposition(NamedTuple):
     note: str
 
 
-def _point_coeffs(arr: Arrangement, blown, mkadj: DivisorClass, line_coeffs) -> list:
+def _point_coeffs(plane: BlownPlane, mkadj: DivisorClass, line_coeffs) -> list:
     """The blown points' coefficients in 3K, given the line coefficients: 3 e_p
     (m K_adj = hH + sum e_p E_p) plus the coefficients of the lines through p."""
     return [
-        3 * mkadj.e[pid] + sum(line_coeffs[i] for i in arr.points[pid].incident) for pid in blown
+        3 * mkadj.e[pid] + sum(line_coeffs[i] for i in p.incident)
+        for pid, p in zip(plane.blown_ids, plane.blown_points)
     ]
 
 
@@ -195,7 +199,7 @@ def _extra_lines(
     slots: int,
     needs: list[int],
     incident: list[tuple[int, ...]],
-    on_line: list[list[int]],
+    on_line: tuple[tuple[int, ...], ...],
 ) -> tuple[int, ...] | None:
     """The lexicographically first `slots` lines from `start` on that include
     at least needs[b] of the lines incident[b] through each blown point b, or
@@ -250,10 +254,8 @@ def three_canonical_decomposition(cover: CoverModel) -> ThreeCanonicalDecomposit
 
 
 def _plane_three_k(plane: BlownPlane) -> ThreeCanonicalDecomposition:
-    arr, blown, m = plane.arrangement, plane.blown_ids, plane.m
-    n = arr.n
-    mkadj = adjoint_class(arr, frozenset(blown), m)
-    blown_points = [arr.points[pid] for pid in blown]
+    n, blown_points = plane.arrangement.n, plane.blown_points
+    mkadj = adjoint_class(plane)
     # 3K_tilde = -9H + 3 sum E_p and -(sum of strict transforms) = -nH + sum r_p E_p
     canonical_route = n == 9 and all(p.r == 3 for p in blown_points)
 
@@ -262,17 +264,13 @@ def _plane_three_k(plane: BlownPlane) -> ThreeCanonicalDecomposition:
     if base > 0:
         # rem < n lines get one more; blown point b needs needs[b] of its lines among them
         floor = [base] * n
-        needs = [1 - d for d in _point_coeffs(arr, blown, mkadj, floor)]
-        on_line: list[list[int]] = [[] for _ in range(n)]
-        for b, p in enumerate(blown_points):
-            for i in p.incident:
-                on_line[i].append(b)
-        extra = _extra_lines(0, rem, needs, [p.incident for p in blown_points], on_line)
+        needs = [1 - d for d in _point_coeffs(plane, mkadj, floor)]
+        extra = _extra_lines(0, rem, needs, [p.incident for p in blown_points], plane.on_line)
         if extra is not None:
             c = [base + (1 if i in extra else 0) for i in range(n)]
             return ThreeCanonicalDecomposition(
                 tuple(c),
-                tuple(_point_coeffs(arr, blown, mkadj, c)),
+                tuple(_point_coeffs(plane, mkadj, c)),
                 integral=True,
                 all_positive=True,
                 canonical_route=canonical_route,
@@ -282,7 +280,7 @@ def _plane_three_k(plane: BlownPlane) -> ThreeCanonicalDecomposition:
             )
 
     c_rat = [Fraction(total, n)] * n
-    d_rat = _point_coeffs(arr, blown, mkadj, c_rat)
+    d_rat = _point_coeffs(plane, mkadj, c_rat)
     return ThreeCanonicalDecomposition(
         tuple(c_rat),
         tuple(d_rat),

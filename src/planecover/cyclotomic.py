@@ -187,8 +187,9 @@ ZERO = CycNumber(0, 0)
 ONE = CycNumber(1, 0)
 ZETA = CycNumber(0, 1)
 
+# a term: its sign, with spaces on either side, then p/q, p/q*z or z
 _TERM = re.compile(
-    r"""(?P<sign>[+-]?)
+    r"""(?: \ * (?P<sign>[+-]) \ * )?
         (?: (?P<coef>\d+(?:/\d+)?) (?P<star>\*z)?
           | (?P<barez>z) )""",
     re.VERBOSE,
@@ -199,9 +200,12 @@ def parse_cyc(text: str) -> CycNumber:
     """Parse the textual form "p/q+r/s*z" (either part may be absent).
 
     Bare "z" and "-z" are accepted; printing always writes an explicit
-    coefficient, and print/parse round-trip bit-exactly.
+    coefficient, and print/parse round-trip bit-exactly.  Every term after
+    the first starts with its sign, and spaces are allowed only around a
+    sign, so "2z", "2*z3" and "1 2" are refused, not read as sums.  A
+    refusal names its position in the text with outer whitespace stripped.
     """
-    s = text.strip().replace(" ", "")
+    s = text.strip()
     if not s:
         raise ValueError("empty cyclotomic literal")
     if s == "0":
@@ -210,7 +214,7 @@ def parse_cyc(text: str) -> CycNumber:
     value = ZERO
     while pos < len(s):
         match = _TERM.match(s, pos)
-        if match is None:
+        if match is None or (pos and not match.group("sign")):
             raise ValueError(f"bad cyclotomic literal {text!r} at position {pos}")
         sign = -1 if match.group("sign") == "-" else 1
         if match.group("barez"):

@@ -1,21 +1,21 @@
 """First homology of the arrangement complement, mod-m epimorphisms, exceptional
-loop classes, the branch-curve table, smoothness certificates, covers, and the
+loop classes, the blown plane, smoothness certificates, covers, and the
 covering kernel.
 
 Loops lambda_1..lambda_n around the lines generate H_1 subject to the single
 relation sum(lambda_i) = 0.  A branched abelian cover is encoded by the n x k
 residue matrix phi with phi(lambda_i) = rows[i] in (Z/mZ)^k.  Only prime m is
 supported; every bundled example has m = 5.  A `CoverModel` is an arrangement,
-a blow-up set and an epimorphism, with the table of its branch curves on the
-blown plane (`branch_curves`: phi of each curve and the pairs of curves that
-cross over each point), certified smooth or not from that table; `cover`
-reads it.  The crossings read no phi: they are built once per arrangement,
-blow-up set, m and k and kept on the arrangement (`BlownPlane`, with the
-records `cover` makes from the plane alone), and `smoothness_check`,
-`cover.stratified_euler` and the meeting images of `cover.invariants` read
-them.  `intersection.strict_transforms` and the 3K search's setup in
-`cover` still find the blown points on each line from `arr.points`
-themselves.
+a blow-up set and an epimorphism, certified smooth or not.  Everything it
+needs of the blown plane Y is one record, `BlownPlane`, made once per
+arrangement, blow-up set, m and k and kept on the arrangement: the blown
+points in curve order, the blown points on each line, the pairs of branch
+curves that cross over each point, and the records `cover` makes from the
+plane alone.  It is the only code that turns blown point ids into points.
+A cover keeps no copy of it: `smoothness_check` and the genus checks of
+`cover.invariants` pair its crossings with phi's images of its curves
+(`BlownPlane.images`, `BlownPlane.meeting`), and `cover`, `intersection`,
+`symmetry` and `cli` read its blown points.
 """
 
 from __future__ import annotations
@@ -191,52 +191,53 @@ def _independent(u: Vector, v: Vector, m: int) -> bool:
     return False
 
 
-class BranchCurves(NamedTuple):
-    """The branch curves of the blown plane Y and where they cross.
-
-    Curve c < n is the strict transform of line c, curve n + j the
-    exceptional curve E_p of the j-th blown point.  `crossings[pid]` lists
-    the pairs of curves that cross over arrangement point pid: (E_p, i) for
-    each line i through a blown p, the two lines at an unblown double point,
-    and none at an unblown point of multiplicity >= 3, which Y leaves
-    unresolved.  `images[c]` is phi of curve c's loop: the row of a line,
-    and for E_p the sum of the rows of the lines through p.
-    """
-
-    crossings: tuple[tuple[tuple[int, int], ...], ...]
-    images: tuple[Vector, ...]
-
-    def meeting(self) -> list[list[Vector]]:
-        """For each curve, its image and then those of the curves crossing it."""
-        meeting = [[image] for image in self.images]
-        for a, b in chain.from_iterable(self.crossings):
-            meeting[a].append(self.images[b])
-            meeting[b].append(self.images[a])
-        return meeting
-
-
 class BlownPlane:
     """The plane Y blown up at `blown_ids`, as every cover of one arrangement
-    with that blow-up set and deck group (Z/mZ)^k sees it: nothing here
-    reads phi.  `blown_plane` keeps one per (blown_ids, m, k) on the
-    arrangement, so the covers of one shape share it.
+    with that blow-up set and deck group (Z/mZ)^k sees it, and the one place
+    that reads which point a blown id names: nothing here reads phi.
+    `blown_plane` keeps one per (blown_ids, m, k) on the arrangement, so the
+    covers of one shape share it.
 
-    `crossings[pid]` lists the pairs of branch curves that cross over point
-    pid, as `BranchCurves` numbers them, built at once.  `record(make)` is
+    The branch curves of Y are numbered c < n for the strict transform of
+    line c and n + b for the exceptional curve E_p of `blown_points[b]`, the
+    b-th blown point.  `on_line[i]` lists the b of the blown points on line i.
+    `crossings[pid]` lists the pairs of curves that cross over arrangement
+    point pid: (n + b, i) for each line i through a blown p, the two lines
+    at an unblown double point, and none at an unblown point of
+    multiplicity >= 3, which Y leaves unresolved.  `record(make)` is
     make(plane), made the first time it is asked for and kept: `cover`'s
     invariants and 3K records, which read the plane alone.
     """
 
     def __init__(self, arr: Arrangement, blown_ids: tuple[int, ...], m: int, k: int) -> None:
         self.arrangement, self.blown_ids, self.m, self.k = arr, blown_ids, m, k
-        curve = {pid: arr.n + j for j, pid in enumerate(blown_ids)}
-        self.crossings = tuple(
-            tuple((curve[pid], i) for i in p.incident) if pid in curve
-            else (p.incident,) if p.r == 2
-            else ()
-            for pid, p in enumerate(arr.points)
-        )
+        self.blown_points = tuple(arr.points[pid] for pid in blown_ids)
+        index = {pid: b for b, pid in enumerate(blown_ids)}
+        on_line: list[list[int]] = [[] for _ in range(arr.n)]
+        crossings = []
+        for pid, p in enumerate(arr.points):
+            if pid in index:
+                crossings.append(tuple((arr.n + index[pid], i) for i in p.incident))
+                for i in p.incident:
+                    on_line[i].append(index[pid])
+            else:
+                crossings.append((p.incident,) if p.r == 2 else ())
+        self.crossings, self.on_line = tuple(crossings), tuple(map(tuple, on_line))
         self._records: dict[Callable, object] = {}
+
+    def images(self, phi: Epimorphism) -> tuple[Vector, ...]:
+        """phi of each curve's loop: the row of a line, and for E_p the sum
+        of the rows of the lines through p."""
+        return (*phi.rows, *(phi.of_loops(p.incident) for p in self.blown_points))
+
+    def meeting(self, phi: Epimorphism) -> list[list[Vector]]:
+        """For each curve, its image and then those of the curves crossing it."""
+        images = self.images(phi)
+        meeting = [[image] for image in images]
+        for a, b in chain.from_iterable(self.crossings):
+            meeting[a].append(images[b])
+            meeting[b].append(images[a])
+        return meeting
 
     def record(self, make: Callable[[BlownPlane], T]) -> T:
         """make(self), kept from its first call; a plane that make refuses
@@ -256,14 +257,6 @@ def blown_plane(arr: Arrangement, blown_ids: tuple[int, ...], m: int, k: int) ->
     return planes[key]
 
 
-def branch_curves(arr: Arrangement, blown_ids: tuple[int, ...], phi: Epimorphism) -> BranchCurves:
-    """The table of a cover's branch curves, built once per cover by
-    `CoverModel.build` and read by `smoothness_check` and `cover.invariants`:
-    the crossings its blown plane keeps and phi's images."""
-    images = (*phi.rows, *(phi.of_loops(arr.points[pid].incident) for pid in blown_ids))
-    return BranchCurves(blown_plane(arr, blown_ids, phi.m, phi.k).crossings, images)
-
-
 class PointCheck(NamedTuple):
     incident_1based: tuple[int, ...]
     kind: str  # "blown" | "double" | "unresolved"
@@ -279,20 +272,21 @@ class SmoothnessCertificate(NamedTuple):
         return tuple(c for c in self.checks if not c.ok)
 
 
-def smoothness_check(arr: Arrangement, phi: Epimorphism, curves: BranchCurves) -> SmoothnessCertificate:
+def smoothness_check(plane: BlownPlane, phi: Epimorphism) -> SmoothnessCertificate:
     """Certify the cover smooth over every arrangement point, reading the
-    crossings and images of `curves`, the cover's `branch_curves` table.
+    crossings of `plane` and phi's images of its curves.
 
     Each crossing needs the images of its two curves independent: at a
     blown point phi(eps_p) with each incident line's image, at an unblown
     double point the two line images.  An unblown point of higher
     multiplicity has no crossing pairs and is a failure.
     """
+    arr = plane.arrangement
     if phi.n != arr.n:
         raise ValueError("epimorphism size does not match the arrangement")
-    images, m = curves.images, phi.m
+    images, m = plane.images(phi), phi.m
     checks: list[PointCheck] = []
-    for point, pairs in zip(arr.points, curves.crossings):
+    for point, pairs in zip(arr.points, plane.crossings):
         inc1 = point.incident_1based()
         if not pairs:
             checks.append(PointCheck(inc1, "unresolved", False, f"{point.r}-fold point left unblown"))
@@ -316,7 +310,6 @@ class _CoverFields(NamedTuple):
     arrangement: Arrangement
     phi: Epimorphism
     blown_ids: tuple[int, ...]
-    curves: BranchCurves
     certificate: SmoothnessCertificate
 
 
@@ -352,8 +345,7 @@ class CoverModel(_CoverFields):
                 f"blow_up must be {BLOW_ALL_TRIPLE!r} or a list of integer point ids, "
                 f"got {blow!r}"
             )
-        curves = branch_curves(arr, blown, phi)
-        return cls(arr, phi, blown, curves, smoothness_check(arr, phi, curves))
+        return cls(arr, phi, blown, smoothness_check(blown_plane(arr, blown, phi.m, phi.k), phi))
 
     @property
     def plane(self) -> BlownPlane:

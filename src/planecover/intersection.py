@@ -5,13 +5,16 @@ integer coefficients, H.H = 1, E_p.E_p = -1 and all mixed products 0.  A
 class is sparse: a blown point it does not list has coefficient 0.  The
 cover's numbers need only integral classes: strict transforms of lines,
 exceptional curves, and m times the adjoint class (`cover.adjoint_class`).
+Both read the blown points from the blown plane (`homology.BlownPlane`),
+which lists them, and the blown points on each line, once per plane.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .arrangement import Arrangement
+if TYPE_CHECKING:
+    from .homology import BlownPlane
 
 Blown = frozenset[int]  # the blown point ids
 
@@ -47,11 +50,8 @@ def exceptional(point_id: int, blown: Blown) -> DivisorClass:
     return DivisorClass(0, {point_id: 1}, blown)
 
 
-def strict_transforms(arr: Arrangement, blown: Blown) -> tuple[DivisorClass, ...]:
-    """L_i' = H minus the E_p of the blown points on line i, for every line,
-    from one pass over the blown points' incident lines."""
-    on_line: list[dict[int, int]] = [{} for _ in range(arr.n)]
-    for pid in blown:
-        for i in arr.points[pid].incident:
-            on_line[i][pid] = -1
-    return tuple(DivisorClass(1, e, blown) for e in on_line)
+def strict_transforms(plane: BlownPlane) -> tuple[DivisorClass, ...]:
+    """L_i' = H minus the E_p of the blown points on line i, for every line
+    of the plane, from the blown points it lists on each line."""
+    ids, blown = plane.blown_ids, frozenset(plane.blown_ids)
+    return tuple(DivisorClass(1, {ids[b]: -1 for b in bs}, blown) for bs in plane.on_line)

@@ -37,11 +37,21 @@ def read_json(path: str):
     return parse_json(read_text(path), path)
 
 
-def require_object(data, what: str) -> None:
-    """Refuse a JSON document that is not an object, naming its JSON type."""
+def require_object(data, what: str, keys: frozenset[str]) -> None:
+    """Refuse a JSON document that is not an object, naming its JSON type,
+    or one with a key outside `keys`, its schema (`require_keys`)."""
     if not isinstance(data, dict):
         kinds = {type(None): "null", bool: "boolean", str: "string", list: "array"}
         raise ValueError(f"{what} JSON must be an object, got {kinds.get(type(data), 'number')}")
+    require_keys(data, what, keys)
+
+
+def require_keys(data: dict, what: str, keys: frozenset[str]) -> None:
+    """Refuse a JSON object with a key outside `keys`, naming those keys,
+    sorted: a misspelt optional key would leave its field at the default."""
+    unknown = sorted(data.keys() - keys)
+    if unknown:
+        raise ValueError(f"{what} JSON has unknown keys {unknown}; allowed: {sorted(keys)}")
 
 
 def _is_int(x: object) -> bool:

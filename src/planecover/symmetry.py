@@ -286,9 +286,7 @@ def _fingerprint(
     arr = model.cover.arrangement
     fixed = {p.incident for p in fixed_points_of(arr, r.perm)}
     real_blown = tuple(
-        arr.points[pid].incident_1based()
-        for pid in model.cover.blown_ids
-        if arr.points[pid].incident in fixed
+        p.incident_1based() for p in model.cover.plane.blown_points if p.incident in fixed
     )
     euler = betti = None
     if model.m % 2 == 1:

@@ -159,6 +159,8 @@ HODGE = {"k2": 333, "euler": 111, "p_plus": 0, "p_minus": 36, "components": [[1,
         # q alone selects the k2/euler form
         ({"q": 0}, "hodge JSON needs an integer 'k2'", []),
         ({"q": 0, "nu": 0}, "hodge JSON needs an integer 'k2'", []),
+        # a misspelt key is refused, not left at its default (q = 0)
+        ({**HODGE, "Q": 2}, "hodge JSON has unknown keys ['Q']; allowed: ['components', ", []),
     ],
     ids=[
         "list", "string", "component-str", "component-pair", "component-negative",
@@ -166,7 +168,7 @@ HODGE = {"k2": 333, "euler": 111, "p_plus": 0, "p_minus": 36, "components": [[1,
         "k2-str", "p-plus-float", "nu-null", "k3-bool", "k3-negative",
         "k3-str-under-argument", "k3-negative-under-argument", "q-negative",
         "mixed-forms", "q-beside-hodge-numbers", "h11-beside-surface",
-        "q-only", "q-and-nu",
+        "q-only", "q-and-nu", "unknown-key",
     ],
 )
 def test_malformed_hodge_json_is_input_error(tmp_path, capsys, doc, message, options):
@@ -397,12 +399,14 @@ def test_non_smooth_refusal_names_each_point(tmp_path, capsys, fmt):
         (None, "abc"),
         (None, 5),
         (None, None),
+        # a misspelt blow_up is refused, not read as the default blow-up
+        ("blowup", []),
     ],
     ids=[
         "phi-float", "phi-bool", "phi-str", "phi-flat", "m-float", "m-bool", "k-str", "k-bool",
         "k-zero", "m-composite", "blow-float", "blow-str", "blow-bool", "blow-unknown-keyword",
         "arrangement-int", "arrangement-list", "m-mersenne-61", "m-too-large",
-        "document-list", "document-str", "document-int", "document-null",
+        "document-list", "document-str", "document-int", "document-null", "blow-up-misspelt",
     ],
 )
 def test_malformed_cover_json_is_input_error(tmp_path, capsys, field, value):
@@ -423,6 +427,11 @@ def test_malformed_cover_json_is_input_error(tmp_path, capsys, field, value):
         assert err == "error: cover JSON field 'phi' must be an array of arrays, one per line\n"
     if field == "m" and value == 4:
         assert "modulus 4 is not prime" in err
+    if field == "blowup":
+        assert err == (
+            "error: cover JSON has unknown keys ['blowup']; "
+            "allowed: ['arrangement', 'blow_up', 'k', 'm', 'phi']\n"
+        )
     if field == "m" and value == 2**89 - 1:
         assert "past the range of the exact primality test" in err
 
@@ -533,23 +542,34 @@ def test_unwritable_out_path_is_input_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+AXES = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
 @pytest.mark.parametrize(
-    "lines, message",
+    "doc, message",
     [
-        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "lines[0] must be 3 coefficient strings"),
-        ([["1", "0", "0"], ["0", "1"], ["0", "0", "1"]], "lines[1] must be 3 coefficient strings"),
-        ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1", "1"]], "lines[2] must be 3"),
-        ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", None]], "lines[2] must be 3"),
-        ([["1", "0", "0"], "010", ["0", "0", "1"]], "lines[1] must be 3"),
-        ("abc", "needs a 'lines' array"),
-        ({"0": ["1", "0", "0"]}, "needs a 'lines' array"),
-        ([["1", "0", "0"], ["0", "1/0", "0"], ["0", "0", "1"]], "bad cyclotomic literal '1/0'"),
+        ({"lines": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "lines[0] must be 3 coefficient strings"),
+        ({"lines": [["1", "0", "0"], ["0", "1"], ["0", "0", "1"]]},
+         "lines[1] must be 3 coefficient strings"),
+        ({"lines": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1", "1"]]}, "lines[2] must be 3"),
+        ({"lines": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", None]]}, "lines[2] must be 3"),
+        ({"lines": [["1", "0", "0"], "010", ["0", "0", "1"]]}, "lines[1] must be 3"),
+        ({"lines": "abc"}, "needs a 'lines' array"),
+        ({"lines": {"0": ["1", "0", "0"]}}, "needs a 'lines' array"),
+        ({"lines": [["1", "0", "0"], ["0", "1/0", "0"], ["0", "0", "1"]]},
+         "bad cyclotomic literal '1/0'"),
+        # terms side by side: "2z" is not read as 2 + z
+        ({"lines": [["1", "1", "2z"], *AXES]}, "bad cyclotomic literal '2z' at position 1"),
+        # a key outside the schema is refused before any field is read
+        ({"lines": AXES, "Lines": "x", "name": "axes"},
+         "arrangement JSON has unknown keys ['Lines', 'name']; allowed: ['lines']"),
     ],
-    ids=["ints", "short-row", "long-row", "null", "string-row", "string", "object", "zero-denominator"],
+    ids=["ints", "short-row", "long-row", "null", "string-row", "string", "object",
+         "zero-denominator", "terms-side-by-side", "unknown-keys"],
 )
-def test_malformed_arrangement_json_is_input_error(tmp_path, capsys, lines, message):
+def test_malformed_arrangement_json_is_input_error(tmp_path, capsys, doc, message):
     path = tmp_path / "arr.json"
-    path.write_text(json.dumps({"lines": lines}))
+    path.write_text(json.dumps(doc))
     assert run(["arrangement", "info", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

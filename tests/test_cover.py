@@ -30,7 +30,7 @@ from planecover.cover import (
     word_str,
 )
 from planecover.cyclotomic import CycNumber
-from planecover.homology import CoverModel, Epimorphism, SmoothnessCertificate
+from planecover.homology import BlownPlane, CoverModel, Epimorphism, SmoothnessCertificate
 from test_symmetry import (
     CENSUS_COVERS,
     CENSUS_GENERIC_COVERS,
@@ -87,7 +87,7 @@ def test_euler_cross_check_verbatim_grouping(cover1, cover2):
 def cover_canonical(cover):
     """The oracle's K_adj, which the library's integral class is m times."""
     kadj = adjoint_branch_class(cover.arrangement, cover.blown_ids, cover.m)
-    mkadj = adjoint_class(cover.arrangement, frozenset(cover.blown_ids), cover.m)
+    mkadj = adjoint_class(cover.plane)
     assert Fraction(mkadj.h, cover.m) == kadj.h
     assert {p: Fraction(c, cover.m) for p, c in mkadj.e.items() if c} == dict(kadj.e)
     return kadj
@@ -111,7 +111,7 @@ def test_adjoint_class_trivial_degree(dh):
     blown = tuple(pid for pid, p in enumerate(dh.points) if p.r >= 3)
     assert adjoint_branch_class(dh, blown, 1) == canonical_class(blown)
     # the integral class m K_adj reads K_tilde = -3H + sum E_p at m = 1 too
-    mkadj = adjoint_class(dh, frozenset(blown), 1)
+    mkadj = adjoint_class(BlownPlane(dh, blown, 1, 2))
     assert (mkadj.h, mkadj.e) == (-3, {p: 1 for p in blown})
 
 
@@ -173,7 +173,7 @@ def test_triangle_cover_reports_honest_decomposition():
         (f"C{i}", 1, -3, 0) for i in (1, 2, 3)
     ]
     assert rep.point_curves == ()
-    assert adjoint_class(arr, frozenset(), 5).h == -3
+    assert adjoint_class(cover.plane).h == -3 and cover.blown_ids == ()
     dec = three_canonical_decomposition(cover)
     assert dec.line_coeffs == (-3, -3, -3) and dec.point_coeffs == ()
     assert dec.integral and not dec.all_positive
@@ -405,6 +405,7 @@ def test_chi_matches_pardini_on_random_smooth_covers(shape, seed):
     cover = random_smooth_cover(build(), m, k, random.Random(seed))
     assume(cover is not None)
     assert pardini_chi(cover) == invariants(cover).chi
+    assert_the_plane_lists_the_blown_points(cover)
 
 
 # -- the integral class m K_adj against the rational lattice --------------------
@@ -440,6 +441,16 @@ def assert_matches_lattice(cover):
     assert three_canonical_decomposition(as_if_smooth(cover)).canonical_route == identity
     if any(cover.arrangement.points[pid].r == 2 for pid in cover.blown_ids):
         assert not identity
+
+
+def assert_the_plane_lists_the_blown_points(cover):
+    """The blown plane's blown points and the blown points on each line,
+    against a scan of every point of the arrangement."""
+    arr, plane = cover.arrangement, cover.plane
+    blown = [p for pid, p in enumerate(arr.points) if pid in cover.blown_ids]
+    assert list(plane.blown_points) == blown
+    on_line = [[b for b, p in enumerate(blown) if i in p.incident] for i in range(arr.n)]
+    assert list(map(list, plane.on_line)) == on_line
 
 
 def every_point_blown(cover):
@@ -701,7 +712,9 @@ def test_invariants_match_the_lattice_on_random_covers(name, m, k, rng):
     doubles = [pid for pid, p in enumerate(arr.points) if p.r == 2]
     blow = [pid for pid, p in enumerate(arr.points) if p.r >= 3]
     blow += rng.sample(doubles, rng.randint(0, len(doubles)))
-    assert_matches_lattice(CoverModel.build(arr, phi, blow))
+    cover = CoverModel.build(arr, phi, blow)
+    assert_matches_lattice(cover)
+    assert_the_plane_lists_the_blown_points(cover)
 
 
 @pytest.mark.parametrize(
@@ -739,3 +752,4 @@ def test_three_canonical_matches_the_enumeration(name, m, rng):
     blow = rng.sample(range(len(arr.points)), rng.randint(0, len(arr.points)))
     cover = CoverModel.build(arr, two_column_phi(arr.n, m), blow)
     assert_3k_matches_enumeration(as_if_smooth(cover))
+    assert_the_plane_lists_the_blown_points(cover)

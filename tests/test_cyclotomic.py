@@ -120,6 +120,11 @@ def test_parse_rejects_garbage():
     for bad in ("", "q", "1**z", "1/0+z", "1/00", "z-3/0*z"):
         with pytest.raises(ValueError):
             parse_cyc(bad)
+    # terms written side by side: each term after the first needs its sign,
+    # and a space stands only around a sign
+    for bad, pos in (("2z", 1), ("1z2", 1), ("2*z3", 3), ("1 2", 1)):
+        with pytest.raises(ValueError, match=f"bad cyclotomic literal .* at position {pos}$"):
+            parse_cyc(bad)
     assert parse_cyc("1/10") == CycNumber(Fraction(1, 10))
 
 

@@ -16,7 +16,6 @@ from planecover.homology import (
     PointCheck,
     SmoothnessCertificate,
     blown_plane,
-    branch_curves,
     galois_kernel,
     is_prime,
     rank_mod_p,
@@ -198,8 +197,8 @@ def test_minor_certificate_matches_elimination(name, m, k, rng):
         blown = tuple(pid for pid, p in enumerate(arr.points) if p.r >= 3)
     else:
         blown = tuple(sorted(rng.sample(range(len(arr.points)), rng.randint(0, len(arr.points)))))
-    curves = branch_curves(arr, blown, phi)
-    assert smoothness_check(arr, phi, curves) == eliminated_certificate(arr, phi, blown)
+    plane = blown_plane(arr, blown, m, k)
+    assert smoothness_check(plane, phi) == eliminated_certificate(arr, phi, blown)
 
 
 def blown_ids(arr):
@@ -245,25 +244,34 @@ def test_branch_curve_table_of_example3(cq):
     blown point's lines each cross its E_p, an unblown double point's two
     lines cross each other."""
     cover = CoverModel.build(cq, PHI3)
-    assert cover.curves == branch_curves(cq, cover.blown_ids, PHI3)
-    by_point = {p.incident_1based(): pairs for p, pairs in zip(cq.points, cover.curves.crossings)}
+    plane = cover.plane
+    by_point = {p.incident_1based(): pairs for p, pairs in zip(cq.points, plane.crossings)}
     assert by_point == {
         (1, 2, 3): ((6, 0), (6, 1), (6, 2)), (1, 4): ((0, 3),), (1, 5, 6): ((7, 0), (7, 4), (7, 5)),
         (2, 4, 6): ((8, 1), (8, 3), (8, 5)), (2, 5): ((1, 4),), (3, 4, 5): ((9, 2), (9, 3), (9, 4)),
         (3, 6): ((2, 5),),
     }
+    # the blown points in curve order, and the b of the blown points
+    # (curve 6 + b) on each line
+    assert [p.incident_1based() for p in plane.blown_points] == [(1, 2, 3), (1, 5, 6), (2, 4, 6), (3, 4, 5)]
+    assert plane.on_line == ((0, 1), (0, 2), (0, 3), (2, 3), (1, 3), (1, 2))
     # E_p's image is the sum of the rows of the lines through p
-    assert cover.curves.images == (*PHI3.rows, (3, 2), (3, 2), (3, 2), (1, 4))
-    # the crossings read no phi: they are the blown plane's, kept on the
-    # arrangement, and every cover of the shape shares them
-    plane = blown_plane(cq, cover.blown_ids, 5, 2)
-    assert cover.plane is plane and cover.curves.crossings is plane.crossings
+    assert plane.images(PHI3) == (*PHI3.rows, (3, 2), (3, 2), (3, 2), (1, 4))
+    # each curve's image, then those of the curves crossing it
+    assert plane.meeting(PHI3)[0] == [PHI3.rows[0], (3, 2), PHI3.rows[3], (3, 2)]
+    assert plane.meeting(PHI3)[6] == [(3, 2), *PHI3.rows[:3]]
+    # the plane reads no phi: it is kept on the arrangement, and every
+    # cover of the shape shares it
     assert blown_plane(cq, cover.blown_ids, 5, 2) is plane and cq._planes[cover.blown_ids, 5, 2] is plane
-    # with nothing blown, each triple point is left without a crossing
-    assert [len(pairs) for pairs in blown_plane(cq, (), 5, 2).crossings] == [0, 1, 0, 0, 1, 0, 1]
+    # with nothing blown, each triple point is left without a crossing, no
+    # line has a blown point, and the images are phi's rows
+    bare = blown_plane(cq, (), 5, 2)
+    assert [len(pairs) for pairs in bare.crossings] == [0, 1, 0, 0, 1, 0, 1]
+    assert bare.blown_points == () and bare.on_line == ((),) * cq.n
+    assert bare.images(PHI3) == PHI3.rows
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 15")
 def test_a_cover_with_an_unbranched_exceptional_curve_is_smooth(cq):
     """phi(E_p) = 0 at p = (1 2 3): E_p is not a branch curve, so each point
     of E_p lies on at most one branch curve and the cover is smooth there.
@@ -271,7 +279,7 @@ def test_a_cover_with_an_unbranched_exceptional_curve_is_smooth(cq):
     image, and refuses the cover."""
     phi = Epimorphism(m=5, k=2, rows=((0, 1), (0, 1), (0, 3), (1, 0), (1, 0), (3, 0)))
     cover = CoverModel.build(cq, phi)
-    assert cover.curves.images[cq.n] == (0, 0)
+    assert cover.plane.images(phi)[cq.n] == (0, 0)
     assert cover.certificate.ok
 
 

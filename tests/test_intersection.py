@@ -2,11 +2,18 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from planecover.homology import BlownPlane
 from planecover.intersection import DivisorClass, exceptional, pairing, strict_transforms
 
 
 def blown_ids(arr):
     return frozenset(pid for pid, p in enumerate(arr.points) if p.r >= 3)
+
+
+def lines_of(arr, blown):
+    """The strict transforms of arr's lines on the plane blown up at `blown`
+    (m and k are not read)."""
+    return strict_transforms(BlownPlane(arr, tuple(sorted(blown)), 5, 2))
 
 
 def hyperplane(blown):
@@ -50,7 +57,7 @@ def test_exceptional_squares_to_minus_one():
 
 
 def test_dual_hesse_strict_transform_self_intersection(dh):
-    lines = strict_transforms(dh, blown_ids(dh))
+    lines = lines_of(dh, blown_ids(dh))
     assert len(lines) == 9
     for st_ in lines:
         assert pairing(st_, st_) == -3
@@ -58,7 +65,7 @@ def test_dual_hesse_strict_transform_self_intersection(dh):
 
 
 def test_quadrilateral_strict_transform(cq):
-    lines = strict_transforms(cq, blown_ids(cq))
+    lines = lines_of(cq, blown_ids(cq))
     assert len(lines) == 6
     for st_ in lines:
         assert len(st_.e) == 2
@@ -66,7 +73,7 @@ def test_quadrilateral_strict_transform(cq):
 
 
 def test_strict_transform_with_no_blown_points(dh):
-    for st_ in strict_transforms(dh, frozenset()):
+    for st_ in lines_of(dh, frozenset()):
         assert st_ == hyperplane(frozenset())
         assert pairing(st_, st_) == 1
 
@@ -75,7 +82,7 @@ def test_strict_transforms_list_the_blown_points_on_each_line(cq):
     # an explicit blow-up set: every point of the quadrilateral, the three
     # double points included, so each line meets three blown points
     blown = frozenset(range(len(cq.points)))
-    for i, st_ in enumerate(strict_transforms(cq, blown)):
+    for i, st_ in enumerate(lines_of(cq, blown)):
         assert st_.e == {pid: -1 for pid, p in enumerate(cq.points) if i in p.incident}
         assert pairing(st_, st_) == 1 - 3
 
@@ -96,7 +103,7 @@ def test_canonical_class_dual_hesse_blowup(dh, cq):
 def test_three_canonical_identity_on_dual_hesse(dh):
     blown = blown_ids(dh)
     lhs = add(canonical_class(blown), scale=3)
-    rhs = add(*strict_transforms(dh, blown), scale=-1)
+    rhs = add(*lines_of(dh, blown), scale=-1)
     assert lhs == rhs
     assert same_class(lhs, rhs)
 
@@ -104,7 +111,7 @@ def test_three_canonical_identity_on_dual_hesse(dh):
 def test_pullback_of_line_has_self_intersection_one(dh, cq):
     for arr in (dh, cq):
         blown = blown_ids(arr)
-        for i, st_ in enumerate(strict_transforms(arr, blown)):
+        for i, st_ in enumerate(lines_of(arr, blown)):
             # the total transform: the strict transform plus the E_p through the line
             tt = add(st_, *(exceptional(pid, blown) for pid in blown if i in arr.points[pid].incident))
             assert pairing(tt, tt) == 1

@@ -26,7 +26,6 @@ from planecover.cover import (
     three_canonical_decomposition,
 )
 from planecover.homology import (
-    BranchCurves,
     CoverModel,
     Epimorphism,
     PointCheck,
@@ -58,14 +57,13 @@ def samples():
         ComponentBoundVerdict: component_count_bound(hodge, 3),
         FakePlaneReport: fake_plane_involution_check(),
         CoverModel: cover,
-        BranchCurves: cover.curves,
         CurveInvariants: report.line_curves[0],
         InvariantReport: report,
         ThreeCanonicalDecomposition: three_canonical_decomposition(cover),
         Epimorphism: cover.phi,
         PointCheck: cover.certificate.checks[0],
         SmoothnessCertificate: cover.certificate,
-        DivisorClass: adjoint_class(arr, frozenset(cover.blown_ids), cover.m),
+        DivisorClass: adjoint_class(cover.plane),
         RealizedSymmetry: model.realized[-1],
         KleinModel: model,
         RealStructureClass: classify_real_structures(model)[-1],
